@@ -21,7 +21,7 @@ from . import verify as verify_mod
 from .ladder import build_from_ground
 from .model import ModelParams, k_from_mass, mass_from_k, spectrum
 from .numeric import log_gamma
-from .wavefun import build_eigenfunction, evaluate, inner_product
+from .wavefun import MAX_LEVEL, build_eigenfunction, evaluate, inner_product
 
 USAGE_ERROR = 2
 
@@ -31,8 +31,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
-    threads = _threads_from_env()
-    if threads is None:
+    if not _threads_env_ok():
         print("SUSY_PT_THREADS must be a positive integer", file=sys.stderr)
         return USAGE_ERROR
     try:
@@ -42,7 +41,7 @@ def main(argv=None) -> int:
             return _cmd_eigenfunction(args)
         if args.command == "hierarchy":
             return _cmd_hierarchy(args)
-        return _cmd_verify(args, threads)
+        return _cmd_verify(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
@@ -74,13 +73,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigenfunction", help="sampled level-n eigenfunction")
     add_params(p)
-    p.add_argument("--n", type=int, default=0, help="level index (0..64)")
+    p.add_argument("--n", type=int, default=0, help=f"level index (0..{MAX_LEVEL})")
     p.add_argument("--samples", type=int, default=201, help="sample count incl. endpoints (>= 2)")
     add_output(p)
 
     p = sub.add_parser("hierarchy", help="raising chain norms down to level k")
     add_params(p)
-    p.add_argument("--n", type=int, default=1, help="level assembled by the chain (0..64)")
+    p.add_argument("--n", type=int, default=1, help=f"level assembled by the chain (0..{MAX_LEVEL})")
     add_output(p)
 
     p = sub.add_parser("verify", help="run property suites; exit 0 iff all pass")
@@ -93,15 +92,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env():
+def _threads_env_ok() -> bool:
+    """SUSY_PT_THREADS, when set, must be a positive integer.  Suites run
+    on one thread, which satisfies any cap."""
     raw = os.environ.get("SUSY_PT_THREADS")
     if raw is None:
-        return 1
+        return True
     try:
-        value = int(raw)
+        return int(raw) >= 1
     except ValueError:
-        return None
-    return value if value >= 1 else None
+        return False
 
 
 def _resolve_params(args) -> ModelParams:
@@ -193,8 +193,8 @@ def _cmd_eigenfunction(args) -> int:
 def _cmd_hierarchy(args) -> int:
     params = _resolve_params(args)
     n = args.n
-    if n < 0 or n > 64:
-        raise ValueError("--n must be in 0..64")
+    if n < 0 or n > MAX_LEVEL:
+        raise ValueError(f"--n must be in 0..{MAX_LEVEL}")
     k = params.k
     steps = []
     for j in range(n):
@@ -231,7 +231,7 @@ def _cmd_hierarchy(args) -> int:
     return 0
 
 
-def _cmd_verify(args, threads: int) -> int:
+def _cmd_verify(args) -> int:
     if args.k is not None or args.mass is not None:
         battery = [_resolve_params(args)]
     else:
@@ -242,7 +242,6 @@ def _cmd_verify(args, threads: int) -> int:
         grid_n=args.grid_n,
         suites=args.suite,
         richardson=args.richardson,
-        max_workers=threads,
     )
     text = report.to_json() + "\n" if args.format == "json" else report.to_text() + "\n"
     _emit(text, args.output)

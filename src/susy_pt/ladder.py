@@ -29,8 +29,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .model import ModelParams
-from .numeric import log_gamma
-from .wavefun import Wavefunction, evaluate_envelope_form, ground_state
+from .numeric import interior_grid, log_gamma
+from .wavefun import MAX_LEVEL, Wavefunction, evaluate_envelope_form, ground_state
 
 __all__ = [
     "LadderContext",
@@ -151,7 +151,7 @@ def factorization_residual(params: ModelParams, k: float, wf: Wavefunction, x=No
     sides are exact, so the residual is rounding noise for polynomial
     inputs of moderate degree.
     """
-    x = _default_grid(params) if x is None else np.asarray(x, dtype=float)
+    x = interior_grid(params, 10_000).points if x is None else np.asarray(x, dtype=float)
     ctx = LadderContext(params, k)
     if wf.kappa == k:
         composed = raise_(ctx, lower(ctx, wf))
@@ -173,7 +173,7 @@ def commutator_check(params: ModelParams, k: float, test_fn: Wavefunction, x=Non
     general-envelope operator rules; intermediate exponents fall below
     the bound-state range, so raw (kappa, coeffs) pairs are used.
     """
-    x = _default_grid(params) if x is None else np.asarray(x, dtype=float)
+    x = interior_grid(params, 10_000).points if x is None else np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= params.half_width):
         raise ValueError("x must be strictly interior")
     kappa, p = test_fn.kappa, test_fn.coeffs
@@ -221,8 +221,8 @@ def build_from_ground(params: ModelParams, n: int, k_level: float | None = None)
     if n != int(n) or n < 0:
         raise ValueError("level index n must be a nonnegative integer")
     n = int(n)
-    if n > 64:
-        raise ValueError("level index n must not exceed 64")
+    if n > MAX_LEVEL:
+        raise ValueError(f"level index n must not exceed {MAX_LEVEL}")
     k = params.k if k_level is None else float(k_level)
     wf = ground_state(params, k + n)
     for j in range(n - 1, -1, -1):
@@ -234,8 +234,3 @@ def build_from_ground(params: ModelParams, n: int, k_level: float | None = None)
     )
     return Wavefunction(params, k, wf.coeffs * math.exp(log_pref))
 
-
-def _default_grid(params: ModelParams, n: int = 10_000) -> np.ndarray:
-    d = params.half_width
-    h = 2.0 * d / (n + 1)
-    return -d + h * np.arange(1, n + 1)

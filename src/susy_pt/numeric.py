@@ -1,5 +1,5 @@
 """Independent numerical machinery: composite Gauss-Legendre quadrature,
-log-gamma, and a Sturm-bisection eigensolver for the finite-difference
+log-gamma, and a Sturm-count eigensolver for the finite-difference
 image of the rescaled operator -(1/w^2) d^2/dx^2 + V.
 
 Everything here is deliberately kept free of the exact polynomial
@@ -109,7 +109,7 @@ def discretize_delta(
 
 
 # ----------------------------------------------------------------------
-# Sturm-sequence bisection
+# Sturm-sequence eigensolver
 # ----------------------------------------------------------------------
 
 def sturm_count(op: TridiagonalOperator, lam: float) -> int:
@@ -120,26 +120,21 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     classical Sturm sequence.  A tiny pivot is replaced by -pivmin so the
     count stays well defined (LAPACK-style safeguard).
     """
-    diag = op.diag.tolist()
-    offsq = np.concatenate(([0.0], np.square(op.offdiag))).tolist()
-    pivmin = _pivmin(op)
-    count = 0
-    d = 1.0
-    for a, bsq in zip(diag, offsq):
-        d = (a - lam) - bsq / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
-            count += 1
-    return count
+    return _pivot_sweep(*_pivot_data(op), lam)[0]
 
 
 def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
-    """The count smallest eigenvalues by Sturm counting + bisection.
+    """The count smallest eigenvalues by shared-bracket Sturm counting.
 
-    Each eigenvalue is bracketed to width <= 1e-10 * (1 + |lambda|).
-    Bisection is used instead of an iterative QL/QR sweep because it is
-    deterministic and needs no convergence tuning.
+    Each eigenvalue is bracketed to width <= 1e-10 * (1 + |lambda|) and
+    returned as the bracket midpoint.  As in LAPACK dstebz, every pivot
+    sweep updates the brackets of all requested eigenvalues, and the
+    upper end is found by doubling up from the Gershgorin lower end.
+    Within an isolating bracket, safeguarded Newton steps on
+    det(T - lam*I) approach the eigenvalue; counts either side of the
+    converged iterate shrink the bracket, and plain bisection finishes
+    it.  The result is certified by Sturm counts alone, deterministic,
+    and needs no convergence tuning.
     """
     n = op.size
     if not 0 < count <= n:
@@ -153,39 +148,103 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
     lo0 -= pad
     hi0 += pad
 
-    diag = op.diag.tolist()
-    offsq = np.concatenate(([0.0], np.square(op.offdiag))).tolist()
-    pivmin = _pivmin(op)
+    data = _pivot_data(op)
+    # invariant: count(lo[i]) == below_lo[i] <= i < below_hi[i] == count(hi[i])
+    lo = [lo0] * count
+    hi = [hi0] * count
+    below_lo = [0] * count
+    below_hi = [n] * count
 
-    def count_below(lam: float) -> int:
-        c = 0
-        d = 1.0
-        for a, bsq in zip(diag, offsq):
-            d = (a - lam) - bsq / d
-            if abs(d) < pivmin:
-                d = -pivmin
-            if d < 0.0:
-                c += 1
-        return c
+    def probe(lam: float, newton: bool = False):
+        below, step = _pivot_sweep(*data, lam, newton)
+        for i in range(min(below, count)):
+            if lam < hi[i]:
+                hi[i], below_hi[i] = lam, below
+        for i in range(below, count):
+            if lam > lo[i]:
+                lo[i], below_lo[i] = lam, below
+        return step
+
+    # the lowest eigenvalues of a discretized second-order operator are
+    # spaced about (Gershgorin width) / n^2 apart
+    reach = (hi0 - lo0) / (n * n)
+    while hi[-1] == hi0 and lo0 + reach < hi0:
+        probe(lo0 + reach)
+        reach *= 2.0
 
     out = []
     for j in range(count):
-        lo, hi = lo0, hi0
-        while hi - lo > 1e-10 * (1.0 + 0.5 * abs(lo + hi)):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:  # bracket at rounding limit
+        # bisect until the bracket holds eigenvalue j alone
+        while (below_lo[j] != j or below_hi[j] != j + 1) and not _settled(lo[j], hi[j]):
+            probe(0.5 * (lo[j] + hi[j]))
+        # safeguarded Newton (as in rtsafe): back to the midpoint whenever
+        # the step leaves the bracket, is not finite or fails to halve
+        x = 0.5 * (lo[j] + hi[j])
+        last = hi[j] - lo[j]
+        while not _settled(lo[j], hi[j]):
+            dx = probe(x, newton=True)
+            if not (math.isfinite(dx) and lo[j] < x + dx < hi[j] and abs(dx) <= 0.5 * last):
+                x = 0.5 * (lo[j] + hi[j])
+                last = hi[j] - lo[j]
+                continue
+            x += dx
+            last = abs(dx)
+            if last <= 1e-8 * (1.0 + abs(x)):
+                # count either side of x, from within the certified width
+                # outward: log-det Newton can settle off the Sturm root by
+                # a roundoff floor larger than that width
+                delta = 4e-11 * (1.0 + abs(x))
+                for sign in (-1.0, 1.0):
+                    t = delta
+                    while lo[j] < x + sign * t < hi[j]:
+                        probe(x + sign * t)
+                        t *= 2.0
                 break
-            if count_below(mid) > j:
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
+        while not _settled(lo[j], hi[j]):
+            probe(0.5 * (lo[j] + hi[j]))
+        out.append(0.5 * (lo[j] + hi[j]))
     return out
 
 
-def _pivmin(op: TridiagonalOperator) -> float:
-    bsq_max = float(np.max(np.square(op.offdiag), initial=1.0))
-    return 2.2250738585072014e-308 * max(1.0, bsq_max)
+def _settled(lo: float, hi: float) -> bool:
+    """Bracket at the certified width, or at the rounding limit."""
+    mid = 0.5 * (lo + hi)
+    return hi - lo <= 1e-10 * (1.0 + abs(mid)) or not lo < mid < hi
+
+
+def _pivot_data(op: TridiagonalOperator):
+    """Rows for _pivot_sweep: diagonal, squared off-diagonal (0 before the
+    first row), and the LAPACK pivot floor pivmin."""
+    offsq = np.square(op.offdiag)
+    pivmin = 2.2250738585072014e-308 * float(np.max(offsq, initial=1.0))
+    return op.diag.tolist(), np.concatenate(([0.0], offsq)).tolist(), pivmin
+
+
+def _pivot_sweep(diag, offsq, pivmin: float, lam: float, newton: bool = False):
+    """One LDL^T pivot sweep of T - lam*I: (number of negative pivots,
+    Newton step for det(T - lam*I), or None when newton is false).
+
+    det = prod d_i, so the step is -1 / sum(d_i'/d_i) with
+    d_i' = -1 + (b_{i-1}^2 / d_{i-1}) d_{i-1}'/d_{i-1}; the loop carries
+    g = d_i'/d_i.  |d| < pivmin counts as the negative pivot -pivmin.
+    """
+    below = 0
+    d = 1.0
+    g = 0.0
+    total = 0.0
+    for a, bsq in zip(diag, offsq):
+        q = bsq / d
+        d = (a - lam) - q
+        if d < pivmin:
+            below += 1
+            if d > -pivmin:
+                d = -pivmin
+        if newton:
+            g = (q * g - 1.0) / d
+            total += g
+    if not newton:
+        return below, None
+    return below, (-1.0 / total if total else math.inf)
 
 
 def delta_eigenvalues_fd(

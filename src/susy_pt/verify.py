@@ -8,7 +8,6 @@ given their inputs (random test polynomials use a fixed seed).
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import json
 import math
@@ -281,7 +280,6 @@ def run_all(
     suites=None,
     richardson: bool = False,
     k_corruption: float = 0.0,
-    max_workers: int = 1,
 ) -> VerificationReport:
     """Run the property suites and assemble a VerificationReport.
 
@@ -297,19 +295,11 @@ def run_all(
         raise ValueError("params_set must not be empty")
     if n_max < 0 or n_max > 16:
         raise ValueError("n_max must be in 0..16")
-    selected = _select_suites(suites)
-
-    def run_one(item):
-        name, fn = item
+    results = []
+    for name, fn in _select_suites(suites):
         kwargs = {"richardson": richardson} if name == "numeric_cross_check" else {}
         worst, tol = fn(battery, n_max, grid_n, k_corruption, **kwargs)
-        return SuiteResult.make(name, worst, tol, battery)
-
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = tuple(pool.map(run_one, selected))
-    else:
-        results = tuple(run_one(item) for item in selected)
+        results.append(SuiteResult.make(name, worst, tol, battery))
 
     meta = {
         "params_set": [_params_dict(p) for p in battery],
@@ -318,7 +308,7 @@ def run_all(
         "richardson": richardson,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    return VerificationReport(results, meta)
+    return VerificationReport(tuple(results), meta)
 
 
 def _select_suites(names):

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import susy_pt
 
 from susy_pt import ModelParams
 from susy_pt.numeric import (
@@ -186,3 +191,128 @@ class TestEigenvaluesLowest:
             eigenvalues_lowest(op, 0)
         with pytest.raises(ValueError):
             eigenvalues_lowest(op, 3)
+
+
+def _dense(op):
+    return np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+
+
+def _random_tridiagonal(rng, n):
+    return TridiagonalOperator(rng.normal(size=n), rng.normal(size=n - 1))
+
+
+def _wilkinson_plus(n=21):
+    m = (n - 1) // 2
+    return TridiagonalOperator(np.abs(np.arange(n) - m).astype(float), np.ones(n - 1))
+
+
+def _split_blocks():
+    # identical blocks joined by 1e-300: exactly double eigenvalues
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=12), rng.normal(size=11)
+    return TridiagonalOperator(np.concatenate((a, a)), np.concatenate((b, [1e-300], b)))
+
+
+def _all_negative():
+    rng = np.random.default_rng(11)
+    return TridiagonalOperator(rng.uniform(-60.0, -20.0, 40), rng.uniform(-5.0, 5.0, 39))
+
+
+def _plain_bisection(op, j):
+    """Reference: independent bisection on sturm_count from Gershgorin
+    bounds to the certified width, one eigenvalue at a time."""
+    radius = 2.0 * float(np.max(np.abs(op.offdiag), initial=0.0))
+    lo, hi = float(np.min(op.diag)) - radius - 1.0, float(np.max(op.diag)) + radius + 1.0
+    while hi - lo > 1e-10 * (1.0 + 0.5 * abs(lo + hi)):
+        mid = 0.5 * (lo + hi)
+        if sturm_count(op, mid) > j:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _assert_certified(op, lams):
+    for j, lam in enumerate(lams):
+        delta = 1e-10 * (1.0 + abs(lam))
+        assert sturm_count(op, lam - delta) <= j < sturm_count(op, lam + delta)
+
+
+class TestEigensolverAgainstDense:
+    """Sturm-count eigenvalues against LAPACK (numpy.linalg.eigvalsh) on
+    the dense matrix, to the certified width 1e-10 * (1 + |lambda|)."""
+
+    @staticmethod
+    def _check(op, count):
+        got = eigenvalues_lowest(op, count)
+        ref = np.linalg.eigvalsh(_dense(op))[:count]
+        for lam, exact in zip(got, ref):
+            assert abs(lam - exact) <= 1e-10 * (1.0 + abs(exact))
+        _assert_certified(op, got)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tridiagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 201))
+        self._check(_random_tridiagonal(rng, n), min(n, 7))
+
+    def test_wilkinson_near_degenerate_pairs(self):
+        op = _wilkinson_plus()
+        ref = np.linalg.eigvalsh(_dense(op))
+        assert ref[-1] - ref[-2] < 1e-12  # the top pair is not resolvable
+        self._check(op, op.size)
+
+    def test_split_matrix_with_double_eigenvalues(self):
+        self._check(_split_blocks(), 10)
+
+    def test_all_negative_spectrum(self):
+        op = _all_negative()
+        assert np.linalg.eigvalsh(_dense(op))[-1] < 0.0
+        self._check(op, 9)
+
+    def test_count_equals_size(self):
+        op = _random_tridiagonal(np.random.default_rng(3), 30)
+        self._check(op, op.size)
+
+
+class TestEigensolverCertification:
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    @pytest.mark.parametrize("k", [1.25, 10.0, 100.0])
+    def test_sturm_counts_straddle_each_eigenvalue(self, kind, k):
+        op = discretize_delta(ModelParams(1.0, 1.0, k), kind, 1024)
+        _assert_certified(op, eigenvalues_lowest(op, 5))
+
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    def test_matches_plain_bisection(self, kind):
+        op = discretize_delta(ModelParams(1.0, 1.0, 10.0), kind, 1024)
+        for j, lam in enumerate(eigenvalues_lowest(op, 5)):
+            ref = _plain_bisection(op, j)
+            assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    def test_newton_roundoff_floor_case(self):
+        # log-det Newton settles about 1e-9 off the Sturm root here, more
+        # than the certified width; the counts must still straddle it
+        k = 2.0
+        op = discretize_delta(ModelParams(1.0, 1.0, k), "minus", 16384)
+        lams = eigenvalues_lowest(op, 5)
+        _assert_certified(op, lams)
+        for n, lam in enumerate(lams):
+            exact = n * (n + 2.0 * k)
+            assert abs(lam - exact) <= 1e-3 * (1.0 + exact)
+
+
+def test_fd_oracle_does_not_import_scipy():
+    # scipy is a benchmark reference only, never a dependency of the oracle
+    code = (
+        "import sys\n"
+        "from susy_pt import ModelParams\n"
+        "from susy_pt.numeric import delta_eigenvalues_fd\n"
+        "delta_eigenvalues_fd(ModelParams(1.0, 1.0, 2.0), 'minus', 3, 256, richardson=True)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(susy_pt.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -70,15 +70,6 @@ class TestRunAll:
         assert sharp.suites[0].status == "pass"
         assert sharp.suites[0].worst_residual < plain.suites[0].worst_residual
 
-    def test_parallel_run_matches_serial(self):
-        battery = [ModelParams(1.0, 1.0, 2.0)]
-        a = run_all(params_set=battery, suites=list(FAST_SUITES), **SMALL)
-        b = run_all(params_set=battery, suites=list(FAST_SUITES), max_workers=3, **SMALL)
-        for sa, sb in zip(a.suites, b.suites):
-            assert sa.name == sb.name
-            assert sa.worst_residual == sb.worst_residual
-            assert sa.status == sb.status
-
     def test_equidistance_suite_reports_zero_scale_residual(self):
         report = run_all(
             params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["equidistance"], **SMALL
