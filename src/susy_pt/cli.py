@@ -3,8 +3,7 @@ traces, and verification runs, emitted as CSV or JSON.
 
 Exit codes: 0 success / all suites pass, 1 verification failure,
 2 usage error.  Floats are printed with 17 significant digits so CSV
-output round-trips exactly; identical flags give byte-identical output
-(the verify report additionally carries a timestamp in its metadata).
+output round-trips exactly; identical flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .ladder import build_from_ground
+from .ladder import build_from_ground, chain_prefactor
 from .model import ModelParams, k_from_mass, mass_from_k, spectrum
-from .numeric import log_gamma
 from .wavefun import MAX_LEVEL, build_eigenfunction, evaluate, inner_product
 
 USAGE_ERROR = 2
@@ -84,7 +82,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites; exit 0 iff all pass")
     add_params(p, require_k=False)
-    p.add_argument("--n-max", type=int, default=16, help="highest level exercised (0..16)")
+    p.add_argument("--n-max", type=int, default=verify_mod.VERIFIED_LEVEL, help=f"highest level exercised (0..{verify_mod.VERIFIED_LEVEL})")
     p.add_argument("--grid-n", type=int, default=4096, help="discretization size for the eigensolver suite")
     p.add_argument("--suite", action="append", choices=verify_mod.SUITE_NAMES, help="run only the named suite (repeatable)")
     p.add_argument("--richardson", action="store_true", help="extrapolated eigensolver cross-check (1e-6 tolerance)")
@@ -193,19 +191,14 @@ def _cmd_eigenfunction(args) -> int:
 def _cmd_hierarchy(args) -> int:
     params = _resolve_params(args)
     n = args.n
-    if n < 0 or n > MAX_LEVEL:
-        raise ValueError(f"--n must be in 0..{MAX_LEVEL}")
+    assembled = build_from_ground(params, n)
     k = params.k
     steps = []
     for j in range(n):
         k_level = k + n - 1 - j
         factor = math.sqrt((j + 1) * (j + 1 + 2.0 * k_level))
         steps.append((j, float(k_level), factor))
-    log_pref = 0.5 * (
-        log_gamma(n + 2.0 * k) - log_gamma(2.0 * n + 2.0 * k) - log_gamma(n + 1.0)
-    )
-    prefactor = math.exp(log_pref)
-    assembled = build_from_ground(params, n)
+    prefactor = chain_prefactor(k, n)
     final_norm = math.sqrt(inner_product(assembled, assembled))
     if args.format == "csv":
         text = _csv(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .model import ModelParams
+from .model import ModelParams, _check_interior, _check_level
 from .numeric import interior_grid, log_gamma
 from .wavefun import MAX_LEVEL, Wavefunction, evaluate_envelope_form, ground_state
 
@@ -40,6 +40,7 @@ __all__ = [
     "factorization_residual",
     "commutator_check",
     "build_from_ground",
+    "chain_prefactor",
 ]
 
 _ONE_MINUS_S2 = np.array([1.0, 0.0, -1.0])
@@ -91,7 +92,7 @@ def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
 def _check_envelope(wf: Wavefunction, expected: float, op: str):
     if wf.kappa != expected:
         raise ValueError(
-            f"{op} expects envelope exponent {expected:g}, got {wf.kappa:g}"
+            f"{op} expects envelope exponent {expected!r}, got {wf.kappa!r}"
         )
 
 
@@ -119,9 +120,7 @@ def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, 
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
 
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= params.half_width):
-        raise ValueError("x must be strictly interior")
+    x = _check_interior(params, x)
     if wf.is_zero:
         return np.zeros(x.shape)
 
@@ -173,9 +172,7 @@ def commutator_check(params: ModelParams, k: float, test_fn: Wavefunction, x=Non
     general-envelope operator rules; intermediate exponents fall below
     the bound-state range, so raw (kappa, coeffs) pairs are used.
     """
-    x = interior_grid(params, 10_000).points if x is None else np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= params.half_width):
-        raise ValueError("x must be strictly interior")
+    x = interior_grid(params, 10_000).points if x is None else _check_interior(params, x)
     kappa, p = test_fn.kappa, test_fn.coeffs
     if p.size == 0:
         return 0.0
@@ -211,26 +208,30 @@ def build_from_ground(params: ModelParams, n: int, k_level: float | None = None)
     """Level-n eigenfunction assembled by n raising steps from the
     closed-form ground state at level k+n:
 
-        U_{k,n} = (1/sqrt(n!)) sqrt(Gamma(n+2k)/Gamma(2n+2k))
-                  A_k^+ A_{k+1}^+ ... A_{k+n-1}^+ U_{k+n,0}.
+        U_{k,n} = chain_prefactor(k, n) A_k^+ A_{k+1}^+ ... A_{k+n-1}^+ U_{k+n,0}.
 
-    The gamma prefactor is evaluated in log space so levels up to the
-    supported maximum cannot overflow.  Result matches
+    The chain levels are built by repeated +1.0 from k, so each raising
+    step finds exactly the envelope exponent the previous one produced
+    (fl(fl(k+j)+1) and fl(k+j+1) can differ by one ulp).  Result matches
     build_eigenfunction up to rounding.
     """
-    if n != int(n) or n < 0:
-        raise ValueError("level index n must be a nonnegative integer")
-    n = int(n)
-    if n > MAX_LEVEL:
-        raise ValueError(f"level index n must not exceed {MAX_LEVEL}")
+    n = _check_level(n, MAX_LEVEL)
     k = params.k if k_level is None else float(k_level)
-    wf = ground_state(params, k + n)
-    for j in range(n - 1, -1, -1):
-        wf = raise_(LadderContext(params, k + j), wf)
+    levels = [k]
+    for _ in range(n):
+        levels.append(levels[-1] + 1.0)
+    wf = ground_state(params, levels[-1])
+    for k_j in reversed(levels[:-1]):
+        wf = raise_(LadderContext(params, k_j), wf)
     if n == 0:
         return wf
-    log_pref = 0.5 * (
-        log_gamma(n + 2.0 * k) - log_gamma(2.0 * n + 2.0 * k) - log_gamma(n + 1.0)
-    )
-    return Wavefunction(params, k, wf.coeffs * math.exp(log_pref))
+    return Wavefunction(params, k, wf.coeffs * chain_prefactor(k, n))
 
+
+def chain_prefactor(k: float, n: int) -> float:
+    """(1/sqrt(n!)) sqrt(Gamma(n+2k)/Gamma(2n+2k)), the normalization of
+    the n-step raising chain down to level k.  Evaluated in log space so
+    levels up to the supported maximum cannot overflow."""
+    return math.exp(
+        0.5 * (log_gamma(n + 2.0 * k) - log_gamma(2.0 * n + 2.0 * k) - log_gamma(n + 1.0))
+    )

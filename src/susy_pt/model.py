@@ -185,9 +185,12 @@ def superpotential(params: ModelParams, x):
     return out if out.ndim else float(out)
 
 
-def _check_level(n) -> int:
+def _check_level(n, cap=None) -> int:
+    """The one level validator: n a nonnegative integer, at most cap."""
     if n != int(n) or n < 0:
         raise ValueError("level index n must be a nonnegative integer")
+    if cap is not None and n > cap:
+        raise ValueError(f"level index n must not exceed {cap}")
     return int(n)
 
 

@@ -8,7 +8,6 @@ given their inputs (random test polynomials use a fixed seed).
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .wavefun import Wavefunction, build_eigenfunction, evaluate, inner_product
 __all__ = [
     "DEFAULT_BATTERY",
     "SUITE_NAMES",
+    "VERIFIED_LEVEL",
     "SuiteResult",
     "VerificationReport",
     "run_all",
@@ -43,6 +43,9 @@ __all__ = [
 DEFAULT_BATTERY = tuple(
     ModelParams(1.0, eps, k) for eps in (0.5, 1.0, 2.0) for k in (1.5, 2.0, 3.7, 10.0)
 )
+
+# Highest level the suites certify; run_all rejects a larger n_max.
+VERIFIED_LEVEL = 16
 
 _TEST_FN_SEED = 20260809
 _NONREL_KS = (1.0e2, 1.0e3, 1.0e4, 1.0e6)
@@ -212,7 +215,7 @@ def _suite_build_up(battery, n_max, grid_n, corr):
     worst = 0.0
     for p in battery:
         x = interior_grid(p, 2001).points
-        for n in range(min(n_max, 16) + 1):
+        for n in range(n_max + 1):
             direct = build_eigenfunction(p, n)
             chained = build_from_ground(p, n)
             res = np.abs(evaluate(chained, x) - evaluate(direct, x))
@@ -237,7 +240,7 @@ def _suite_equidistance(battery, n_max, grid_n, corr):
     worst = 0.0
     for p in battery:
         q = p if p.epsilon == 1.0 else ModelParams(p.omega, 1.0, p.k)
-        for n in range(17):
+        for n in range(VERIFIED_LEVEL + 1):
             worst = max(worst, abs(energy(q, n + 1) - energy(q, n) - q.omega))
     return worst, 1e-12
 
@@ -275,7 +278,7 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 def run_all(
     params_set=None,
-    n_max: int = 16,
+    n_max: int = VERIFIED_LEVEL,
     grid_n: int = 4096,
     suites=None,
     richardson: bool = False,
@@ -293,8 +296,8 @@ def run_all(
     battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
     if not battery:
         raise ValueError("params_set must not be empty")
-    if n_max < 0 or n_max > 16:
-        raise ValueError("n_max must be in 0..16")
+    if n_max < 0 or n_max > VERIFIED_LEVEL:
+        raise ValueError(f"n_max must be in 0..{VERIFIED_LEVEL}")
     results = []
     for name, fn in _select_suites(suites):
         kwargs = {"richardson": richardson} if name == "numeric_cross_check" else {}
@@ -306,7 +309,6 @@ def run_all(
         "n_max": n_max,
         "grid_n": grid_n,
         "richardson": richardson,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     return VerificationReport(tuple(results), meta)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .model import ModelParams
+from .model import ModelParams, _check_level
 from .numeric import log_gamma, quadrature
 
 __all__ = [
@@ -126,7 +126,7 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
     monomial coefficients.  Unit L2 norm by quadrature; highest-order
     coefficient positive.
     """
-    n = _check_build_level(n)
+    n = _check_level(n, MAX_LEVEL)
     s = n % 2
     n_s = (n - s) // 2
     series = hypergeometric_coefficients(n_s, params.k + s + n_s, s + 0.5)
@@ -207,11 +207,3 @@ def inner_product(f: Wavefunction, g: Wavefunction, panels: int | None = None) -
         panels = 48 + (f.degree + g.degree) // 2
     d = f.params.half_width
     return quadrature(lambda x: evaluate(f, x) * evaluate(g, x), -d, d, panels)
-
-
-def _check_build_level(n) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError("level index n must be a nonnegative integer")
-    if n > MAX_LEVEL:
-        raise ValueError(f"level index n must not exceed {MAX_LEVEL}")
-    return int(n)

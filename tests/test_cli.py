@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from susy_pt import cli
+from susy_pt.wavefun import MAX_LEVEL
 
 
 def run_cli(capsys, *argv):
@@ -121,8 +122,16 @@ class TestEigenfunctionCommand:
         assert "samples" in err
 
     def test_level_cap(self, capsys):
-        code, _, err = run_cli(capsys, "eigenfunction", "--k", "2", "--n", "65")
-        assert code == 2
+        # eigenfunction and hierarchy reject a level with the same message
+        for n in ("-1", "2.5", str(MAX_LEVEL + 1)):
+            code, _, err = run_cli(capsys, "eigenfunction", "--k", "2", "--n", n)
+            h_code, _, h_err = run_cli(capsys, "hierarchy", "--k", "2", "--n", n)
+            assert code == h_code == 2
+            if n == "2.5":  # argparse: the usage line names the subcommand
+                for text in (err, h_err):
+                    assert "argument --n: invalid int value: '2.5'" in text
+            else:
+                assert err == h_err and err.startswith("level index n must")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -176,6 +185,13 @@ class TestHierarchyCommand:
         # prefactor cancels the accumulated factors exactly
         prod = math.prod(s["factor"] for s in data["steps"])
         assert data["prefactor"] * prod == pytest.approx(1.0, rel=1e-12)
+
+    def test_off_grid_k(self, capsys):
+        # (k + 6) + 1 and k + 7 round to different floats at k = 1.312
+        code, out, _ = run_cli(capsys, "hierarchy", "--k", "1.312", "--n", "8")
+        assert code == 0
+        final = float(out.split("final_norm=")[1].split()[0])
+        assert final == pytest.approx(1.0, abs=1e-8)
 
 
 class TestVerifyCommand:

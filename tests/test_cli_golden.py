@@ -1,0 +1,26 @@
+"""Byte-identity gate: CLI stdout on a fixed command set must equal the
+outputs stored under tests/golden/.  A refactor that changes any printed
+digit fails here; regenerate a golden file only for an intended change
+of output, and say so in CHANGES.md."""
+
+from pathlib import Path
+
+import pytest
+
+from susy_pt import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "spectrum_k3.7_eps0.5.csv": ("spectrum", "--k", "3.7", "--epsilon", "0.5"),
+    "eigenfunction_k2_n3.csv": ("eigenfunction", "--k", "2", "--n", "3", "--samples", "41"),
+    "hierarchy_k2_n4.json": ("hierarchy", "--k", "2", "--n", "4", "--format", "json"),
+    "hierarchy_k3.7_n16.csv": ("hierarchy", "--k", "3.7", "--n", "16"),
+    "verify.txt": ("verify", "--format", "text"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys):
+    assert cli.main(list(CASES[name])) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -15,7 +15,14 @@ from susy_pt.ladder import (
 )
 from susy_pt.model import superpotential, v_minus, v_plus
 from susy_pt.numeric import interior_grid
-from susy_pt.wavefun import Wavefunction, evaluate, ground_state, inner_product
+from susy_pt.wavefun import (
+    MAX_LEVEL,
+    Wavefunction,
+    build_eigenfunction,
+    evaluate,
+    ground_state,
+    inner_product,
+)
 
 from conftest import BATTERY
 
@@ -92,9 +99,9 @@ class TestLoweringRaising:
 
     def test_envelope_mismatch_rejected(self, build_cached):
         wf = build_cached(P_REF, 2)  # kappa = 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^lower expects envelope exponent 3\.0, got 2\.0$"):
             lower(LadderContext(P_REF, 3.0), wf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^raise_ expects envelope exponent 3\.0, got 2\.0$"):
             raise_(LadderContext(P_REF, 2.0), wf)  # expects kappa = 3
 
     def test_matches_plain_finite_differences_on_dense_grid(self, build_cached):
@@ -287,8 +294,22 @@ class TestBuildFromGround:
         x = interior_grid(P_REF, 1001).points
         assert np.max(np.abs(evaluate(got, x) - evaluate(want, x))) <= 1e-8
 
+    def test_off_grid_k_chain_levels(self):
+        # fl(fl(k+j)+1) != fl(k+j+1) for about 1% of such k; the chain
+        # must still meet the envelope each raising step expects
+        rng = np.random.default_rng(20261017)
+        ks = np.exp(rng.uniform(math.log(1.25), math.log(1.0e3), 400))
+        for k, n in zip(ks, rng.integers(0, 17, ks.size)):
+            p = ModelParams(1.0, 1.0, float(k))
+            assert k * 2.0**10 != round(k * 2.0**10)
+            x = interior_grid(p, 1001).points
+            got = evaluate(build_from_ground(p, int(n)), x)
+            want = evaluate(build_eigenfunction(p, int(n)), x)
+            assert np.max(np.abs(got - want)) <= 1e-8, (k, n)
+
     def test_rejects_bad_levels(self):
-        with pytest.raises(ValueError):
-            build_from_ground(P_REF, -1)
-        with pytest.raises(ValueError):
-            build_from_ground(P_REF, 65)
+        # both builders share the one level validator in model
+        for n in (-1, 2.5, MAX_LEVEL + 1):
+            for build in (build_eigenfunction, build_from_ground):
+                with pytest.raises(ValueError, match="^level index n must"):
+                    build(P_REF, n)

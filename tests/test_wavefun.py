@@ -209,11 +209,8 @@ class TestBuildEigenfunction:
                 assert rel <= (1e-12 if n <= 12 else 1e-8)
 
     def test_level_cap(self):
+        # rejection above the cap: test_ladder.py::test_rejects_bad_levels
         p = ModelParams(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            build_eigenfunction(p, MAX_LEVEL + 1)
-        with pytest.raises(ValueError):
-            build_eigenfunction(p, -1)
         wf = build_eigenfunction(p, MAX_LEVEL)  # constructible, coeffs finite
         assert np.all(np.isfinite(wf.coeffs)) and wf.degree == MAX_LEVEL
 
