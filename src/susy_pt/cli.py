@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,9 +28,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
-    if not _threads_env_ok():
-        print("SUSY_PT_THREADS must be a positive integer", file=sys.stderr)
-        return USAGE_ERROR
     try:
         if args.command == "spectrum":
             return _cmd_spectrum(args)
@@ -90,18 +86,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_env_ok() -> bool:
-    """SUSY_PT_THREADS, when set, must be a positive integer.  Suites run
-    on one thread, which satisfies any cap."""
-    raw = os.environ.get("SUSY_PT_THREADS")
-    if raw is None:
-        return True
-    try:
-        return int(raw) >= 1
-    except ValueError:
-        return False
-
-
 def _resolve_params(args) -> ModelParams:
     if args.mass is not None:
         k = k_from_mass(args.mass, args.omega, args.epsilon)
@@ -139,8 +123,6 @@ def _csv(header, rows, comments=(), trailers=()) -> str:
 
 def _cmd_spectrum(args) -> int:
     params = _resolve_params(args)
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
     spec = spectrum(params, args.n_max)
     rows = [
         (lvl.n, float(lvl.e_squared), math.sqrt(lvl.e_squared), float(lvl.delta_eig))

@@ -75,29 +75,22 @@ class TridiagonalOperator:
         return self.diag.shape[0]
 
 
-def discretize_delta(
-    params: ModelParams,
-    kind: str,
-    n_points: int,
-    k_pot: float | None = None,
-) -> TridiagonalOperator:
+def discretize_delta(params: ModelParams, kind: str, n_points: int) -> TridiagonalOperator:
     """Finite-difference image of -(1/w^2) d^2/dx^2 + V on the interior grid.
 
     kind selects V: "minus" -> V_-(k), "plus" -> V_+(k), "zero" -> 0
-    (particle in a box, for convergence sanity checks).  k_pot overrides
-    the potential's k; it defaults to params.k.  Eigenfunctions vanish
-    like cos^k at the boundary (k > 1), so Dirichlet conditions are exact
-    in the continuum limit.  The potential is evaluated only at interior
-    nodes and never touches the tan^2 singularity.
+    (particle in a box, for convergence sanity checks).  Eigenfunctions
+    vanish like cos^k at the boundary (k > 1), so Dirichlet conditions
+    are exact in the continuum limit.  The potential is evaluated only at
+    interior nodes and never touches the tan^2 singularity.
     """
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = interior_grid(params, n_points)
-    p = params if k_pot is None else params.with_k(k_pot)
     if kind == "minus":
-        v = v_minus(p, grid.points)
+        v = v_minus(params, grid.points)
     elif kind == "plus":
-        v = v_plus(p, grid.points)
+        v = v_plus(params, grid.points)
     elif kind == "zero":
         v = np.zeros(n_points)
     else:
@@ -252,7 +245,6 @@ def delta_eigenvalues_fd(
     kind: str,
     count: int,
     n_points: int,
-    k_pot: float | None = None,
     richardson: bool = False,
 ) -> list[float]:
     """Lowest eigenvalues of the discretized operator, optionally sharpened
@@ -261,11 +253,11 @@ def delta_eigenvalues_fd(
     Central differences converge at O(h^2); combining grids with step
     ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).
     """
-    lam1 = eigenvalues_lowest(discretize_delta(params, kind, n_points, k_pot), count)
+    lam1 = eigenvalues_lowest(discretize_delta(params, kind, n_points), count)
     if not richardson:
         return lam1
     n2 = 2 * n_points
-    lam2 = eigenvalues_lowest(discretize_delta(params, kind, n2, k_pot), count)
+    lam2 = eigenvalues_lowest(discretize_delta(params, kind, n2), count)
     r = (n2 + 1) / (n_points + 1)  # h1/h2
     r2 = r * r
     return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(lam1, lam2)]

@@ -1,15 +1,19 @@
 """Property suites tying the closed-form results to the numerical oracle,
 with a machine-readable report.
 
-Each suite measures a worst residual against a contractual tolerance;
-a suite passes iff worst residual <= tolerance.  Suites are deterministic
-given their inputs (random test polynomials use a fixed seed).
+Each suite is a generator that yields its residuals; the contractual
+tolerances live in the one table _SUITES.  run_all reduces each suite's
+residuals to the worst one, and a suite passes iff worst residual <=
+tolerance.  Suites are deterministic given their inputs (random test
+polynomials use a fixed seed).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +63,6 @@ class SuiteResult:
     tolerance: float
     params: tuple
 
-    @staticmethod
-    def make(name, worst, tol, params_used) -> "SuiteResult":
-        status = "pass" if worst <= tol else "fail"
-        return SuiteResult(name, status, float(worst), float(tol), tuple(params_used))
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -107,75 +106,77 @@ def _params_dict(p: ModelParams) -> dict:
 
 
 # ----------------------------------------------------------------------
-# individual suites
+# individual suites: each yields its residuals for one run
 # ----------------------------------------------------------------------
 
-def _suite_orthonormality(battery, n_max, grid_n, corr):
-    worst = 0.0
+@dataclass(frozen=True)
+class _Run:
+    """The options of one run_all call, shared by every suite; state is
+    build_eigenfunction memoized for that call."""
+
+    n_max: int
+    grid_n: int
+    richardson: bool
+    k_corruption: float
+    state: Callable[[ModelParams, int], Wavefunction]
+
+
+def _suite_orthonormality(battery, run):
     for p in battery:
-        fns = [build_eigenfunction(p, n) for n in range(8)]
+        fns = [run.state(p, n) for n in range(8)]
         for i in range(8):
             for j in range(i, 8):
                 g = inner_product(fns[i], fns[j])
-                worst = max(worst, abs(g - (1.0 if i == j else 0.0)))
-    return worst, 1e-8
+                yield abs(g - (1.0 if i == j else 0.0))
 
 
-def _eigen_residual(p, kind, k_pot, wf, lam, x):
-    vals = apply_delta(p, kind, k_pot, wf, x)
+def _eigen_residual(p, kind, wf, lam, x):
+    vals = apply_delta(p, kind, p.k, wf, x)
     ref = lam * evaluate(wf, x)
     return float(np.max(np.abs(vals - ref))) / (1.0 + lam)
 
 
-def _suite_eigen_residual(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_eigen_residual(battery, run):
     for p in battery:
         x = interior_grid(p, 2001).points
-        for n in range(n_max + 1):
-            wf = build_eigenfunction(p, n)
-            worst = max(worst, _eigen_residual(p, "minus", p.k, wf, delta_eigenvalue(p, n), x))
-    return worst, 1e-8
+        for n in range(run.n_max + 1):
+            wf = run.state(p, n)
+            yield _eigen_residual(p, "minus", wf, delta_eigenvalue(p, n), x)
 
 
-def _suite_partner_eigen_residual(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_partner_eigen_residual(battery, run):
     for p in battery:
         x = interior_grid(p, 2001).points
         up = p.with_k(p.k + 1.0)
-        for n in range(1, n_max + 1):
-            wf = build_eigenfunction(up, n - 1)
+        for n in range(1, run.n_max + 1):
+            wf = run.state(up, n - 1)
             lam = n * (n + 2.0 * p.k)
-            worst = max(worst, _eigen_residual(p, "plus", p.k, wf, lam, x))
-    return worst, 1e-8
+            yield _eigen_residual(p, "plus", wf, lam, x)
 
 
-def _suite_ladder(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_ladder(battery, run):
     for p in battery:
         x = interior_grid(p, 2001).points
         ctx = LadderContext(p, p.k)
         up = p.with_k(p.k + 1.0)
-        for n in range(1, n_max + 1):
-            u_n = build_eigenfunction(p, n)
-            u_down = build_eigenfunction(up, n - 1)
-            factor = math.sqrt(n * (n + 2.0 * (p.k + corr)))
+        for n in range(1, run.n_max + 1):
+            u_n = run.state(p, n)
+            u_down = run.state(up, n - 1)
+            factor = math.sqrt(n * (n + 2.0 * (p.k + run.k_corruption)))
             lowered = lower(ctx, u_n)
             res = np.abs(evaluate(lowered, x) - factor * evaluate(u_down, x))
-            worst = max(worst, float(np.max(res)))
+            yield float(np.max(res))
             raised = raise_(ctx, u_down)
             res = np.abs(evaluate(raised, x) - factor * evaluate(u_n, x))
-            worst = max(worst, float(np.max(res)))
-    return worst, 1e-8
+            yield float(np.max(res))
 
 
-def _suite_shape_invariance(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_shape_invariance(battery, run):
     for p in battery:
         x = interior_grid(p, 10_000).points
         ref = v_minus(p.with_k(p.k + 1.0), x)
         res = np.abs(v_plus(p, x) - ref - (2.0 * p.k + 1.0)) / (1.0 + np.abs(ref))
-        worst = max(worst, float(np.max(res)))
-    return worst, 1e-10
+        yield float(np.max(res))
 
 
 def _random_test_fns(count=20, max_degree=8):
@@ -189,87 +190,78 @@ def _random_test_fns(count=20, max_degree=8):
     return fns
 
 
-def _suite_factorization(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_factorization(battery, run):
     for p in battery:
         x = interior_grid(p, 2001).points
         for coeffs in _random_test_fns():
             for kappa in (p.k, p.k + 1.0):
                 wf = Wavefunction(p, kappa, coeffs)
                 scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
-                worst = max(worst, factorization_residual(p, p.k, wf, x) / scale)
-    return worst, 1e-8
+                yield factorization_residual(p, p.k, wf, x) / scale
 
 
-def _suite_commutator(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_commutator(battery, run):
     for p in battery:
         x = interior_grid(p, 2001).points
         for coeffs in _random_test_fns():
             wf = Wavefunction(p, p.k, coeffs)
-            worst = max(worst, commutator_check(p, p.k, wf, x))
-    return worst, 1e-8
+            yield commutator_check(p, p.k, wf, x)
 
 
-def _suite_build_up(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_build_up(battery, run):
     for p in battery:
         x = interior_grid(p, 2001).points
-        for n in range(n_max + 1):
-            direct = build_eigenfunction(p, n)
+        for n in range(run.n_max + 1):
+            direct = run.state(p, n)
             chained = build_from_ground(p, n)
             res = np.abs(evaluate(chained, x) - evaluate(direct, x))
-            worst = max(worst, float(np.max(res)))
-    return worst, 1e-8
+            yield float(np.max(res))
 
 
-def _suite_numeric_cross_check(battery, n_max, grid_n, corr, richardson=False):
-    worst = 0.0
-    # eigenvalues n(n+2k) carry no omega/epsilon dependence, so one run
+def _suite_numeric_cross_check(battery, run):
+    # eigenvalues n(n+2k) carry no omega/epsilon dependence, so one solve
     # per distinct k covers the battery
     for k in sorted({p.k for p in battery}):
         p = ModelParams(1.0, 1.0, k)
-        lam = delta_eigenvalues_fd(p, "minus", 5, grid_n, richardson=richardson)
+        lam = delta_eigenvalues_fd(p, "minus", 5, run.grid_n, richardson=run.richardson)
         for n, lam_hat in enumerate(lam):
             exact = n * (n + 2.0 * k)
-            worst = max(worst, abs(lam_hat - exact) / (1.0 + exact))
-    return worst, (1e-6 if richardson else 1e-3)
+            yield abs(lam_hat - exact) / (1.0 + exact)
 
 
-def _suite_equidistance(battery, n_max, grid_n, corr):
-    worst = 0.0
+def _suite_equidistance(battery, run):
     for p in battery:
         q = p if p.epsilon == 1.0 else ModelParams(p.omega, 1.0, p.k)
         for n in range(VERIFIED_LEVEL + 1):
-            worst = max(worst, abs(energy(q, n + 1) - energy(q, n) - q.omega))
-    return worst, 1e-12
+            yield abs(energy(q, n + 1) - energy(q, n) - q.omega)
 
 
-def _suite_nonrel_limit(battery, n_max, grid_n, corr):
+def _suite_nonrel_limit(battery, run):
     rows = run_nonrel_limit(1.0, 1.0, _NONREL_KS)
-    worst = rows[-1].residuals[0]
+    yield rows[-1].residuals[0]
     for n in range(6):
         seq = [row.residuals[n] for row in rows]
         if any(b >= a for a, b in zip(seq, seq[1:])):
-            worst = math.inf
-    return worst, 1e-5
+            yield math.inf
 
 
+# The one table of suites in report order, with their tolerances; a
+# callable tolerance depends on the run.
 _SUITES = (
-    ("orthonormality", _suite_orthonormality),
-    ("eigen_residual", _suite_eigen_residual),
-    ("partner_eigen_residual", _suite_partner_eigen_residual),
-    ("ladder", _suite_ladder),
-    ("shape_invariance", _suite_shape_invariance),
-    ("factorization", _suite_factorization),
-    ("commutator", _suite_commutator),
-    ("build_up", _suite_build_up),
-    ("numeric_cross_check", _suite_numeric_cross_check),
-    ("equidistance", _suite_equidistance),
-    ("nonrel_limit", _suite_nonrel_limit),
+    ("orthonormality", _suite_orthonormality, 1e-8),
+    ("eigen_residual", _suite_eigen_residual, 1e-8),
+    ("partner_eigen_residual", _suite_partner_eigen_residual, 1e-8),
+    ("ladder", _suite_ladder, 1e-8),
+    ("shape_invariance", _suite_shape_invariance, 1e-10),
+    ("factorization", _suite_factorization, 1e-8),
+    ("commutator", _suite_commutator, 1e-8),
+    ("build_up", _suite_build_up, 1e-8),
+    ("numeric_cross_check", _suite_numeric_cross_check, lambda run: 1e-6 if run.richardson else 1e-3),
+    ("equidistance", _suite_equidistance, 1e-12),
+    ("nonrel_limit", _suite_nonrel_limit, 1e-5),
 )
 
-SUITE_NAMES = tuple(name for name, _ in _SUITES)
+SUITE_NAMES = tuple(name for name, _, _ in _SUITES)
 
 
 # ----------------------------------------------------------------------
@@ -290,19 +282,23 @@ def run_all(
     selects a subset by name.  richardson sharpens the numeric
     cross-check from 1e-3 to 1e-6 at roughly double cost.  k_corruption
     is a test hook: it shifts k inside the expected ladder factors so a
-    deliberate error makes the ladder suite fail.  Failures are recorded,
-    never raised.
+    deliberate error makes the ladder suite fail.  Each suite's worst
+    residual is its largest, 0 if it yields none.  A failing suite is
+    recorded, not raised; a state build_eigenfunction cannot normalize
+    raises its ValueError.
     """
     battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
     if not battery:
         raise ValueError("params_set must not be empty")
-    if n_max < 0 or n_max > VERIFIED_LEVEL:
-        raise ValueError(f"n_max must be in 0..{VERIFIED_LEVEL}")
+    n_max = model._check_level(n_max, VERIFIED_LEVEL)
+    # looked up per call, so a rebound module-level build_eigenfunction is seen
+    run = _Run(n_max, grid_n, richardson, k_corruption, functools.cache(build_eigenfunction))
     results = []
-    for name, fn in _select_suites(suites):
-        kwargs = {"richardson": richardson} if name == "numeric_cross_check" else {}
-        worst, tol = fn(battery, n_max, grid_n, k_corruption, **kwargs)
-        results.append(SuiteResult.make(name, worst, tol, battery))
+    for name, suite, tol in _select_suites(suites):
+        worst = float(max(suite(battery, run), default=0.0))
+        tol = float(tol(run) if callable(tol) else tol)
+        status = "pass" if worst <= tol else "fail"
+        results.append(SuiteResult(name, status, worst, tol, battery))
 
     meta = {
         "params_set": [_params_dict(p) for p in battery],

@@ -124,7 +124,8 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
     Parity s = n mod 2, series order n_s = (n - s)/2; the polynomial part
     is sin^s * F(-n_s, k+s+n_s; s+1/2; sin^2), expanded exactly into
     monomial coefficients.  Unit L2 norm by quadrature; highest-order
-    coefficient positive.
+    coefficient positive.  A state the quadrature does not resolve (norm
+    not a positive finite number, as for odd n at k = 1e8) is rejected.
     """
     n = _check_level(n, MAX_LEVEL)
     s = n % 2
@@ -133,7 +134,12 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
     coeffs = np.zeros(n + 1)
     coeffs[s::2] = series
     raw = Wavefunction(params, params.k, coeffs)
-    scale = 1.0 / math.sqrt(inner_product(raw, raw))
+    norm_sq = inner_product(raw, raw)
+    if not 0.0 < norm_sq < math.inf:
+        raise ValueError(
+            f"cannot normalize level n={n} at k={params.k!r}: quadrature norm^2 is {norm_sq!r}"
+        )
+    scale = 1.0 / math.sqrt(norm_sq)
     if raw.coeffs[-1] < 0.0:
         scale = -scale
     return Wavefunction(params, params.k, raw.coeffs * scale)

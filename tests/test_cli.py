@@ -133,6 +133,14 @@ class TestEigenfunctionCommand:
             else:
                 assert err == h_err and err.startswith("level index n must")
 
+    def test_unresolved_state_is_usage_error(self, capsys):
+        # odd n at k = 1e8: one line on stderr and exit 2, not a traceback
+        # with exit 1 (the verification-failure code)
+        for argv in (("eigenfunction", "--k", "1e8", "--n", "1"), ("verify", "--k", "1e8")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "cannot normalize level n=1 at k=100000000.0: quadrature norm^2 is 0.0\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "eigenfunction", "--k", "2", "--n", "2", "--samples", "11", "--format", "json"
@@ -233,24 +241,6 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "fail" in out
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUSY_PT_THREADS", "not_a_number")
-        code, _, err = run_cli(capsys, "verify", "--suite", "equidistance")
-        assert code == 2
-        assert "SUSY_PT_THREADS" in err
-        monkeypatch.setenv("SUSY_PT_THREADS", "0")
-        code, _, _ = run_cli(capsys, "verify", "--suite", "equidistance")
-        assert code == 2
-
-    def test_thread_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUSY_PT_THREADS", "2")
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "equidistance", "--suite", "shape_invariance",
-            "--n-max", "4", "--grid-n", "1024",
-        )
-        assert code == 0
-        assert "all suites pass" in out
 
 
 def test_unknown_command_usage_error(capsys):

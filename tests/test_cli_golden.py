@@ -17,6 +17,7 @@ CASES = {
     "hierarchy_k2_n4.json": ("hierarchy", "--k", "2", "--n", "4", "--format", "json"),
     "hierarchy_k3.7_n16.csv": ("hierarchy", "--k", "3.7", "--n", "16"),
     "verify.txt": ("verify", "--format", "text"),
+    "verify_k3.7_eps2.json": ("verify", "--k", "3.7", "--epsilon", "2", "--format", "json"),
 }
 
 

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from susy_pt import ModelParams, energy_squared, mass_from_k
+from susy_pt import verify as verify_mod
 from susy_pt.verify import (
     DEFAULT_BATTERY,
     SUITE_NAMES,
@@ -58,6 +60,25 @@ class TestRunAll:
             run_all(n_max=17)
         with pytest.raises(ValueError):
             run_all(n_max=-1)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            run_all(n_max=2.5)
+
+    def test_each_state_built_once_per_run(self, monkeypatch):
+        calls = Counter()
+        real = verify_mod.build_eigenfunction
+
+        def counting(params, n):
+            calls[params, n] += 1
+            return real(params, n)
+
+        monkeypatch.setattr(verify_mod, "build_eigenfunction", counting)
+        battery = [ModelParams(1.0, 1.0, 2.0), ModelParams(1.0, 0.5, 3.7)]
+        report = run_all(params_set=battery, **SMALL)
+        assert report.all_passed
+        assert calls and set(calls.values()) == {1}
+        # orthonormality builds n = 0..7 of each model; the partner suites
+        # build n = 0..n_max-1 at k + 1
+        assert len(calls) == 2 * (8 + SMALL["n_max"])
 
     def test_richardson_tightens_numeric_suite(self):
         battery = [ModelParams(1.0, 1.0, 2.0)]

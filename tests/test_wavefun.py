@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from susy_pt import ModelParams
+from susy_pt.model import K_MAX
 from susy_pt.numeric import interior_grid
 from susy_pt.wavefun import (
     MAX_LEVEL,
@@ -213,6 +214,13 @@ class TestBuildEigenfunction:
         p = ModelParams(1.0, 1.0, 2.0)
         wf = build_eigenfunction(p, MAX_LEVEL)  # constructible, coeffs finite
         assert np.all(np.isfinite(wf.coeffs)) and wf.degree == MAX_LEVEL
+
+    def test_unresolved_norm_rejected(self):
+        # at k = K_MAX, cos^k underflows at every quadrature node for odd n,
+        # so the norm is 0; rejected with k and n named, not divided by
+        p = ModelParams(1.0, 1.0, K_MAX)
+        with pytest.raises(ValueError, match=r"level n=1 at k=100000000\.0"):
+            build_eigenfunction(p, 1)
 
 
 class TestGroundStateClosedForm:
