@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from susy_pt import cli
+from susy_pt.model import ModelParams, k_from_mass
 from susy_pt.wavefun import MAX_LEVEL
 
 
@@ -246,3 +248,97 @@ class TestVerifyCommand:
 def test_unknown_command_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+class TestCachedParser:
+    """The parser is built once per process; no parse may leak into the next."""
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_append_action_starts_fresh(self, capsys):
+        for suite in ("ladder", "build_up"):
+            code, out, _ = run_cli(
+                capsys, "verify", "--suite", suite, "--n-max", "2", "--format", "json"
+            )
+            assert code == 0
+            assert [s["name"] for s in json.loads(out)["suites"]] == [suite]
+
+    def test_exclusive_group_starts_fresh(self, capsys):
+        code, _, _ = run_cli(capsys, "spectrum", "--k", "2")
+        assert code == 0
+        code, out, err = run_cli(capsys, "spectrum", "--mass", "1.5")
+        assert (code, err) == (0, "")
+        params = ModelParams(1.0, 1.0, k_from_mass(1.5, 1.0, 1.0))
+        assert out.splitlines()[0] == cli._params_comment(params)
+
+    def test_namespaces_match_a_fresh_parser(self):
+        argvs = [
+            ["verify", "--suite", "ladder", "--suite", "commutator", "--k", "2"],
+            ["verify"],
+            ["spectrum", "--mass", "1.5", "--format", "json"],
+            ["eigenfunction", "--k", "3", "--n", "2"],
+            ["hierarchy", "--k", "2"],
+        ]
+        for argv in argvs:
+            fresh = cli._parser.__wrapped__().parse_args(argv)
+            assert cli._parser().parse_args(argv) == fresh
+
+    def test_usage_error_then_golden(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--k", "2", "--mass", "1")
+        assert code == 2 and out == "" and "not allowed with argument" in err
+        golden = Path(__file__).parent / "golden" / "eigenfunction_k2_n3.csv"
+        code, out, err = run_cli(capsys, "eigenfunction", "--k", "2", "--n", "3", "--samples", "41")
+        assert (code, out, err) == (0, golden.read_text(), "")
+
+
+def _csv_per_value(header, rows, comments=(), trailers=()):
+    """The CSV definition, one value at a time."""
+    cells = [
+        ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join([*comments, ",".join(header), *cells, *trailers]) + "\n"
+
+
+class TestCsvContract:
+    SPECIALS = [-0.0, 0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan, 0.1, -1 / 3]
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            # spectrum: int level, then numpy and Python floats
+            (("n", "e_squared", "e", "delta_eig"),
+             [(n, np.float64(n * n + 0.1), math.sqrt(n + 0.7), float(n) / 3) for n in range(9)]),
+            # hierarchy: int step, float level, float factor
+            (("step", "k_level", "factor"),
+             [(j, 3.7 + 15 - j, math.sqrt((j + 1) * (j + 1 + 2.0 * 3.7))) for j in range(16)]),
+            # eigenfunction: float pairs, including the values a wall or an underflow gives
+            (("x", "value"), list(zip(SPECIALS, reversed(SPECIALS)))),
+            (("x",), [(v,) for v in SPECIALS]),
+        ],
+    )
+    def test_matches_per_value_definition(self, header, rows):
+        comments, trailers = ["# params: a=1"], ["# prefactor=1", "# final_norm=1"]
+        assert cli._csv(header, rows, comments, trailers) == _csv_per_value(
+            header, rows, comments, trailers
+        )
+        assert cli._csv(header, rows) == _csv_per_value(header, rows)
+
+    def test_header_only_body(self):
+        assert cli._csv(("a", "b"), [], ["# c"], ["# t"]) == "# c\na,b\n# t\n"
+        assert cli._csv(("a", "b"), []) == _csv_per_value(("a", "b"), [])
+
+    def test_header_only_hierarchy(self, capsys):
+        code, out, err = run_cli(capsys, "hierarchy", "--k", "2", "--n", "0")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1:3] == ["# n=0", "step,k_level,factor"]
+        assert lines[3] == "# prefactor=1"
+        assert lines[4].startswith("# final_norm=") and len(lines) == 5
+        assert out.endswith("\n") and "\n\n" not in out
+
+    @pytest.mark.parametrize("value", SPECIALS)
+    def test_fmt_matches_format(self, value):
+        assert cli._fmt(value) == format(value, ".17g")
+        assert cli._fmt(np.float64(value)) == format(value, ".17g")

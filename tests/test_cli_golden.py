@@ -14,6 +14,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "spectrum_k3.7_eps0.5.csv": ("spectrum", "--k", "3.7", "--epsilon", "0.5"),
     "eigenfunction_k2_n3.csv": ("eigenfunction", "--k", "2", "--n", "3", "--samples", "41"),
+    "eigenfunction_k300_n9_s2001.csv": (
+        "eigenfunction", "--k", "300", "--n", "9", "--epsilon", "2", "--samples", "2001",
+    ),
     "hierarchy_k2_n4.json": ("hierarchy", "--k", "2", "--n", "4", "--format", "json"),
     "hierarchy_k3.7_n16.csv": ("hierarchy", "--k", "3.7", "--n", "16"),
     "verify.txt": ("verify", "--format", "text"),
