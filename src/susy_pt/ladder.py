@@ -18,6 +18,21 @@ cos^k [ (2k+1) s P - (1-s^2) P' ].  The public lower/raise_ operations
 implement those matched rules; the general forms back the commutator
 check.  Operators act on exact coefficients (polynomial calculus);
 finite differences exist only as a test oracle.
+
+The calculus works on coefficient slices and forms the same
+floating-point products in the same order as numpy.polynomial, so the
+results are bit-identical to polyder/polymul/polyadd/polysub:
+
+- P' is p[1:] * (1, 2, ..., d); P'' applies that twice, two roundings,
+  as polyder(p, 2) does.
+- Every first-order rule is a s P + sign (1 - s^2) P' (_first_order).
+  Each term is formed on its own, (1 - s^2) P' as t[:d] += P',
+  t[2:] -= P', and the two terms are then summed once.
+- The shifted term a s P gets "+ 0.0": np.convolve accumulates from
+  +0.0, so a product a * (-0.0) lands as +0.0 there, and the slice form
+  must turn -0.0 into +0.0 too, or zero coefficients change sign.
+- Trailing zeros are trimmed as numpy's trimseq trims them, down to one
+  coefficient.
 """
 
 from __future__ import annotations
@@ -26,11 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .model import ModelParams, _check_interior, _check_level
 from .numeric import interior_grid, log_gamma
-from .wavefun import MAX_LEVEL, Wavefunction, evaluate_envelope_form, ground_state
+from .wavefun import MAX_LEVEL, Wavefunction, _horner, evaluate_envelope_form, ground_state
 
 __all__ = [
     "LadderContext",
@@ -43,7 +57,34 @@ __all__ = [
     "chain_prefactor",
 ]
 
-_ONE_MINUS_S2 = np.array([1.0, 0.0, -1.0])
+
+def _der(p: np.ndarray) -> np.ndarray:
+    """Coefficients of P' for ascending coefficients p (empty for size 1)."""
+    return p[1:] * np.arange(1.0, p.size)
+
+
+def _first_order(a: float, p: np.ndarray, sign: float) -> np.ndarray:
+    """Coefficients of a s P + sign (1 - s^2) P' for a trimmed 1-D p;
+    sign is +1 or -1.  The result is trimmed, never empty.
+
+    Bit-identical to the numpy.polynomial composition except for a = 0
+    with sign -1, which no operator here forms (the raising rules have
+    a = k + kappa > 0): there numpy trims a s P to one coefficient and
+    leaves -0.0 where this gives +0.0.
+    """
+    m = p.size + 1
+    shifted = np.zeros(m)
+    shifted[1:] = a * p
+    shifted += 0.0
+    dp = _der(p)
+    t = np.zeros(m)
+    t[: m - 2] += dp
+    t[2:] -= dp
+    out = shifted + t if sign > 0 else shifted - t
+    if out[-1] == 0.0:
+        nz = np.flatnonzero(out)
+        out = out[: nz[-1] + 1] if nz.size else out[:1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,7 +109,7 @@ def lower(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     _check_envelope(wf, ctx.k_level, "lower")
     if wf.is_zero or wf.degree == 0:
         return Wavefunction(wf.params, ctx.k_level + 1.0, np.empty(0))
-    return Wavefunction(wf.params, ctx.k_level + 1.0, npoly.polyder(wf.coeffs))
+    return Wavefunction(wf.params, ctx.k_level + 1.0, _der(wf.coeffs))
 
 
 def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
@@ -81,11 +122,7 @@ def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     _check_envelope(wf, ctx.k_level + 1.0, "raise_")
     if wf.is_zero:
         return Wavefunction(wf.params, ctx.k_level, np.empty(0))
-    q = wf.coeffs
-    out = npoly.polysub(
-        npoly.polymul([0.0, 2.0 * ctx.k_level + 1.0], q),
-        npoly.polymul(_ONE_MINUS_S2, npoly.polyder(q)) if q.size > 1 else [0.0],
-    )
+    out = _first_order(2.0 * ctx.k_level + 1.0, wf.coeffs, -1.0)
     return Wavefunction(wf.params, ctx.k_level, out)
 
 
@@ -126,18 +163,18 @@ def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, 
 
     kappa = wf.kappa
     p = wf.coeffs
-    dp = npoly.polyder(p) if p.size > 1 else np.zeros(1)
-    ddp = npoly.polyder(p, 2) if p.size > 2 else np.zeros(1)
+    dp = _der(p) if p.size > 1 else np.zeros(1)
+    ddp = _der(dp) if p.size > 2 else np.zeros(1)
     s = np.sin(params.hat_omega * x)
     c = np.cos(params.hat_omega * x)
     c2 = c * c
     c_kappa = c ** kappa
-    pv = npoly.polyval(s, p)
+    pv = _horner(s, p)
     out = (
         (lead - kappa * (kappa - 1.0)) * c ** (kappa - 2.0) * s * s * pv
         + mid * c_kappa * pv
-        + (2.0 * kappa + 1.0) * s * c_kappa * npoly.polyval(s, dp)
-        - c_kappa * c2 * npoly.polyval(s, ddp)
+        + (2.0 * kappa + 1.0) * s * c_kappa * _horner(s, dp)
+        - c_kappa * c2 * _horner(s, ddp)
     )
     return out
 
@@ -188,20 +225,12 @@ def commutator_check(params: ModelParams, k: float, test_fn: Wavefunction, x=Non
 
 def _general_lower(k: float, kappa: float, p: np.ndarray):
     """A_k on cos^kappa P for arbitrary kappa: exponent drops by one."""
-    dp = npoly.polyder(p) if p.size > 1 else [0.0]
-    out = npoly.polyadd(
-        npoly.polymul([0.0, k - kappa], p), npoly.polymul(_ONE_MINUS_S2, dp)
-    )
-    return kappa - 1.0, out
+    return kappa - 1.0, _first_order(k - kappa, p, 1.0)
 
 
 def _general_raise(k: float, kappa: float, p: np.ndarray):
     """A_k^+ on cos^kappa P for arbitrary kappa: exponent drops by one."""
-    dp = npoly.polyder(p) if p.size > 1 else [0.0]
-    out = npoly.polysub(
-        npoly.polymul([0.0, k + kappa], p), npoly.polymul(_ONE_MINUS_S2, dp)
-    )
-    return kappa - 1.0, out
+    return kappa - 1.0, _first_order(k + kappa, p, -1.0)
 
 
 def build_from_ground(params: ModelParams, n: int, k_level: float | None = None) -> Wavefunction:

@@ -179,15 +179,21 @@ def _suite_shape_invariance(battery, run):
         yield float(np.max(res))
 
 
+@functools.cache
 def _random_test_fns(count=20, max_degree=8):
+    """The coefficient arrays of the factorization and commutator suites:
+    built once per process, read-only, the same for every model and run.
+    Built on first use, not at import: numpy.random adds about 6 MB to
+    every process that imports the package."""
     rng = np.random.default_rng(_TEST_FN_SEED)
     fns = []
     for _ in range(count):
         deg = int(rng.integers(1, max_degree + 1))
         coeffs = rng.uniform(-1.0, 1.0, deg + 1)
         coeffs[-1] = coeffs[-1] or 1.0
+        coeffs.setflags(write=False)
         fns.append(coeffs)
-    return fns
+    return tuple(fns)
 
 
 def _suite_factorization(battery, run):

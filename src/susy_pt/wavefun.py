@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .model import ModelParams, _check_level
 from .numeric import log_gamma, quadrature
@@ -63,7 +62,7 @@ class Wavefunction:
     def __post_init__(self):
         if not self.kappa > 1.0:
             raise ValueError("kappa must exceed 1")
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        c = _coeff_array(self.coeffs)
         if c.size and not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         nz = np.nonzero(c)[0]
@@ -186,7 +185,7 @@ def evaluate_envelope_form(params: ModelParams, kappa: float, coeffs, x) -> np.n
     """
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _coeff_array(coeffs)
     if coeffs.size == 0:
         return np.zeros(shape)
     w = params.hat_omega
@@ -194,8 +193,26 @@ def evaluate_envelope_form(params: ModelParams, kappa: float, coeffs, x) -> np.n
     # clamp: w*x can round a hair past pi/2 just inside the boundary
     c = np.maximum(np.cos(w * x), 0.0)
     envelope = np.where(boundary, 0.0, c ** kappa)
-    vals = envelope * npoly.polyval(np.sin(w * x), coeffs)
+    vals = envelope * _horner(np.sin(w * x), coeffs)
     return vals.reshape(shape)
+
+
+def _coeff_array(coeffs) -> np.ndarray:
+    """Coefficients as a 1-D float array (a scalar is a constant); the
+    polynomial calculus reads them by slices, so nothing else is admitted."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if c.ndim != 1:
+        raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
+    return c
+
+
+def _horner(s, c: np.ndarray):
+    """P(s) for ascending 1-D coefficients c (size >= 1): numpy's polyval
+    loop without its wrappers, same products in the same order."""
+    acc = c[-1] + s * 0
+    for c_j in c[-2::-1]:
+        acc = c_j + acc * s
+    return acc
 
 
 def inner_product(f: Wavefunction, g: Wavefunction, panels: int | None = None) -> float:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from susy_pt import ModelParams, build_eigenfunction
@@ -22,3 +23,20 @@ def build_cached():
         return cache[key]
 
     return get
+
+
+def oracle_coeffs(seed=6, per_size=4):
+    """Seeded trimmed coefficient arrays of sizes 1..18 with exact +-0.0
+    entries; every other array has a negative leading term.  Inputs for
+    the bitwise comparisons with numpy.polynomial."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for size in range(1, 19):
+        for i in range(per_size):
+            p = rng.uniform(-2.0, 2.0, size)
+            p[rng.random(size) < 0.25] = 0.0
+            p[rng.random(size) < 0.25] = -0.0
+            lead = abs(p[-1]) or 1.0
+            p[-1] = -lead if i % 2 else lead
+            out.append(p)
+    return out

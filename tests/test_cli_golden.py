@@ -19,7 +19,9 @@ CASES = {
     ),
     "hierarchy_k2_n4.json": ("hierarchy", "--k", "2", "--n", "4", "--format", "json"),
     "hierarchy_k3.7_n16.csv": ("hierarchy", "--k", "3.7", "--n", "16"),
+    "hierarchy_k1.312_n24.json": ("hierarchy", "--k", "1.312", "--n", "24", "--format", "json"),
     "verify.txt": ("verify", "--format", "text"),
+    "verify_default.json": ("verify", "--format", "json"),
     "verify_k3.7_eps2.json": ("verify", "--k", "3.7", "--epsilon", "2", "--format", "json"),
 }
 

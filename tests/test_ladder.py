@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from susy_pt import ModelParams
 from susy_pt.ladder import (
     LadderContext,
+    _der,
+    _first_order,
     apply_delta,
     build_from_ground,
     commutator_check,
@@ -24,9 +27,46 @@ from susy_pt.wavefun import (
     inner_product,
 )
 
-from conftest import BATTERY
+from conftest import BATTERY, oracle_coeffs
 
 P_REF = ModelParams(1.0, 1.0, 2.0)
+
+
+class TestSliceCalculusMatchesNumpyPolynomial:
+    """The slice helpers must reproduce numpy.polynomial bit for bit,
+    including the sign of zero coefficients; numpy.polynomial is the
+    oracle."""
+
+    @staticmethod
+    def _first_order_oracle(a, p, sign):
+        dp = npoly.polyder(p) if p.size > 1 else [0.0]
+        combine = npoly.polyadd if sign > 0 else npoly.polysub
+        return combine(npoly.polymul([0.0, a], p), npoly.polymul([1.0, 0.0, -1.0], dp))
+
+    def test_der(self):
+        for p in oracle_coeffs():
+            if p.size > 1:
+                assert _der(p).tobytes() == npoly.polyder(p).tobytes()
+
+    def test_der_twice(self):
+        for p in oracle_coeffs():
+            if p.size > 2:
+                assert _der(_der(p)).tobytes() == npoly.polyder(p, 2).tobytes()
+
+    # a = 0 arises only with sign +1 (A_k at kappa = k); the raising rules
+    # have a = k + kappa > 0
+    @pytest.mark.parametrize(
+        "a, sign",
+        [(0.0, 1.0)] + [(a, sign) for a in (1.0, 2.7, -3.1, 7.0) for sign in (1.0, -1.0)],
+    )
+    def test_first_order(self, a, sign):
+        signed_zeros = 0
+        for p in oracle_coeffs():
+            got = _first_order(a, p, sign)
+            want = self._first_order_oracle(a, p, sign)
+            assert got.tobytes() == want.tobytes(), (a, sign, p)
+            signed_zeros += int(np.sum((want == 0.0) & ~np.signbit(want)))
+        assert signed_zeros > 0  # the inputs exercise zero coefficients
 
 
 def _fd_apply(params, k, wf, x, h, sign):

@@ -167,3 +167,12 @@ def test_default_battery_composition():
     assert len(DEFAULT_BATTERY) == 12
     assert {p.epsilon for p in DEFAULT_BATTERY} == {0.5, 1.0, 2.0}
     assert {p.k for p in DEFAULT_BATTERY} == {1.5, 2.0, 3.7, 10.0}
+
+
+def test_test_polynomials_built_once_read_only():
+    fns = verify_mod._random_test_fns()
+    assert verify_mod._random_test_fns() is fns
+    assert isinstance(fns, tuple) and len(fns) == 20
+    assert all(1 <= c.size - 1 <= 8 and c[-1] != 0.0 for c in fns)
+    with pytest.raises(ValueError):
+        fns[0][0] = 0.0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from susy_pt import ModelParams
 from susy_pt.model import K_MAX
@@ -10,15 +11,17 @@ from susy_pt.numeric import interior_grid
 from susy_pt.wavefun import (
     MAX_LEVEL,
     Wavefunction,
+    _horner,
     build_eigenfunction,
     evaluate,
+    evaluate_envelope_form,
     ground_state,
     hypergeometric_coefficients,
     hypergeometric_terminating,
     inner_product,
 )
 
-from conftest import BATTERY
+from conftest import BATTERY, oracle_coeffs
 
 
 def _series_oracle(n_s, b, c, z):
@@ -125,6 +128,25 @@ class TestWavefunctionType:
         wf = Wavefunction(p, 2.0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             wf.coeffs[0] = 5.0
+
+    @pytest.mark.parametrize("coeffs", [[[1.0, 2.0], [3.0, 0.0]], [[1.0, 2.0, 3.0]], np.ones((2, 2, 2))])
+    def test_rejects_coefficients_not_1d(self, coeffs):
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="1-D"):
+            Wavefunction(p, 2.0, coeffs)
+
+    def test_scalar_coefficient_is_constant(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        wf = Wavefunction(p, 2.0, 0.5)
+        assert wf.coeffs.tobytes() == np.array([0.5]).tobytes()
+        x = np.array([-0.4, 0.0, 0.7])
+        assert np.array_equal(evaluate_envelope_form(p, 2.0, 0.5, x), evaluate(wf, x))
+
+    def test_envelope_form_rejects_coefficients_not_1d(self):
+        # two points and a 2x2 array would broadcast into wrong values
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="1-D"):
+            evaluate_envelope_form(p, 2.0, [[1.0, 2.0], [3.0, 0.0]], np.array([0.1, 0.2]))
 
 
 class TestBuildEigenfunction:
@@ -271,6 +293,17 @@ class TestEvaluate:
         assert isinstance(evaluate(wf, 0.3), float)
         out = evaluate(wf, np.zeros((2, 5)))
         assert out.shape == (2, 5)
+
+
+class TestHorner:
+    def test_matches_numpy_polyval_bitwise(self):
+        # numpy.polynomial is the oracle: same products in the same order
+        rng = np.random.default_rng(7)
+        s = np.concatenate([rng.uniform(-1.0, 1.0, 257), [0.0, -0.0, 1.0, -1.0]])
+        for c in oracle_coeffs():
+            assert _horner(s, c).tobytes() == npoly.polyval(s, c).tobytes()
+            scalar = s[-3]  # -0.0
+            assert repr(_horner(scalar, c)) == repr(npoly.polyval(scalar, c))
 
 
 class TestInnerProduct:
