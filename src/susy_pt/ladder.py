@@ -42,9 +42,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check_interior, _check_level
+from .model import ModelParams, _check_level, _require_interior
 from .numeric import interior_grid, log_gamma
-from .wavefun import MAX_LEVEL, Wavefunction, _horner, evaluate_envelope_form, ground_state
+from .wavefun import (
+    MAX_LEVEL,
+    Wavefunction,
+    _as_samples,
+    _horner,
+    evaluate_envelope_form,
+    ground_state,
+)
 
 __all__ = [
     "LadderContext",
@@ -134,8 +141,9 @@ def _check_envelope(wf: Wavefunction, expected: float, op: str):
 
 
 def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
-    """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x, with
-    V = V_-(k_pot) ("minus") or V_+(k_pot) ("plus").
+    """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x (an
+    array or its Samples record), with V = V_-(k_pot) ("minus") or
+    V_+(k_pot) ("plus").
 
     The second derivative is taken analytically on the representation.
     Collecting powers of cos, with P evaluated at s = sin(wx):
@@ -157,16 +165,16 @@ def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, 
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
 
-    x = _check_interior(params, x)
+    rec = _as_samples(params, x)
+    _require_interior(rec.interior)
     if wf.is_zero:
-        return np.zeros(x.shape)
+        return np.zeros(rec.shape)
 
     kappa = wf.kappa
     p = wf.coeffs
     dp = _der(p) if p.size > 1 else np.zeros(1)
     ddp = _der(dp) if p.size > 2 else np.zeros(1)
-    s = np.sin(params.hat_omega * x)
-    c = np.cos(params.hat_omega * x)
+    s, c = rec.s, rec.c  # inside D the record's max(cos, 0) is cos itself
     c2 = c * c
     c_kappa = c ** kappa
     pv = _horner(s, p)
@@ -176,7 +184,7 @@ def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, 
         + (2.0 * kappa + 1.0) * s * c_kappa * _horner(s, dp)
         - c_kappa * c2 * _horner(s, ddp)
     )
-    return out
+    return out.reshape(rec.shape)
 
 
 def factorization_residual(params: ModelParams, k: float, wf: Wavefunction, x=None) -> float:
@@ -185,19 +193,20 @@ def factorization_residual(params: ModelParams, k: float, wf: Wavefunction, x=No
     For kappa = k checks (A_k^+ A_k) wf against the "minus" operator
     samples; for kappa = k+1 checks (A_k A_k^+) wf against "plus".  Both
     sides are exact, so the residual is rounding noise for polynomial
-    inputs of moderate degree.
+    inputs of moderate degree.  x is an array of interior positions or
+    their Samples record (default: 10^4 interior grid points).
     """
-    x = interior_grid(params, 10_000).points if x is None else np.asarray(x, dtype=float)
+    rec = _as_samples(params, interior_grid(params, 10_000).points if x is None else x)
     ctx = LadderContext(params, k)
     if wf.kappa == k:
         composed = raise_(ctx, lower(ctx, wf))
-        direct = apply_delta(params, "minus", k, wf, x)
+        direct = apply_delta(params, "minus", k, wf, rec)
     elif wf.kappa == k + 1.0:
         composed = lower(ctx, raise_(ctx, wf))
-        direct = apply_delta(params, "plus", k, wf, x)
+        direct = apply_delta(params, "plus", k, wf, rec)
     else:
         raise ValueError("wf.kappa must equal k or k+1")
-    lhs = evaluate_envelope_form(params, composed.kappa, composed.coeffs, x)
+    lhs = evaluate_envelope_form(params, composed.kappa, composed.coeffs, rec)
     return float(np.max(np.abs(lhs - direct), initial=0.0))
 
 
@@ -207,19 +216,22 @@ def commutator_check(params: ModelParams, k: float, test_fn: Wavefunction, x=Non
     A_k + A_k^+ multiplies by 2 W = 2k tan(wx), so the right side is
     multiplication by 2k (1 + tan^2 wx).  The left side is built from the
     general-envelope operator rules; intermediate exponents fall below
-    the bound-state range, so raw (kappa, coeffs) pairs are used.
+    the bound-state range, so raw (kappa, coeffs) pairs are used.  x is
+    an array of interior positions or their Samples record (default:
+    10^4 interior grid points).
     """
-    x = interior_grid(params, 10_000).points if x is None else _check_interior(params, x)
+    rec = _as_samples(params, interior_grid(params, 10_000).points if x is None else x)
+    _require_interior(rec.interior)
     kappa, p = test_fn.kappa, test_fn.coeffs
     if p.size == 0:
         return 0.0
     up_down = _general_lower(k, *_general_raise(k, kappa, p))
     down_up = _general_raise(k, *_general_lower(k, kappa, p))
-    lhs = evaluate_envelope_form(params, up_down[0], up_down[1], x) - evaluate_envelope_form(
-        params, down_up[0], down_up[1], x
+    lhs = evaluate_envelope_form(params, up_down[0], up_down[1], rec) - evaluate_envelope_form(
+        params, down_up[0], down_up[1], rec
     )
-    t = np.tan(params.hat_omega * x)
-    rhs = 2.0 * k * (1.0 + t * t) * evaluate_envelope_form(params, kappa, p, x)
+    t = np.tan(params.hat_omega * rec.x)
+    rhs = 2.0 * k * (1.0 + t * t) * evaluate_envelope_form(params, kappa, p, rec)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 

@@ -198,9 +198,15 @@ def _check_interior(params: ModelParams, x) -> np.ndarray:
     """Positions must stay strictly inside D; the potentials are singular
     at the boundary."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= params.half_width):
-        raise ValueError("x must satisfy |x| < half_width (potential singular at boundary)")
+    _require_interior(not np.any(np.abs(x) >= params.half_width))
     return x
+
+
+def _require_interior(interior: bool):
+    """The one home of the interior rule's message; interior says that
+    every position lies strictly inside D."""
+    if not interior:
+        raise ValueError("x must satisfy |x| < half_width (potential singular at boundary)")
 
 
 def _tan_sq(params: ModelParams, x):

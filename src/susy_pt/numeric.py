@@ -48,8 +48,9 @@ class Grid:
 
 
 def interior_grid(params: ModelParams, n_points: int) -> Grid:
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
+    if not (n_points >= 1 and float(n_points).is_integer()):
+        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
+    n_points = int(n_points)
     d = params.half_width
     h = 2.0 * d / (n_points + 1)
     points = -d + h * np.arange(1, n_points + 1, dtype=float)
@@ -87,6 +88,7 @@ def discretize_delta(params: ModelParams, kind: str, n_points: int) -> Tridiagon
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = interior_grid(params, n_points)
+    n_points = grid.n_points
     if kind == "minus":
         v = v_minus(params, grid.points)
     elif kind == "plus":

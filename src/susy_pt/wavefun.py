@@ -36,6 +36,8 @@ __all__ = [
     "hypergeometric_coefficients",
     "build_eigenfunction",
     "ground_state",
+    "Samples",
+    "samples",
     "evaluate",
     "evaluate_envelope_form",
     "inner_product",
@@ -63,10 +65,13 @@ class Wavefunction:
         if not self.kappa > 1.0:
             raise ValueError("kappa must exceed 1")
         c = _coeff_array(self.coeffs)
-        if c.size and not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1] if nz.size else np.empty(0)
+        if c.size and c[-1] == 0.0:
+            nz = np.flatnonzero(c)
+            c = c[: nz[-1] + 1] if nz.size else np.empty(0)
+        else:
+            c = c[:]  # a view: freezing it leaves the caller's array writable
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -161,40 +166,87 @@ def ground_state(params: ModelParams, k_level: float | None = None) -> Wavefunct
     return Wavefunction(params, k, np.array([norm]))
 
 
+@dataclass(frozen=True)
+class Samples:
+    """Positions x with what evaluation reads from them, computed once
+    for the domain of hat_omega: s = sin(wx), c = max(cos(wx), 0), the
+    mask of points exactly at the boundary |x| = half_width, and the two
+    domain flags.  Built by samples() alone.  Every evaluator accepts a
+    record or an array, and turns an array into a record through that
+    one constructor; shape is the shape of the positions given."""
+
+    hat_omega: float
+    shape: tuple
+    x: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
+    boundary: np.ndarray
+    in_domain: bool  # every |x| <= half_width
+    interior: bool  # every |x| < half_width
+
+    @property
+    def size(self) -> int:
+        """Number of positions (what np.size reports for a record)."""
+        return self.x.size
+
+
+def samples(params: ModelParams, x) -> Samples:
+    """The Samples record of positions x on the domain of params."""
+    x = np.array(x, dtype=float)
+    shape = x.shape
+    x = x.reshape(-1)
+    w = params.hat_omega
+    ax = np.abs(x)
+    d = params.half_width
+    # clamp: w*x can round a hair past pi/2 just inside the boundary
+    c = np.maximum(np.cos(w * x), 0.0)
+    s = np.sin(w * x)
+    boundary = ax == d
+    for a in (x, s, c, boundary):
+        a.setflags(write=False)
+    return Samples(w, shape, x, s, c, boundary, not np.any(ax > d), not np.any(ax >= d))
+
+
+def _as_samples(params: ModelParams, x) -> Samples:
+    """x as a record for the domain of params: a record is checked to be
+    built for that domain, an array goes through samples()."""
+    if not isinstance(x, Samples):
+        return samples(params, x)
+    if x.hat_omega != params.hat_omega:
+        raise ValueError("samples were built for another domain (hat_omega differs)")
+    return x
+
+
 def evaluate(wf: Wavefunction, x):
-    """U(x) = cos^kappa(wx) * P(sin wx); Horner for P.
+    """U(x) = cos^kappa(wx) * P(sin wx); Horner for P.  x is an array of
+    positions or their Samples record.
 
     Defined on the closed domain: |x| <= half_width, exactly 0 at the
     endpoints (kappa > 1 beats the polynomial there).
     """
-    x = np.asarray(x, dtype=float)
-    d = wf.params.half_width
-    if np.any(np.abs(x) > d):
+    rec = _as_samples(wf.params, x)
+    if not rec.in_domain:
         raise ValueError("x must satisfy |x| <= half_width")
-    out = evaluate_envelope_form(wf.params, wf.kappa, wf.coeffs, x)
+    out = evaluate_envelope_form(wf.params, wf.kappa, wf.coeffs, rec)
     return out if out.ndim else float(out)
 
 
 def evaluate_envelope_form(params: ModelParams, kappa: float, coeffs, x) -> np.ndarray:
     """cos^kappa(wx) * P(sin wx) for an arbitrary real exponent and
-    coefficient array; no domain or kappa checks.
+    coefficient array; no domain or kappa checks.  x is an array of
+    positions or their Samples record.
 
     Used by the operator algebra, where intermediate terms may carry
     exponents outside the bound-state range.  Points exactly at the
     boundary get envelope 0 by branch rather than via cos(pi/2) rounding.
     """
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rec = _as_samples(params, x)
     coeffs = _coeff_array(coeffs)
     if coeffs.size == 0:
-        return np.zeros(shape)
-    w = params.hat_omega
-    boundary = np.abs(x) == params.half_width
-    # clamp: w*x can round a hair past pi/2 just inside the boundary
-    c = np.maximum(np.cos(w * x), 0.0)
-    envelope = np.where(boundary, 0.0, c ** kappa)
-    vals = envelope * _horner(np.sin(w * x), coeffs)
-    return vals.reshape(shape)
+        return np.zeros(rec.shape)
+    envelope = np.where(rec.boundary, 0.0, rec.c ** kappa)
+    vals = envelope * _horner(rec.s, coeffs)
+    return vals.reshape(rec.shape)
 
 
 def _coeff_array(coeffs) -> np.ndarray:
@@ -229,4 +281,9 @@ def inner_product(f: Wavefunction, g: Wavefunction, panels: int | None = None) -
     if panels is None:
         panels = 48 + (f.degree + g.degree) // 2
     d = f.params.half_width
-    return quadrature(lambda x: evaluate(f, x) * evaluate(g, x), -d, d, panels)
+
+    def integrand(x):
+        rec = samples(f.params, x)
+        return evaluate(f, rec) * evaluate(g, rec)
+
+    return quadrature(integrand, -d, d, panels)

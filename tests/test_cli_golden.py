@@ -23,6 +23,8 @@ CASES = {
     "verify.txt": ("verify", "--format", "text"),
     "verify_default.json": ("verify", "--format", "json"),
     "verify_k3.7_eps2.json": ("verify", "--k", "3.7", "--epsilon", "2", "--format", "json"),
+    "verify_richardson.json": ("verify", "--richardson", "--format", "json"),
+    "verify_k1.01.json": ("verify", "--k", "1.01", "--format", "json"),
 }
 
 

@@ -25,6 +25,7 @@ from susy_pt.wavefun import (
     evaluate,
     ground_state,
     inner_product,
+    samples,
 )
 
 from conftest import BATTERY, oracle_coeffs
@@ -245,6 +246,67 @@ class TestApplyDelta:
             apply_delta(P_REF, "minus", 2.0, wf, np.array([0.0, P_REF.half_width]))
         with pytest.raises(ValueError):
             apply_delta(P_REF, "squiggle", 2.0, wf, np.array([0.0]))
+
+
+class TestSamplesRecord:
+    # the record path must give the array path's bits
+    PARAMS = (P_REF, ModelParams(1.0, 2.0, 3.7), ModelParams(1.0, 0.5, 1.5))
+    BOUNDARY_MSG = r"\|x\| < half_width \(potential singular at boundary\)"
+
+    def _positions(self, p):
+        points = interior_grid(p, 2001).points
+        inner = np.nextafter(p.half_width, 0.0)
+        return [0.25 * p.half_width, points, points[-2:], np.array([-inner, 0.0, inner])]
+
+    def test_apply_delta_bitwise(self, build_cached):
+        for p in self.PARAMS:
+            for n in (0, 1, 5):
+                for kind, wf in (("minus", build_cached(p, n)), ("plus", build_cached(p.with_k(p.k + 1.0), n))):
+                    for x in self._positions(p):
+                        got = apply_delta(p, kind, p.k, wf, samples(p, x))
+                        want = apply_delta(p, kind, p.k, wf, x)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+            zero = Wavefunction(p, p.k, [])
+            x = interior_grid(p, 5).points
+            assert apply_delta(p, "minus", p.k, zero, samples(p, x)).tobytes() == np.zeros(5).tobytes()
+
+    def test_factorization_and_commutator_bitwise(self):
+        rng = np.random.default_rng(41)
+        for p in self.PARAMS:
+            for x in self._positions(p):
+                rec = samples(p, x)
+                for _ in range(3):
+                    coeffs = rng.uniform(-1.0, 1.0, 6)
+                    for kappa in (p.k, p.k + 1.0):
+                        wf = Wavefunction(p, kappa, coeffs)
+                        a = factorization_residual(p, p.k, wf, rec)
+                        assert a.hex() == factorization_residual(p, p.k, wf, x).hex()
+                    wf = Wavefunction(p, p.k, coeffs)
+                    a = commutator_check(p, p.k, wf, rec)
+                    assert a.hex() == commutator_check(p, p.k, wf, x).hex()
+
+    def test_rejects_record_of_another_domain(self, build_cached):
+        rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))
+        wf = build_cached(P_REF, 1)
+        for check in (
+            lambda: apply_delta(P_REF, "minus", 2.0, wf, rec),
+            lambda: factorization_residual(P_REF, 2.0, wf, rec),
+            lambda: commutator_check(P_REF, 2.0, wf, rec),
+        ):
+            with pytest.raises(ValueError, match="hat_omega"):
+                check()
+
+    def test_rejects_record_with_boundary_point(self, build_cached):
+        rec = samples(P_REF, np.array([0.0, -P_REF.half_width]))
+        assert rec.in_domain and not rec.interior
+        wf = build_cached(P_REF, 1)
+        with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
+            apply_delta(P_REF, "minus", 2.0, wf, rec)
+        with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
+            commutator_check(P_REF, 2.0, wf, rec)
+        with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
+            factorization_residual(P_REF, 2.0, wf, rec)
 
 
 class TestFactorization:

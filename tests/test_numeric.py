@@ -90,6 +90,25 @@ class TestGridAndOperator:
         assert -d < g.points[0] and g.points[-1] < d
         assert np.allclose(np.diff(g.points), g.spacing, rtol=1e-12)
 
+    @pytest.mark.parametrize("n_points", [0, -3, 2.5, 1.5, 0.5, math.nan, math.inf])
+    def test_grid_rejects_bad_point_count(self, n_points):
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="n_points"):
+            interior_grid(p, n_points)
+
+    def test_grid_integral_float_count(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        g = interior_grid(p, 31.0)
+        assert type(g.n_points) is int and g.n_points == 31
+        assert g.points.tobytes() == interior_grid(p, 31).points.tobytes()
+
+    def test_discretize_rejects_fractional_grid(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="n_points"):
+            discretize_delta(p, "minus", 16.5)
+        op = discretize_delta(p, "zero", 16.0)
+        assert op.size == 16 and op.offdiag.shape == (15,)
+
     def test_discretize_shape_and_symmetry(self):
         p = ModelParams(1.0, 1.0, 2.0)
         op = discretize_delta(p, "minus", 64)

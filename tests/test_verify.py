@@ -7,6 +7,7 @@ import pytest
 
 from susy_pt import ModelParams, energy_squared, mass_from_k
 from susy_pt import verify as verify_mod
+from susy_pt import wavefun
 from susy_pt.verify import (
     DEFAULT_BATTERY,
     SUITE_NAMES,
@@ -79,6 +80,49 @@ class TestRunAll:
         # orthonormality builds n = 0..7 of each model; the partner suites
         # build n = 0..n_max-1 at k + 1
         assert len(calls) == 2 * (8 + SMALL["n_max"])
+
+    def test_one_samples_record_per_grid(self, monkeypatch):
+        # one record per (hat_omega, 2001) suite grid for the whole run,
+        # plus the one each inner_product builds from its nodes
+        builds = []
+        inside = [0]
+        inner_calls = [0]
+        real_samples, real_inner = wavefun.samples, wavefun.inner_product
+
+        def counting_samples(params, x):
+            rec = real_samples(params, x)
+            builds.append((inside[0], params.hat_omega, rec.size))
+            return rec
+
+        def counting_inner(*args, **kwargs):
+            inner_calls[0] += 1
+            inside[0] += 1
+            try:
+                return real_inner(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        for mod in (wavefun, verify_mod):
+            monkeypatch.setattr(mod, "samples", counting_samples)
+            monkeypatch.setattr(mod, "inner_product", counting_inner)
+        assert run_all().all_passed
+        grids = sorted((w, size) for depth, w, size in builds if depth == 0)
+        assert grids == sorted({(p.hat_omega, 2001) for p in DEFAULT_BATTERY})
+        assert inner_calls[0] > 0
+        assert sum(depth == 1 for depth, _, _ in builds) == inner_calls[0]
+        assert len(builds) == len(grids) + inner_calls[0]
+
+    def test_runs_share_no_records(self):
+        # the memo lives for one run_all call: interleaved runs of two
+        # batteries give what each gives on its own
+        a = dict(params_set=[ModelParams(1.0, 1.0, 2.0)], **SMALL)
+        b = dict(params_set=[ModelParams(1.0, 2.0, 3.7)], **SMALL)
+        b_first = run_all(**b).to_json()
+        a_first = run_all(**a).to_json()
+        b_between = run_all(**b).to_json()
+        assert run_all(**a).to_json() == a_first
+        assert b_between == b_first
+        assert a_first != b_first
 
     def test_richardson_tightens_numeric_suite(self):
         battery = [ModelParams(1.0, 1.0, 2.0)]

@@ -10,6 +10,7 @@ from susy_pt.model import K_MAX
 from susy_pt.numeric import interior_grid
 from susy_pt.wavefun import (
     MAX_LEVEL,
+    Samples,
     Wavefunction,
     _horner,
     build_eigenfunction,
@@ -19,6 +20,7 @@ from susy_pt.wavefun import (
     hypergeometric_coefficients,
     hypergeometric_terminating,
     inner_product,
+    samples,
 )
 
 from conftest import BATTERY, oracle_coeffs
@@ -293,6 +295,89 @@ class TestEvaluate:
         assert isinstance(evaluate(wf, 0.3), float)
         out = evaluate(wf, np.zeros((2, 5)))
         assert out.shape == (2, 5)
+
+
+def _bytes(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestSamples:
+    # the record path must give the array path's bits: both go through
+    # the one constructor
+    PARAMS = (ModelParams(1.0, 1.0, 2.0), ModelParams(1.0, 2.0, 3.7), ModelParams(1.0, 0.5, 1.5))
+
+    def _positions(self, p):
+        d = p.half_width
+        return [
+            0.3 * d,
+            -d,
+            d,
+            interior_grid(p, 2001).points,
+            np.array([-d, -np.nextafter(d, 0.0), 0.0, np.nextafter(d, 0.0), d]),
+            np.linspace(-d, d, 12).reshape(3, 4),
+        ]
+
+    def test_evaluate_bitwise(self, build_cached):
+        for p in self.PARAMS:
+            for n in (0, 3, 8):
+                wf = build_cached(p, n)
+                for x in self._positions(p):
+                    rec = samples(p, x)
+                    got = evaluate(wf, rec)
+                    assert type(got) is type(evaluate(wf, x))
+                    assert _bytes(got) == _bytes(evaluate(wf, x))
+
+    def test_evaluate_envelope_form_bitwise(self):
+        for p in self.PARAMS:
+            for kappa in (p.k - 1.5, p.k, p.k + 1.0):
+                for coeffs in ([], [0.7], [0.1, -0.4, 0.0, 1.3]):
+                    for x in self._positions(p):
+                        got = evaluate_envelope_form(p, kappa, coeffs, samples(p, x))
+                        want = evaluate_envelope_form(p, kappa, coeffs, x)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+
+    def test_record_fields(self):
+        p = ModelParams(1.0, 2.0, 3.7)
+        d = p.half_width
+        x = np.array([[-d, 0.1], [0.2, d]])
+        rec = samples(p, x)
+        assert isinstance(rec, Samples)
+        assert rec.shape == (2, 2) and rec.x.shape == (4,)
+        assert rec.x.tobytes() == x.ravel().tobytes()
+        w = p.hat_omega
+        assert rec.s.tobytes() == np.sin(w * x.ravel()).tobytes()
+        assert rec.c.tobytes() == np.maximum(np.cos(w * x.ravel()), 0.0).tobytes()
+        assert rec.boundary.tolist() == [True, False, False, True]
+        assert rec.in_domain and not rec.interior
+        for a in (rec.x, rec.s, rec.c, rec.boundary):
+            assert not a.flags.writeable
+        # the record owns its positions
+        x[0, 1] = 0.5
+        assert rec.x[1] == 0.1
+
+    @pytest.mark.parametrize("x", [0.25, np.linspace(-1.0, 1.0, 7), np.zeros((3, 5)), np.empty(0)])
+    def test_size_counts_points(self, x):
+        rec = samples(ModelParams(1.0, 1.0, 2.0), x)
+        assert np.size(rec) == rec.size == np.size(x)
+
+    def test_rejects_record_of_another_domain(self, build_cached):
+        p = ModelParams(1.0, 1.0, 2.0)
+        rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))
+        with pytest.raises(ValueError, match="hat_omega"):
+            evaluate(build_cached(p, 2), rec)
+        with pytest.raises(ValueError, match="hat_omega"):
+            evaluate_envelope_form(p, 2.0, [1.0], rec)
+        # same domain, other k: accepted
+        same = samples(p.with_k(7.0), np.array([0.0, 0.3]))
+        assert evaluate(build_cached(p, 2), same).shape == (2,)
+
+    def test_evaluate_rejects_record_outside_domain(self, build_cached):
+        p = ModelParams(1.0, 1.0, 2.0)
+        rec = samples(p, np.array([0.0, -p.half_width * 1.01]))
+        assert not rec.in_domain
+        with pytest.raises(ValueError, match=r"\|x\| <= half_width"):
+            evaluate(build_cached(p, 0), rec)
 
 
 class TestHorner:
