@@ -230,7 +230,7 @@ def commutator_check(params: ModelParams, k: float, test_fn: Wavefunction, x=Non
     lhs = evaluate_envelope_form(params, up_down[0], up_down[1], rec) - evaluate_envelope_form(
         params, down_up[0], down_up[1], rec
     )
-    t = np.tan(params.hat_omega * rec.x)
+    t = np.tan(params.hat_omega * rec.x).reshape(rec.shape)
     rhs = 2.0 * k * (1.0 + t * t) * evaluate_envelope_form(params, kappa, p, rec)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 

@@ -30,7 +30,7 @@ from .ladder import (
 )
 from .model import ModelParams, delta_eigenvalue, energy, mass_from_k, v_minus, v_plus
 from .numeric import delta_eigenvalues_fd, interior_grid
-from .wavefun import Samples, Wavefunction, build_eigenfunction, evaluate, inner_product, samples
+from .wavefun import Wavefunction, build_eigenfunction, evaluate, inner_product, samples
 
 __all__ = [
     "DEFAULT_BATTERY",
@@ -112,24 +112,13 @@ def _params_dict(p: ModelParams) -> dict:
 @dataclass(frozen=True)
 class _Run:
     """The options of one run_all call, shared by every suite; state is
-    build_eigenfunction memoized for that call, and samples memoizes the
-    grid records the same way."""
+    build_eigenfunction memoized for that call."""
 
     n_max: int
     grid_n: int
     richardson: bool
     k_corruption: float
     state: Callable[[ModelParams, int], Wavefunction]
-    grids: dict = field(default_factory=dict)
-
-    def samples(self, p: ModelParams, n_points: int) -> Samples:
-        """The Samples record of p's interior grid, built once per call
-        for each (hat_omega, n_points): the grid and its sin/cos depend
-        on nothing else.  Nothing outlives the call."""
-        key = (p.hat_omega, n_points)
-        if key not in self.grids:
-            self.grids[key] = samples(p, interior_grid(p, n_points).points)
-        return self.grids[key]
 
 
 def _suite_orthonormality(battery, run):
@@ -149,7 +138,7 @@ def _eigen_residual(p, kind, wf, lam, x):
 
 def _suite_eigen_residual(battery, run):
     for p in battery:
-        x = run.samples(p, 2001)
+        x = samples(p, interior_grid(p, 2001).points)
         for n in range(run.n_max + 1):
             wf = run.state(p, n)
             yield _eigen_residual(p, "minus", wf, delta_eigenvalue(p, n), x)
@@ -157,7 +146,7 @@ def _suite_eigen_residual(battery, run):
 
 def _suite_partner_eigen_residual(battery, run):
     for p in battery:
-        x = run.samples(p, 2001)
+        x = samples(p, interior_grid(p, 2001).points)
         up = p.with_k(p.k + 1.0)
         for n in range(1, run.n_max + 1):
             wf = run.state(up, n - 1)
@@ -167,7 +156,7 @@ def _suite_partner_eigen_residual(battery, run):
 
 def _suite_ladder(battery, run):
     for p in battery:
-        x = run.samples(p, 2001)
+        x = samples(p, interior_grid(p, 2001).points)
         ctx = LadderContext(p, p.k)
         up = p.with_k(p.k + 1.0)
         for n in range(1, run.n_max + 1):
@@ -209,7 +198,7 @@ def _random_test_fns(count=20, max_degree=8):
 
 def _suite_factorization(battery, run):
     for p in battery:
-        x = run.samples(p, 2001)
+        x = samples(p, interior_grid(p, 2001).points)
         for coeffs in _random_test_fns():
             for kappa in (p.k, p.k + 1.0):
                 wf = Wavefunction(p, kappa, coeffs)
@@ -219,7 +208,7 @@ def _suite_factorization(battery, run):
 
 def _suite_commutator(battery, run):
     for p in battery:
-        x = run.samples(p, 2001)
+        x = samples(p, interior_grid(p, 2001).points)
         for coeffs in _random_test_fns():
             wf = Wavefunction(p, p.k, coeffs)
             yield commutator_check(p, p.k, wf, x)
@@ -227,7 +216,7 @@ def _suite_commutator(battery, run):
 
 def _suite_build_up(battery, run):
     for p in battery:
-        x = run.samples(p, 2001)
+        x = samples(p, interior_grid(p, 2001).points)
         for n in range(run.n_max + 1):
             direct = run.state(p, n)
             chained = build_from_ground(p, n)

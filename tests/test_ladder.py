@@ -256,7 +256,14 @@ class TestSamplesRecord:
     def _positions(self, p):
         points = interior_grid(p, 2001).points
         inner = np.nextafter(p.half_width, 0.0)
-        return [0.25 * p.half_width, points, points[-2:], np.array([-inner, 0.0, inner])]
+        return [
+            0.25 * p.half_width,
+            points,
+            points[-2:],
+            np.array([-inner, 0.0, inner]),
+            points[:10].reshape(2, 5),
+            points[-7:].reshape(7, 1),
+        ]
 
     def test_apply_delta_bitwise(self, build_cached):
         for p in self.PARAMS:
@@ -285,6 +292,29 @@ class TestSamplesRecord:
                     wf = Wavefunction(p, p.k, coeffs)
                     a = commutator_check(p, p.k, wf, rec)
                     assert a.hex() == commutator_check(p, p.k, wf, x).hex()
+
+    def test_shape_of_positions_is_kept(self, build_cached):
+        # an n-D array of positions gives the flat array's values in its
+        # shape, and residuals that do not depend on the shape
+        rng = np.random.default_rng(43)
+        for p in self.PARAMS:
+            flat = interior_grid(p, 2001).points[-10:]
+            wf = build_cached(p, 3)
+            want = apply_delta(p, "minus", p.k, wf, flat)
+            for shape in ((2, 5), (10, 1)):
+                x = flat.reshape(shape)
+                for pos in (x, samples(p, x)):
+                    got = apply_delta(p, "minus", p.k, wf, pos)
+                    assert got.shape == shape
+                    assert got.tobytes() == want.tobytes()
+            coeffs = rng.uniform(-1.0, 1.0, 6)
+            test_fn = Wavefunction(p, p.k, coeffs)
+            want_c = commutator_check(p, p.k, test_fn, flat)
+            want_f = factorization_residual(p, p.k, test_fn, flat)
+            for shape in ((2, 5), (10, 1)):
+                for pos in (flat.reshape(shape), samples(p, flat.reshape(shape))):
+                    assert commutator_check(p, p.k, test_fn, pos).hex() == want_c.hex()
+                    assert factorization_residual(p, p.k, test_fn, pos).hex() == want_f.hex()
 
     def test_rejects_record_of_another_domain(self, build_cached):
         rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))

@@ -81,9 +81,11 @@ class TestRunAll:
         # build n = 0..n_max-1 at k + 1
         assert len(calls) == 2 * (8 + SMALL["n_max"])
 
-    def test_one_samples_record_per_grid(self, monkeypatch):
-        # one record per (hat_omega, 2001) suite grid for the whole run,
-        # plus the one each inner_product builds from its nodes
+    def test_one_samples_record_per_suite_grid(self, monkeypatch):
+        # each of the six suites on the 2001-point grid builds one record
+        # per model and reuses it for its whole inner loop; the only
+        # other records are the one each inner_product builds from its
+        # nodes
         builds = []
         inside = [0]
         inner_calls = [0]
@@ -91,7 +93,7 @@ class TestRunAll:
 
         def counting_samples(params, x):
             rec = real_samples(params, x)
-            builds.append((inside[0], params.hat_omega, rec.size))
+            builds.append((inside[0], rec.size))
             return rec
 
         def counting_inner(*args, **kwargs):
@@ -106,23 +108,11 @@ class TestRunAll:
             monkeypatch.setattr(mod, "samples", counting_samples)
             monkeypatch.setattr(mod, "inner_product", counting_inner)
         assert run_all().all_passed
-        grids = sorted((w, size) for depth, w, size in builds if depth == 0)
-        assert grids == sorted({(p.hat_omega, 2001) for p in DEFAULT_BATTERY})
+        grid_builds = [size for depth, size in builds if depth == 0]
+        assert grid_builds == [2001] * (6 * len(DEFAULT_BATTERY))
         assert inner_calls[0] > 0
-        assert sum(depth == 1 for depth, _, _ in builds) == inner_calls[0]
-        assert len(builds) == len(grids) + inner_calls[0]
-
-    def test_runs_share_no_records(self):
-        # the memo lives for one run_all call: interleaved runs of two
-        # batteries give what each gives on its own
-        a = dict(params_set=[ModelParams(1.0, 1.0, 2.0)], **SMALL)
-        b = dict(params_set=[ModelParams(1.0, 2.0, 3.7)], **SMALL)
-        b_first = run_all(**b).to_json()
-        a_first = run_all(**a).to_json()
-        b_between = run_all(**b).to_json()
-        assert run_all(**a).to_json() == a_first
-        assert b_between == b_first
-        assert a_first != b_first
+        assert sum(depth == 1 for depth, _ in builds) == inner_calls[0]
+        assert len(builds) == len(grid_builds) + inner_calls[0]
 
     def test_richardson_tightens_numeric_suite(self):
         battery = [ModelParams(1.0, 1.0, 2.0)]
