@@ -13,10 +13,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "spectrum_k3.7_eps0.5.csv": ("spectrum", "--k", "3.7", "--epsilon", "0.5"),
+    "spectrum_k3.7_eps0.5.json": ("spectrum", "--k", "3.7", "--epsilon", "0.5", "--format", "json"),
     "eigenfunction_k2_n3.csv": ("eigenfunction", "--k", "2", "--n", "3", "--samples", "41"),
+    "eigenfunction_k2_n3.json": (
+        "eigenfunction", "--k", "2", "--n", "3", "--samples", "41", "--format", "json",
+    ),
     "eigenfunction_k300_n9_s2001.csv": (
         "eigenfunction", "--k", "300", "--n", "9", "--epsilon", "2", "--samples", "2001",
     ),
+    "hierarchy_k2_n0.csv": ("hierarchy", "--k", "2", "--n", "0"),  # header-only body
     "hierarchy_k2_n4.json": ("hierarchy", "--k", "2", "--n", "4", "--format", "json"),
     "hierarchy_k3.7_n16.csv": ("hierarchy", "--k", "3.7", "--n", "16"),
     "hierarchy_k1.312_n24.json": ("hierarchy", "--k", "1.312", "--n", "24", "--format", "json"),
