@@ -126,30 +126,33 @@ def _csv(header, rows, comments=(), trailers=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_spectrum(args) -> int:
-    params = _resolve_params(args)
-    spec = spectrum(params, args.n_max)
-    rows = [
-        (lvl.n, float(lvl.e_squared), math.sqrt(lvl.e_squared), float(lvl.delta_eig))
-        for lvl in spec.levels
-    ]
+def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, tail: dict) -> int:
+    """The one table writer.  CSV: the params comment, '# name=value' per
+    head field, the header and body, then '# name=%.17g' per tail field.
+    JSON: params, the head fields, one object per row under key, then the
+    tail fields."""
     if args.format == "csv":
         text = _csv(
-            ("n", "e_squared", "e", "delta_eig"), rows, comments=[_params_comment(params)]
+            header,
+            rows,
+            comments=[_params_comment(params), *(f"# {name}={v}" for name, v in head.items())],
+            trailers=[f"# {name}={_fmt(v)}" for name, v in tail.items()],
         )
     else:
-        text = json.dumps(
-            {
-                "params": _params_json(params),
-                "levels": [
-                    {"n": n, "e_squared": e2, "e": e, "delta_eig": d}
-                    for n, e2, e, d in rows
-                ],
-            },
-            indent=2,
-        ) + "\n"
+        table = [dict(zip(header, row)) for row in rows]
+        doc = {"params": _params_json(params), **head, key: table, **tail}
+        text = json.dumps(doc, indent=2) + "\n"
     _emit(text, args.output)
     return 0
+
+
+def _cmd_spectrum(args) -> int:
+    params = _resolve_params(args)
+    rows = [
+        (lvl.n, float(lvl.e_squared), math.sqrt(lvl.e_squared), float(lvl.delta_eig))
+        for lvl in spectrum(params, args.n_max).levels
+    ]
+    return _write_table(args, params, {}, "levels", ("n", "e_squared", "e", "delta_eig"), rows, {})
 
 
 def _cmd_eigenfunction(args) -> int:
@@ -158,57 +161,24 @@ def _cmd_eigenfunction(args) -> int:
         raise ValueError("--samples must be at least 2")
     wf = build_eigenfunction(params, args.n)
     x = np.linspace(-params.half_width, params.half_width, args.samples)
-    values = evaluate(wf, x)
-    rows = list(zip(x.tolist(), values.tolist()))
-    if args.format == "csv":
-        text = _csv(("x", "value"), rows, comments=[_params_comment(params), f"# n={args.n}"])
-    else:
-        text = json.dumps(
-            {
-                "params": _params_json(params),
-                "n": args.n,
-                "samples": [{"x": xv, "value": v} for xv, v in rows],
-            },
-            indent=2,
-        ) + "\n"
-    _emit(text, args.output)
-    return 0
+    rows = list(zip(x.tolist(), evaluate(wf, x).tolist()))
+    return _write_table(args, params, {"n": args.n}, "samples", ("x", "value"), rows, {})
 
 
 def _cmd_hierarchy(args) -> int:
     params = _resolve_params(args)
-    n = args.n
+    n, k = args.n, params.k
     assembled = build_from_ground(params, n)
-    k = params.k
     steps = []
     for j in range(n):
         k_level = k + n - 1 - j
         factor = math.sqrt((j + 1) * (j + 1 + 2.0 * k_level))
         steps.append((j, float(k_level), factor))
-    prefactor = chain_prefactor(k, n)
-    final_norm = math.sqrt(inner_product(assembled, assembled))
-    if args.format == "csv":
-        text = _csv(
-            ("step", "k_level", "factor"),
-            steps,
-            comments=[_params_comment(params), f"# n={n}"],
-            trailers=[f"# prefactor={_fmt(prefactor)}", f"# final_norm={_fmt(final_norm)}"],
-        )
-    else:
-        text = json.dumps(
-            {
-                "params": _params_json(params),
-                "n": n,
-                "steps": [
-                    {"step": j, "k_level": kl, "factor": f} for j, kl, f in steps
-                ],
-                "prefactor": prefactor,
-                "final_norm": final_norm,
-            },
-            indent=2,
-        ) + "\n"
-    _emit(text, args.output)
-    return 0
+    tail = {
+        "prefactor": chain_prefactor(k, n),
+        "final_norm": math.sqrt(inner_product(assembled, assembled)),
+    }
+    return _write_table(args, params, {"n": n}, "steps", ("step", "k_level", "factor"), steps, tail)
 
 
 def _cmd_verify(args) -> int:

@@ -198,8 +198,16 @@ def _check_interior(params: ModelParams, x) -> np.ndarray:
     """Positions must stay strictly inside D; the potentials are singular
     at the boundary."""
     x = np.asarray(x, dtype=float)
-    _require_interior(not np.any(np.abs(x) >= params.half_width))
+    _require_interior(_domain_flags(params, x)[1])
     return x
+
+
+def _domain_flags(params: ModelParams, x) -> tuple[bool, bool]:
+    """The one domain rule: (every |x| <= half_width, every |x| <
+    half_width).  Written as all(...) so that a NaN position fails both."""
+    ax = np.abs(x)
+    d = params.half_width
+    return bool(np.all(ax <= d)), bool(np.all(ax < d))
 
 
 def _require_interior(interior: bool):

@@ -347,8 +347,6 @@ def run_nonrel_limit(omega: float, epsilon: float, k_sequence) -> list[NonrelLim
     ks = list(k_sequence)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_sequence must be strictly increasing")
-    if ks and ks[-1] > model.K_MAX:
-        raise ValueError(f"k values must not exceed {model.K_MAX:g}")
     rows = []
     for k in ks:
         p = ModelParams(omega, epsilon, k)

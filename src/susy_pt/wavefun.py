@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check_level
+from .model import ModelParams, _check_level, _domain_flags
 from .numeric import log_gamma, quadrature
 
 __all__ = [
@@ -70,8 +70,7 @@ class Wavefunction:
         if c.size and c[-1] == 0.0:
             nz = np.flatnonzero(c)
             c = c[: nz[-1] + 1] if nz.size else np.empty(0)
-        else:
-            c = c[:]  # a view: freezing it leaves the caller's array writable
+        c = c.copy()  # owned: the caller may go on writing to its array
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -169,9 +168,9 @@ def ground_state(params: ModelParams, k_level: float | None = None) -> Wavefunct
 @dataclass(frozen=True)
 class Samples:
     """Positions x with what evaluation reads from them, computed once
-    for the domain of hat_omega: s = sin(wx), c = max(cos(wx), 0), the
-    mask of points exactly at the boundary |x| = half_width, and the two
-    domain flags.  Built by samples() alone.  Every evaluator accepts a
+    for the domain of hat_omega: s = sin(wx), c = max(cos(wx), 0) with
+    c exactly 0 at the boundary |x| = half_width, and the two domain
+    flags.  Built by samples() alone.  Every evaluator accepts a
     record or an array, and turns an array into a record through that
     one constructor; shape is the shape of the positions given."""
 
@@ -180,7 +179,6 @@ class Samples:
     x: np.ndarray
     s: np.ndarray
     c: np.ndarray
-    boundary: np.ndarray
     in_domain: bool  # every |x| <= half_width
     interior: bool  # every |x| < half_width
 
@@ -196,15 +194,15 @@ def samples(params: ModelParams, x) -> Samples:
     shape = x.shape
     x = x.reshape(-1)
     w = params.hat_omega
-    ax = np.abs(x)
-    d = params.half_width
+    in_domain, interior = _domain_flags(params, x)
     # clamp: w*x can round a hair past pi/2 just inside the boundary
     c = np.maximum(np.cos(w * x), 0.0)
+    if not interior:  # the wall itself: cos(pi/2) rounds to 6e-17, not 0
+        c[np.abs(x) == params.half_width] = 0.0
     s = np.sin(w * x)
-    boundary = ax == d
-    for a in (x, s, c, boundary):
+    for a in (x, s, c):
         a.setflags(write=False)
-    return Samples(w, shape, x, s, c, boundary, not np.any(ax > d), not np.any(ax >= d))
+    return Samples(w, shape, x, s, c, in_domain, interior)
 
 
 def _as_samples(params: ModelParams, x) -> Samples:
@@ -237,15 +235,14 @@ def evaluate_envelope_form(params: ModelParams, kappa: float, coeffs, x) -> np.n
     positions or their Samples record.
 
     Used by the operator algebra, where intermediate terms may carry
-    exponents outside the bound-state range.  Points exactly at the
-    boundary get envelope 0 by branch rather than via cos(pi/2) rounding.
+    exponents outside the bound-state range.  At a boundary point the
+    envelope is 0.0 ** kappa (samples() sets c to exactly 0 there).
     """
     rec = _as_samples(params, x)
     coeffs = _coeff_array(coeffs)
     if coeffs.size == 0:
         return np.zeros(rec.shape)
-    envelope = np.where(rec.boundary, 0.0, rec.c ** kappa)
-    vals = envelope * _horner(rec.s, coeffs)
+    vals = rec.c ** kappa * _horner(rec.s, coeffs)
     return vals.reshape(rec.shape)
 
 

@@ -338,6 +338,17 @@ class TestSamplesRecord:
         with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
             factorization_residual(P_REF, 2.0, wf, rec)
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan, 0.3])])
+    def test_rejects_nan_positions(self, build_cached, x):
+        wf = build_cached(P_REF, 1)
+        for pos in (x, samples(P_REF, x)):
+            with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
+                apply_delta(P_REF, "minus", 2.0, wf, pos)
+            with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
+                commutator_check(P_REF, 2.0, wf, pos)
+            with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
+                factorization_residual(P_REF, 2.0, wf, pos)
+
 
 class TestFactorization:
     def test_eigenfunctions(self, build_cached):

@@ -131,6 +131,15 @@ class TestWavefunctionType:
         with pytest.raises(ValueError):
             wf.coeffs[0] = 5.0
 
+    @pytest.mark.parametrize("given", [[1.0, 2.0], [1.0, 2.0, 0.0]])  # untrimmed, trimmed
+    def test_owns_its_coefficients(self, given):
+        p = ModelParams(1.0, 1.0, 2.0)
+        c = np.array(given)
+        wf = Wavefunction(p, 2.0, c)
+        c[:] = 5.0
+        assert wf.coeffs.tolist() == [1.0, 2.0]
+        assert c.flags.writeable
+
     @pytest.mark.parametrize("coeffs", [[[1.0, 2.0], [3.0, 0.0]], [[1.0, 2.0, 3.0]], np.ones((2, 2, 2))])
     def test_rejects_coefficients_not_1d(self, coeffs):
         p = ModelParams(1.0, 1.0, 2.0)
@@ -290,6 +299,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(wf, np.array([0.0, -p.half_width * 1.01]))
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan, 0.3])])
+    def test_rejects_nan(self, build_cached, x):
+        wf = build_cached(ModelParams(1.0, 1.0, 2.0), 2)
+        with pytest.raises(ValueError, match=r"\|x\| <= half_width"):
+            evaluate(wf, x)
+
     def test_scalar_and_array_shapes(self, build_cached):
         wf = build_cached(ModelParams(1.0, 1.0, 2.0), 3)
         assert isinstance(evaluate(wf, 0.3), float)
@@ -347,10 +362,12 @@ class TestSamples:
         assert rec.x.tobytes() == x.ravel().tobytes()
         w = p.hat_omega
         assert rec.s.tobytes() == np.sin(w * x.ravel()).tobytes()
-        assert rec.c.tobytes() == np.maximum(np.cos(w * x.ravel()), 0.0).tobytes()
-        assert rec.boundary.tolist() == [True, False, False, True]
+        # clamped cos, and exactly 0 at the two boundary points
+        want_c = np.maximum(np.cos(w * x.ravel()), 0.0)
+        want_c[[0, 3]] = 0.0
+        assert rec.c.tobytes() == want_c.tobytes()
         assert rec.in_domain and not rec.interior
-        for a in (rec.x, rec.s, rec.c, rec.boundary):
+        for a in (rec.x, rec.s, rec.c):
             assert not a.flags.writeable
         # the record owns its positions
         x[0, 1] = 0.5
@@ -378,6 +395,11 @@ class TestSamples:
         assert not rec.in_domain
         with pytest.raises(ValueError, match=r"\|x\| <= half_width"):
             evaluate(build_cached(p, 0), rec)
+
+    @pytest.mark.parametrize("x", [[math.nan], math.nan, [0.0, math.nan]])
+    def test_nan_fails_both_flags(self, x):
+        rec = samples(ModelParams(1.0, 1.0, 2.0), x)
+        assert not rec.in_domain and not rec.interior
 
 
 class TestHorner:
