@@ -197,7 +197,7 @@ def samples(params: ModelParams, x) -> Samples:
     in_domain, interior = _domain_flags(params, x)
     # clamp: w*x can round a hair past pi/2 just inside the boundary
     c = np.maximum(np.cos(w * x), 0.0)
-    if not interior:  # the wall itself: cos(pi/2) rounds to 6e-17, not 0
+    if not interior:  # the wall itself: cos(w * half_width) rounds to ~6e-17, not 0
         c[np.abs(x) == params.half_width] = 0.0
     s = np.sin(w * x)
     for a in (x, s, c):

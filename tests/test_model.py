@@ -199,12 +199,9 @@ class TestPotentials:
                 fn(p, -d)
             with pytest.raises(ValueError):
                 fn(p, np.array([0.0, 1.1 * d]))
-
-    @pytest.mark.parametrize("fn", [v_pt, v_minus, v_plus, superpotential])
-    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan, 0.3])])
-    def test_rejects_nan(self, fn, x):
-        with pytest.raises(ValueError, match=r"\|x\| < half_width \(potential singular"):
-            fn(ModelParams(1.0, 1.0, 2.0), x)
+            for x in (math.nan, np.array([0.0, math.nan, 0.3])):
+                with pytest.raises(ValueError, match=r"\|x\| < half_width \(potential singular"):
+                    fn(p, x)
 
     def test_vectorized_matches_scalar(self):
         p = ModelParams(1.0, 0.5, 3.7)

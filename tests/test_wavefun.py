@@ -298,12 +298,9 @@ class TestEvaluate:
             evaluate(wf, p.half_width * 1.0000001)
         with pytest.raises(ValueError):
             evaluate(wf, np.array([0.0, -p.half_width * 1.01]))
-
-    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan, 0.3])])
-    def test_rejects_nan(self, build_cached, x):
-        wf = build_cached(ModelParams(1.0, 1.0, 2.0), 2)
-        with pytest.raises(ValueError, match=r"\|x\| <= half_width"):
-            evaluate(wf, x)
+        for x in (math.nan, np.array([0.0, math.nan, 0.3])):
+            with pytest.raises(ValueError, match=r"\|x\| <= half_width"):
+                evaluate(wf, x)
 
     def test_scalar_and_array_shapes(self, build_cached):
         wf = build_cached(ModelParams(1.0, 1.0, 2.0), 3)
