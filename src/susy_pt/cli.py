@@ -40,7 +40,7 @@ def main(argv=None) -> int:
         if args.command == "hierarchy":
             return _cmd_hierarchy(args)
         return _cmd_verify(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --output
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
 

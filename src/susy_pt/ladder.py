@@ -140,10 +140,10 @@ def _check_envelope(wf: Wavefunction, expected: float, op: str):
         )
 
 
-def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
-    """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x (an
-    array or its Samples record), with V = V_-(k_pot) ("minus") or
-    V_+(k_pot) ("plus").
+def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
+    """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x of
+    wf's domain (an array or its Samples record), with V = V_-(k_pot)
+    ("minus") or V_+(k_pot) ("plus").
 
     The second derivative is taken analytically on the representation.
     Collecting powers of cos, with P evaluated at s = sin(wx):
@@ -165,7 +165,7 @@ def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, 
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
 
-    rec = _as_samples(params, x)
+    rec = _as_samples(wf.params, x)
     _require_interior(rec.interior)
     if wf.is_zero:
         return np.zeros(rec.shape)
@@ -187,39 +187,42 @@ def apply_delta(params: ModelParams, kind: str, k_pot: float, wf: Wavefunction, 
     return out.reshape(rec.shape)
 
 
-def factorization_residual(params: ModelParams, k: float, wf: Wavefunction, x=None) -> float:
+def factorization_residual(k: float, wf: Wavefunction, x=None) -> float:
     """Sup-norm residual of the factorization identities on a grid.
 
     For kappa = k checks (A_k^+ A_k) wf against the "minus" operator
     samples; for kappa = k+1 checks (A_k A_k^+) wf against "plus".  Both
     sides are exact, so the residual is rounding noise for polynomial
-    inputs of moderate degree.  x is an array of interior positions or
-    their Samples record (default: 10^4 interior grid points).
+    inputs of moderate degree.  x is an array of interior positions of
+    wf's domain or their Samples record (default: 10^4 interior grid
+    points).
     """
+    params = wf.params
     rec = _as_samples(params, interior_grid(params, 10_000).points if x is None else x)
     ctx = LadderContext(params, k)
     if wf.kappa == k:
         composed = raise_(ctx, lower(ctx, wf))
-        direct = apply_delta(params, "minus", k, wf, rec)
+        direct = apply_delta("minus", k, wf, rec)
     elif wf.kappa == k + 1.0:
         composed = lower(ctx, raise_(ctx, wf))
-        direct = apply_delta(params, "plus", k, wf, rec)
+        direct = apply_delta("plus", k, wf, rec)
     else:
         raise ValueError("wf.kappa must equal k or k+1")
     lhs = evaluate_envelope_form(params, composed.kappa, composed.coeffs, rec)
     return float(np.max(np.abs(lhs - direct), initial=0.0))
 
 
-def commutator_check(params: ModelParams, k: float, test_fn: Wavefunction, x=None) -> float:
+def commutator_check(k: float, test_fn: Wavefunction, x=None) -> float:
     """Scale-relative residual of [A_k, A_k^+] = 2k + (1/2k)(A_k + A_k^+)^2.
 
     A_k + A_k^+ multiplies by 2 W = 2k tan(wx), so the right side is
     multiplication by 2k (1 + tan^2 wx).  The left side is built from the
     general-envelope operator rules; intermediate exponents fall below
     the bound-state range, so raw (kappa, coeffs) pairs are used.  x is
-    an array of interior positions or their Samples record (default:
-    10^4 interior grid points).
+    an array of interior positions of test_fn's domain or their Samples
+    record (default: 10^4 interior grid points).
     """
+    params = test_fn.params
     rec = _as_samples(params, interior_grid(params, 10_000).points if x is None else x)
     _require_interior(rec.interior)
     kappa, p = test_fn.kappa, test_fn.coeffs
@@ -245,9 +248,9 @@ def _general_raise(k: float, kappa: float, p: np.ndarray):
     return kappa - 1.0, _first_order(k + kappa, p, -1.0)
 
 
-def build_from_ground(params: ModelParams, n: int, k_level: float | None = None) -> Wavefunction:
+def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     """Level-n eigenfunction assembled by n raising steps from the
-    closed-form ground state at level k+n:
+    closed-form ground state at level k+n, where k = params.k:
 
         U_{k,n} = chain_prefactor(k, n) A_k^+ A_{k+1}^+ ... A_{k+n-1}^+ U_{k+n,0}.
 
@@ -257,7 +260,7 @@ def build_from_ground(params: ModelParams, n: int, k_level: float | None = None)
     build_eigenfunction up to rounding.
     """
     n = _check_level(n, MAX_LEVEL)
-    k = params.k if k_level is None else float(k_level)
+    k = params.k
     levels = [k]
     for _ in range(n):
         levels.append(levels[-1] + 1.0)

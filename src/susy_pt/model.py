@@ -56,10 +56,10 @@ class ModelParams:
     k: float
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+            raise ValueError("omega must be positive and finite")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
         if not self.k > 1.0:
             raise ValueError("k must exceed 1")
         if self.k > K_MAX:

@@ -61,7 +61,6 @@ class SuiteResult:
     status: str
     worst_residual: float
     tolerance: float
-    params: tuple
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class VerificationReport:
                     "status": s.status,
                     "worst_residual": s.worst_residual,
                     "tolerance": s.tolerance,
-                    "params": [_params_dict(p) for p in s.params],
                 }
                 for s in self.suites
             ],
@@ -99,10 +97,6 @@ class VerificationReport:
             )
         lines.append("overall: " + ("all suites pass" if self.all_passed else "FAILURES present"))
         return "\n".join(lines)
-
-
-def _params_dict(p: ModelParams) -> dict:
-    return {"omega": p.omega, "epsilon": p.epsilon, "k": p.k}
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +125,7 @@ def _suite_orthonormality(battery, run):
 
 
 def _eigen_residual(p, kind, wf, lam, x):
-    vals = apply_delta(p, kind, p.k, wf, x)
+    vals = apply_delta(kind, p.k, wf, x)
     ref = lam * evaluate(wf, x)
     return float(np.max(np.abs(vals - ref))) / (1.0 + lam)
 
@@ -203,7 +197,7 @@ def _suite_factorization(battery, run):
             for kappa in (p.k, p.k + 1.0):
                 wf = Wavefunction(p, kappa, coeffs)
                 scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
-                yield factorization_residual(p, p.k, wf, x) / scale
+                yield factorization_residual(p.k, wf, x) / scale
 
 
 def _suite_commutator(battery, run):
@@ -211,7 +205,7 @@ def _suite_commutator(battery, run):
         x = samples(p, interior_grid(p, 2001).points)
         for coeffs in _random_test_fns():
             wf = Wavefunction(p, p.k, coeffs)
-            yield commutator_check(p, p.k, wf, x)
+            yield commutator_check(p.k, wf, x)
 
 
 def _suite_build_up(battery, run):
@@ -304,10 +298,10 @@ def run_all(
         worst = float(max(suite(battery, run), default=0.0))
         tol = float(tol(run) if callable(tol) else tol)
         status = "pass" if worst <= tol else "fail"
-        results.append(SuiteResult(name, status, worst, tol, battery))
+        results.append(SuiteResult(name, status, worst, tol))
 
     meta = {
-        "params_set": [_params_dict(p) for p in battery],
+        "params_set": [{"omega": p.omega, "epsilon": p.epsilon, "k": p.k} for p in battery],
         "n_max": n_max,
         "grid_n": grid_n,
         "richardson": richardson,

@@ -83,9 +83,6 @@ class Wavefunction:
         """Polynomial degree; -1 for the zero function."""
         return self.coeffs.size - 1
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 def hypergeometric_terminating(n_s: int, b: float, c: float, z):
     """Terminating series F(-n_s, b; c; z) = sum_{j<=n_s} of

@@ -107,8 +107,8 @@ def test_criterion_06_factorization_and_commutator():
             for kappa in (p.k, p.k + 1.0):
                 wf = Wavefunction(p, kappa, coeffs)
                 scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
-                worst = max(worst, factorization_residual(p, p.k, wf, x) / scale)
-            worst = max(worst, commutator_check(p, p.k, Wavefunction(p, p.k, coeffs), x))
+                worst = max(worst, factorization_residual(p.k, wf, x) / scale)
+            worst = max(worst, commutator_check(p.k, Wavefunction(p, p.k, coeffs), x))
     _criterion(6, "factorization and commutator", worst, 1e-8)
 
 

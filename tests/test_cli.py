@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,13 @@ class TestSpectrumCommand:
         assert code == 0 and out == ""
         header, rows = parse_csv(path.read_text())
         assert header[0] == "n" and len(rows) == 9
+
+    @pytest.mark.parametrize("target", [".", "missing/spec.csv"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "spectrum", "--k", "2", "--output", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
 
     def test_negative_n_max_rejected(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--k", "2", "--n-max", "-1")
@@ -342,3 +350,24 @@ class TestCsvContract:
     def test_fmt_matches_format(self, value):
         assert cli._fmt(value) == format(value, ".17g")
         assert cli._fmt(np.float64(value)) == format(value, ".17g")
+
+
+def _readme_commands():
+    """The susy-pt lines of the README's "Command line" block, without
+    their trailing comments."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.startswith("susy-pt ")]
+
+
+class TestReadmeCommands:
+    def test_block_found(self):
+        assert len(_readme_commands()) >= 5
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_parses(self, line):
+        # parse only: a renamed or removed flag fails here, nothing runs
+        try:
+            cli._parser().parse_args(shlex.split(line)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README command does not parse: {line!r} (exit {exc.code})")

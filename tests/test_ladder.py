@@ -205,7 +205,7 @@ class TestApplyDelta:
         for n in (0, 3, 7):
             wf = build_cached(P_REF, n)
             lam = n * (n + 4.0)
-            got = apply_delta(P_REF, "minus", 2.0, wf, x)
+            got = apply_delta("minus", 2.0, wf, x)
             assert np.max(np.abs(got - lam * evaluate(wf, x))) <= 1e-8 * (1.0 + lam)
 
     def test_plus_eigen_relation(self, build_cached):
@@ -214,12 +214,12 @@ class TestApplyDelta:
         for n in (1, 4, 8):
             wf = build_cached(up, n - 1)
             lam = n * (n + 4.0)
-            got = apply_delta(P_REF, "plus", 2.0, wf, x)
+            got = apply_delta("plus", 2.0, wf, x)
             assert np.max(np.abs(got - lam * evaluate(wf, x))) <= 1e-8 * (1.0 + lam)
 
     def test_ground_state_in_kernel(self, build_cached):
         x = interior_grid(P_REF, 2001).points
-        got = apply_delta(P_REF, "minus", 2.0, build_cached(P_REF, 0), x)
+        got = apply_delta("minus", 2.0, build_cached(P_REF, 0), x)
         assert np.max(np.abs(got)) <= 1e-12
 
     def test_matches_finite_difference_second_derivative(self, build_cached):
@@ -237,15 +237,15 @@ class TestApplyDelta:
         for kind, vfun in (("minus", v_minus), ("plus", v_plus)):
             v = vfun(p, x)
             fd = (4.0 * fd_delta(h / 2.0, v) - fd_delta(h, v)) / 3.0
-            got = apply_delta(p, kind, p.k, wf, x)
+            got = apply_delta(kind, p.k, wf, x)
             assert np.max(np.abs(got - fd)) <= 1e-6
 
     def test_rejects_boundary_points(self, build_cached):
         wf = build_cached(P_REF, 1)
         with pytest.raises(ValueError):
-            apply_delta(P_REF, "minus", 2.0, wf, np.array([0.0, P_REF.half_width]))
+            apply_delta("minus", 2.0, wf, np.array([0.0, P_REF.half_width]))
         with pytest.raises(ValueError):
-            apply_delta(P_REF, "squiggle", 2.0, wf, np.array([0.0]))
+            apply_delta("squiggle", 2.0, wf, np.array([0.0]))
 
 
 class TestSamplesRecord:
@@ -270,13 +270,13 @@ class TestSamplesRecord:
             for n in (0, 1, 5):
                 for kind, wf in (("minus", build_cached(p, n)), ("plus", build_cached(p.with_k(p.k + 1.0), n))):
                     for x in self._positions(p):
-                        got = apply_delta(p, kind, p.k, wf, samples(p, x))
-                        want = apply_delta(p, kind, p.k, wf, x)
+                        got = apply_delta(kind, p.k, wf, samples(p, x))
+                        want = apply_delta(kind, p.k, wf, x)
                         assert got.shape == want.shape
                         assert got.tobytes() == want.tobytes()
             zero = Wavefunction(p, p.k, [])
             x = interior_grid(p, 5).points
-            assert apply_delta(p, "minus", p.k, zero, samples(p, x)).tobytes() == np.zeros(5).tobytes()
+            assert apply_delta("minus", p.k, zero, samples(p, x)).tobytes() == np.zeros(5).tobytes()
 
     def test_factorization_and_commutator_bitwise(self):
         rng = np.random.default_rng(41)
@@ -287,11 +287,11 @@ class TestSamplesRecord:
                     coeffs = rng.uniform(-1.0, 1.0, 6)
                     for kappa in (p.k, p.k + 1.0):
                         wf = Wavefunction(p, kappa, coeffs)
-                        a = factorization_residual(p, p.k, wf, rec)
-                        assert a.hex() == factorization_residual(p, p.k, wf, x).hex()
+                        a = factorization_residual(p.k, wf, rec)
+                        assert a.hex() == factorization_residual(p.k, wf, x).hex()
                     wf = Wavefunction(p, p.k, coeffs)
-                    a = commutator_check(p, p.k, wf, rec)
-                    assert a.hex() == commutator_check(p, p.k, wf, x).hex()
+                    a = commutator_check(p.k, wf, rec)
+                    assert a.hex() == commutator_check(p.k, wf, x).hex()
 
     def test_shape_of_positions_is_kept(self, build_cached):
         # an n-D array of positions gives the flat array's values in its
@@ -300,29 +300,29 @@ class TestSamplesRecord:
         for p in self.PARAMS:
             flat = interior_grid(p, 2001).points[-10:]
             wf = build_cached(p, 3)
-            want = apply_delta(p, "minus", p.k, wf, flat)
+            want = apply_delta("minus", p.k, wf, flat)
             for shape in ((2, 5), (10, 1)):
                 x = flat.reshape(shape)
                 for pos in (x, samples(p, x)):
-                    got = apply_delta(p, "minus", p.k, wf, pos)
+                    got = apply_delta("minus", p.k, wf, pos)
                     assert got.shape == shape
                     assert got.tobytes() == want.tobytes()
             coeffs = rng.uniform(-1.0, 1.0, 6)
             test_fn = Wavefunction(p, p.k, coeffs)
-            want_c = commutator_check(p, p.k, test_fn, flat)
-            want_f = factorization_residual(p, p.k, test_fn, flat)
+            want_c = commutator_check(p.k, test_fn, flat)
+            want_f = factorization_residual(p.k, test_fn, flat)
             for shape in ((2, 5), (10, 1)):
                 for pos in (flat.reshape(shape), samples(p, flat.reshape(shape))):
-                    assert commutator_check(p, p.k, test_fn, pos).hex() == want_c.hex()
-                    assert factorization_residual(p, p.k, test_fn, pos).hex() == want_f.hex()
+                    assert commutator_check(p.k, test_fn, pos).hex() == want_c.hex()
+                    assert factorization_residual(p.k, test_fn, pos).hex() == want_f.hex()
 
     def test_rejects_record_of_another_domain(self, build_cached):
         rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))
         wf = build_cached(P_REF, 1)
         for check in (
-            lambda: apply_delta(P_REF, "minus", 2.0, wf, rec),
-            lambda: factorization_residual(P_REF, 2.0, wf, rec),
-            lambda: commutator_check(P_REF, 2.0, wf, rec),
+            lambda: apply_delta("minus", 2.0, wf, rec),
+            lambda: factorization_residual(2.0, wf, rec),
+            lambda: commutator_check(2.0, wf, rec),
         ):
             with pytest.raises(ValueError, match="hat_omega"):
                 check()
@@ -332,29 +332,29 @@ class TestSamplesRecord:
         assert rec.in_domain and not rec.interior
         wf = build_cached(P_REF, 1)
         with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
-            apply_delta(P_REF, "minus", 2.0, wf, rec)
+            apply_delta("minus", 2.0, wf, rec)
         with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
-            commutator_check(P_REF, 2.0, wf, rec)
+            commutator_check(2.0, wf, rec)
         with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
-            factorization_residual(P_REF, 2.0, wf, rec)
+            factorization_residual(2.0, wf, rec)
 
     @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan, 0.3])])
     def test_rejects_nan_positions(self, build_cached, x):
         wf = build_cached(P_REF, 1)
         for pos in (x, samples(P_REF, x)):
             with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
-                apply_delta(P_REF, "minus", 2.0, wf, pos)
+                apply_delta("minus", 2.0, wf, pos)
             with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
-                commutator_check(P_REF, 2.0, wf, pos)
+                commutator_check(2.0, wf, pos)
             with pytest.raises(ValueError, match=self.BOUNDARY_MSG):
-                factorization_residual(P_REF, 2.0, wf, pos)
+                factorization_residual(2.0, wf, pos)
 
 
 class TestFactorization:
     def test_eigenfunctions(self, build_cached):
         x = interior_grid(P_REF, 2001).points
-        assert factorization_residual(P_REF, 2.0, build_cached(P_REF, 0), x) <= 1e-10
-        assert factorization_residual(P_REF, 2.0, build_cached(P_REF, 3), x) <= 1e-8
+        assert factorization_residual(2.0, build_cached(P_REF, 0), x) <= 1e-10
+        assert factorization_residual(2.0, build_cached(P_REF, 3), x) <= 1e-8
 
     def test_random_polynomials_both_branches(self):
         rng = np.random.default_rng(23)
@@ -363,7 +363,7 @@ class TestFactorization:
             coeffs = rng.uniform(-1.0, 1.0, 6)
             for kappa in (2.0, 3.0):  # k and k+1 select the two identities
                 wf = Wavefunction(P_REF, kappa, coeffs)
-                assert factorization_residual(P_REF, 2.0, wf, x) <= 1e-8
+                assert factorization_residual(2.0, wf, x) <= 1e-8
 
     def test_degree_32_within_contract(self):
         # the residual bound 1e-8*(1+sup|wf|) is contracted up to degree 32
@@ -372,12 +372,12 @@ class TestFactorization:
         for kappa in (2.0, 3.0):
             wf = Wavefunction(P_REF, kappa, rng.uniform(-1.0, 1.0, 33))
             scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
-            assert factorization_residual(P_REF, 2.0, wf, x) <= 1e-8 * scale
+            assert factorization_residual(2.0, wf, x) <= 1e-8 * scale
 
     def test_rejects_unrelated_envelope(self):
         wf = Wavefunction(P_REF, 5.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            factorization_residual(P_REF, 2.0, wf)
+            factorization_residual(2.0, wf)
 
 
 class TestCommutator:
@@ -388,20 +388,20 @@ class TestCommutator:
         mult = lambda x: 2.0 * k * (1.0 + math.tan(P_REF.hat_omega * x) ** 2)
         assert mult(0.0) == 4.0
         assert mult(math.pi / 4.0) == pytest.approx(8.0, rel=1e-14)
-        assert commutator_check(P_REF, k, build_cached(P_REF, 0)) <= 1e-8
+        assert commutator_check(k, build_cached(P_REF, 0)) <= 1e-8
 
     def test_random_polynomials(self):
         rng = np.random.default_rng(29)
         x = interior_grid(P_REF, 2001).points
         for _ in range(10):
             wf = Wavefunction(P_REF, 2.0, rng.uniform(-1.0, 1.0, 9))
-            assert commutator_check(P_REF, 2.0, wf, x) <= 1e-8
+            assert commutator_check(2.0, wf, x) <= 1e-8
 
     def test_low_envelope_exponent(self):
         # intermediate exponents drop below 1; the check must still hold
         p = ModelParams(1.0, 1.0, 1.5)
         wf = Wavefunction(p, 1.5, np.array([0.3, -0.7, 1.1]))
-        assert commutator_check(p, 1.5, wf) <= 1e-8
+        assert commutator_check(1.5, wf) <= 1e-8
 
 
 class TestBuildFromGround:
@@ -430,12 +430,6 @@ class TestBuildFromGround:
                 got = build_from_ground(p, n)
                 want = build_cached(p, n)
                 assert np.max(np.abs(evaluate(got, x) - evaluate(want, x))) <= 1e-8
-
-    def test_k_level_override(self, build_cached):
-        got = build_from_ground(P_REF, 2, k_level=3.0)
-        want = build_cached(P_REF.with_k(3.0), 2)
-        x = interior_grid(P_REF, 1001).points
-        assert np.max(np.abs(evaluate(got, x) - evaluate(want, x))) <= 1e-8
 
     def test_off_grid_k_chain_levels(self):
         # fl(fl(k+j)+1) != fl(k+j+1) for about 1% of such k; the chain

@@ -30,7 +30,8 @@ class TestModelParams:
     @pytest.mark.parametrize(
         "omega,epsilon,k",
         [(-1.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, -0.5, 2.0), (1.0, 0.0, 2.0),
-         (1.0, 1.0, 1.0), (1.0, 1.0, 0.9), (1.0, 1.0, 2.0e8), (1.0, 1.0, float("nan"))],
+         (1.0, 1.0, 1.0), (1.0, 1.0, 0.9), (1.0, 1.0, 2.0e8), (1.0, 1.0, float("nan")),
+         (float("inf"), 1.0, 2.0), (1.0, float("inf"), 2.0)],
     )
     def test_rejects_bad_params(self, omega, epsilon, k):
         with pytest.raises(ValueError):
