@@ -1,105 +1,24 @@
 """Supersymmetric structure of the deformed trigonometric Poschl-Teller
 oscillator family: exact spectra and eigenfunctions, ladder operators,
 shape-invariance hierarchy, and an independent numerical oracle.
+
+The public names are those each module lists in its own __all__.
 """
 
-from .model import (
-    K_MAX,
-    Level,
-    ModelParams,
-    Spectrum,
-    delta_eigenvalue,
-    energy,
-    energy_squared,
-    k_from_mass,
-    mass_from_k,
-    spectrum,
-    superpotential,
-    v_minus,
-    v_plus,
-    v_pt,
-)
-from .wavefun import (
-    MAX_LEVEL,
-    Wavefunction,
-    build_eigenfunction,
-    evaluate,
-    ground_state,
-    hypergeometric_terminating,
-    inner_product,
-)
-from .ladder import (
-    LadderContext,
-    apply_delta,
-    build_from_ground,
-    commutator_check,
-    factorization_residual,
-    lower,
-    raise_,
-)
-from .numeric import (
-    Grid,
-    TridiagonalOperator,
-    delta_eigenvalues_fd,
-    discretize_delta,
-    eigenvalues_lowest,
-    interior_grid,
-    log_gamma,
-    quadrature,
-    sturm_count,
-)
-from .verify import (
-    DEFAULT_BATTERY,
-    SUITE_NAMES,
-    VerificationReport,
-    run_all,
-    run_nonrel_limit,
-)
+from . import ladder, model, numeric, verify, wavefun
+from .model import *
+from .wavefun import *
+from .ladder import *
+from .numeric import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "K_MAX",
-    "MAX_LEVEL",
-    "ModelParams",
-    "Level",
-    "Spectrum",
-    "Wavefunction",
-    "LadderContext",
-    "Grid",
-    "TridiagonalOperator",
-    "VerificationReport",
-    "DEFAULT_BATTERY",
-    "SUITE_NAMES",
-    "k_from_mass",
-    "mass_from_k",
-    "energy_squared",
-    "energy",
-    "delta_eigenvalue",
-    "spectrum",
-    "v_pt",
-    "v_minus",
-    "v_plus",
-    "superpotential",
-    "hypergeometric_terminating",
-    "build_eigenfunction",
-    "ground_state",
-    "evaluate",
-    "inner_product",
-    "lower",
-    "raise_",
-    "apply_delta",
-    "factorization_residual",
-    "commutator_check",
-    "build_from_ground",
-    "interior_grid",
-    "discretize_delta",
-    "sturm_count",
-    "eigenvalues_lowest",
-    "delta_eigenvalues_fd",
-    "quadrature",
-    "log_gamma",
-    "run_all",
-    "run_nonrel_limit",
+    *model.__all__,
+    *wavefun.__all__,
+    *ladder.__all__,
+    *numeric.__all__,
+    *verify.__all__,
     "__version__",
 ]

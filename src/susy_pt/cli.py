@@ -10,6 +10,7 @@ output round-trips exactly; identical flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -109,12 +110,11 @@ def _params_comment(p: ModelParams) -> str:
     )
 
 
-def _emit(text: str, path: str):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _open_output(path: str):
+    """The --output destination, opened for writing as a context manager
+    ('-' is stdout, left open).  verify opens it before its suites run,
+    as a shell redirect would, so a bad path fails at once."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _csv(header, rows, comments=(), trailers=()) -> str:
@@ -142,7 +142,8 @@ def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, 
         table = [dict(zip(header, row)) for row in rows]
         doc = {"params": _params_json(params), **head, key: table, **tail}
         text = json.dumps(doc, indent=2) + "\n"
-    _emit(text, args.output)
+    with _open_output(args.output) as fh:
+        fh.write(text)
     return 0
 
 
@@ -186,15 +187,15 @@ def _cmd_verify(args) -> int:
         battery = [_resolve_params(args)]
     else:
         battery = None  # default fixture battery
-    report = verify_mod.run_all(
-        battery,
-        n_max=args.n_max,
-        grid_n=args.grid_n,
-        suites=args.suite,
-        richardson=args.richardson,
-    )
-    text = report.to_json() + "\n" if args.format == "json" else report.to_text() + "\n"
-    _emit(text, args.output)
+    with _open_output(args.output) as fh:
+        report = verify_mod.run_all(
+            battery,
+            n_max=args.n_max,
+            grid_n=args.grid_n,
+            suites=args.suite,
+            richardson=args.richardson,
+        )
+        fh.write(report.to_json() + "\n" if args.format == "json" else report.to_text() + "\n")
     return 0 if report.all_passed else 1
 
 

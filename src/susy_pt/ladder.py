@@ -43,15 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, _check_level, _require_interior
-from .numeric import interior_grid, log_gamma
-from .wavefun import (
-    MAX_LEVEL,
-    Wavefunction,
-    _as_samples,
-    _horner,
-    evaluate_envelope_form,
-    ground_state,
-)
+from .numeric import log_gamma
+from .wavefun import MAX_LEVEL, Wavefunction, _as_samples, _envelope, _horner, ground_state
 
 __all__ = [
     "LadderContext",
@@ -66,13 +59,15 @@ __all__ = [
 
 
 def _der(p: np.ndarray) -> np.ndarray:
-    """Coefficients of P' for ascending coefficients p (empty for size 1)."""
+    """Coefficients of P' for ascending coefficients p (empty for size 0 or 1)."""
     return p[1:] * np.arange(1.0, p.size)
 
 
 def _first_order(a: float, p: np.ndarray, sign: float) -> np.ndarray:
-    """Coefficients of a s P + sign (1 - s^2) P' for a trimmed 1-D p;
-    sign is +1 or -1.  The result is trimmed, never empty.
+    """Coefficients of a s P + sign (1 - s^2) P' for a trimmed 1-D p,
+    empty for the zero function; sign is +1 or -1.  The result is
+    trimmed down to one coefficient, so the zero function gives [0.0],
+    which Wavefunction trims back to the zero function.
 
     Bit-identical to the numpy.polynomial composition except for a = 0
     with sign -1, which no operator here forms (the raising rules have
@@ -114,8 +109,6 @@ def lower(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     eigenfunction the result is sqrt(n(n+2k)) * U_{k+1,n-1}.
     """
     _check_envelope(wf, ctx.k_level, "lower")
-    if wf.is_zero or wf.degree == 0:
-        return Wavefunction(wf.params, ctx.k_level + 1.0, np.empty(0))
     return Wavefunction(wf.params, ctx.k_level + 1.0, _der(wf.coeffs))
 
 
@@ -123,12 +116,10 @@ def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     """A_k^+ applied to a kappa = k+1 function:
     cos^(k+1) Q -> cos^k [ (2k+1) s Q - (1-s^2) Q' ].
 
-    Degree goes up by exactly one.  On a normalized U_{k+1,n-1} the
-    result is sqrt(n(n+2k)) * U_{k,n}.
+    Degree goes up by exactly one; the zero function stays zero.  On a
+    normalized U_{k+1,n-1} the result is sqrt(n(n+2k)) * U_{k,n}.
     """
     _check_envelope(wf, ctx.k_level + 1.0, "raise_")
-    if wf.is_zero:
-        return Wavefunction(wf.params, ctx.k_level, np.empty(0))
     out = _first_order(2.0 * ctx.k_level + 1.0, wf.coeffs, -1.0)
     return Wavefunction(wf.params, ctx.k_level, out)
 
@@ -187,18 +178,17 @@ def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     return out.reshape(rec.shape)
 
 
-def factorization_residual(k: float, wf: Wavefunction, x=None) -> float:
+def factorization_residual(k: float, wf: Wavefunction, x) -> float:
     """Sup-norm residual of the factorization identities on a grid.
 
     For kappa = k checks (A_k^+ A_k) wf against the "minus" operator
     samples; for kappa = k+1 checks (A_k A_k^+) wf against "plus".  Both
     sides are exact, so the residual is rounding noise for polynomial
     inputs of moderate degree.  x is an array of interior positions of
-    wf's domain or their Samples record (default: 10^4 interior grid
-    points).
+    wf's domain or their Samples record.
     """
     params = wf.params
-    rec = _as_samples(params, interior_grid(params, 10_000).points if x is None else x)
+    rec = _as_samples(params, x)
     ctx = LadderContext(params, k)
     if wf.kappa == k:
         composed = raise_(ctx, lower(ctx, wf))
@@ -208,11 +198,11 @@ def factorization_residual(k: float, wf: Wavefunction, x=None) -> float:
         direct = apply_delta("plus", k, wf, rec)
     else:
         raise ValueError("wf.kappa must equal k or k+1")
-    lhs = evaluate_envelope_form(params, composed.kappa, composed.coeffs, rec)
+    lhs = _envelope(rec, composed.kappa, composed.coeffs)
     return float(np.max(np.abs(lhs - direct), initial=0.0))
 
 
-def commutator_check(k: float, test_fn: Wavefunction, x=None) -> float:
+def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     """Scale-relative residual of [A_k, A_k^+] = 2k + (1/2k)(A_k + A_k^+)^2.
 
     A_k + A_k^+ multiplies by 2 W = 2k tan(wx), so the right side is
@@ -220,21 +210,19 @@ def commutator_check(k: float, test_fn: Wavefunction, x=None) -> float:
     general-envelope operator rules; intermediate exponents fall below
     the bound-state range, so raw (kappa, coeffs) pairs are used.  x is
     an array of interior positions of test_fn's domain or their Samples
-    record (default: 10^4 interior grid points).
+    record.
     """
     params = test_fn.params
-    rec = _as_samples(params, interior_grid(params, 10_000).points if x is None else x)
+    rec = _as_samples(params, x)
     _require_interior(rec.interior)
     kappa, p = test_fn.kappa, test_fn.coeffs
     if p.size == 0:
         return 0.0
     up_down = _general_lower(k, *_general_raise(k, kappa, p))
     down_up = _general_raise(k, *_general_lower(k, kappa, p))
-    lhs = evaluate_envelope_form(params, up_down[0], up_down[1], rec) - evaluate_envelope_form(
-        params, down_up[0], down_up[1], rec
-    )
+    lhs = _envelope(rec, *up_down) - _envelope(rec, *down_up)
     t = np.tan(params.hat_omega * rec.x).reshape(rec.shape)
-    rhs = 2.0 * k * (1.0 + t * t) * evaluate_envelope_form(params, kappa, p, rec)
+    rhs = 2.0 * k * (1.0 + t * t) * _envelope(rec, kappa, p)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 

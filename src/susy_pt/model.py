@@ -60,6 +60,9 @@ class ModelParams:
             raise ValueError("omega must be positive and finite")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
+        # the product can still overflow, or underflow to zero
+        if not (0.0 < self.hat_omega < math.inf and self.half_width < math.inf):
+            raise ValueError("epsilon*omega must give a positive finite hat_omega and half_width")
         if not self.k > 1.0:
             raise ValueError("k must exceed 1")
         if self.k > K_MAX:
@@ -120,11 +123,21 @@ def mass_from_k(params: ModelParams) -> float:
 
 
 def energy_squared(params: ModelParams, n: int) -> float:
-    """E_n^2 = w^2 [(n+k)^2 + (eps^2 - 1) k(k-1)] for level n >= 0."""
+    """E_n^2 = w^2 [(n+k)^2 + (eps^2 - 1) k(k-1)] for level n >= 0.
+
+    Raises ValueError where E_n^2 is not a positive finite float: a
+    power or product that overflows, or w^2 that underflows to 0.
+    """
     n = _check_level(n)
     k = params.k
-    w2 = params.hat_omega ** 2
-    return w2 * ((n + k) ** 2 + (params.epsilon ** 2 - 1.0) * k * (k - 1.0))
+    try:
+        w2 = params.hat_omega ** 2
+        e2 = w2 * ((n + k) ** 2 + (params.epsilon ** 2 - 1.0) * k * (k - 1.0))
+    except OverflowError:
+        e2 = math.inf
+    if not 0.0 < e2 < math.inf:
+        raise ValueError(f"E_n^2 at n={n} is {e2!r}: not a positive finite float")
+    return e2
 
 
 def energy(params: ModelParams, n: int) -> float:

@@ -272,7 +272,7 @@ def delta_eigenvalues_fd(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def quadrature(f, a: float, b: float, panels: int = 64) -> float:
+def quadrature(f, a: float, b: float, panels: int) -> float:
     """Composite Gauss-Legendre integral of f over [a, b], 16 nodes per
     equal panel.  f must accept an ndarray of positions.
 

@@ -144,8 +144,7 @@ def _suite_partner_eigen_residual(battery, run):
         up = p.with_k(p.k + 1.0)
         for n in range(1, run.n_max + 1):
             wf = run.state(up, n - 1)
-            lam = n * (n + 2.0 * p.k)
-            yield _eigen_residual(p, "plus", wf, lam, x)
+            yield _eigen_residual(p, "plus", wf, delta_eigenvalue(p, n), x)
 
 
 def _suite_ladder(battery, run):
@@ -153,10 +152,11 @@ def _suite_ladder(battery, run):
         x = samples(p, interior_grid(p, 2001).points)
         ctx = LadderContext(p, p.k)
         up = p.with_k(p.k + 1.0)
+        expected = p.with_k(p.k + run.k_corruption)
         for n in range(1, run.n_max + 1):
             u_n = run.state(p, n)
             u_down = run.state(up, n - 1)
-            factor = math.sqrt(n * (n + 2.0 * (p.k + run.k_corruption)))
+            factor = math.sqrt(delta_eigenvalue(expected, n))
             lowered = lower(ctx, u_n)
             res = np.abs(evaluate(lowered, x) - factor * evaluate(u_down, x))
             yield float(np.max(res))
@@ -225,7 +225,7 @@ def _suite_numeric_cross_check(battery, run):
         p = ModelParams(1.0, 1.0, k)
         lam = delta_eigenvalues_fd(p, "minus", 5, run.grid_n, richardson=run.richardson)
         for n, lam_hat in enumerate(lam):
-            exact = n * (n + 2.0 * k)
+            exact = delta_eigenvalue(p, n)
             yield abs(lam_hat - exact) / (1.0 + exact)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "Samples",
     "samples",
     "evaluate",
-    "evaluate_envelope_form",
     "inner_product",
 ]
 
@@ -222,25 +221,21 @@ def evaluate(wf: Wavefunction, x):
     rec = _as_samples(wf.params, x)
     if not rec.in_domain:
         raise ValueError("x must satisfy |x| <= half_width")
-    out = evaluate_envelope_form(wf.params, wf.kappa, wf.coeffs, rec)
+    out = _envelope(rec, wf.kappa, wf.coeffs)
     return out if out.ndim else float(out)
 
 
-def evaluate_envelope_form(params: ModelParams, kappa: float, coeffs, x) -> np.ndarray:
-    """cos^kappa(wx) * P(sin wx) for an arbitrary real exponent and
-    coefficient array; no domain or kappa checks.  x is an array of
-    positions or their Samples record.
-
-    Used by the operator algebra, where intermediate terms may carry
-    exponents outside the bound-state range.  At a boundary point the
-    envelope is 0.0 ** kappa (samples() sets c to exactly 0 there).
+def _envelope(rec: Samples, kappa: float, p: np.ndarray) -> np.ndarray:
+    """cos^kappa(wx) * P(sin wx) on a record, in its shape, for any real
+    kappa and trimmed 1-D coefficients p (zeros when p is empty); no
+    domain or kappa checks.  The one place envelope values are formed:
+    evaluate and the operator residuals, whose intermediate terms carry
+    exponents below the bound-state range, all call it.  At a boundary
+    point the envelope is 0.0 ** kappa (samples() sets c to exactly 0).
     """
-    rec = _as_samples(params, x)
-    coeffs = _coeff_array(coeffs)
-    if coeffs.size == 0:
+    if p.size == 0:
         return np.zeros(rec.shape)
-    vals = rec.c ** kappa * _horner(rec.s, coeffs)
-    return vals.reshape(rec.shape)
+    return (rec.c ** kappa * _horner(rec.s, p)).reshape(rec.shape)
 
 
 def _coeff_array(coeffs) -> np.ndarray:
@@ -261,23 +256,21 @@ def _horner(s, c: np.ndarray):
     return acc
 
 
-def inner_product(f: Wavefunction, g: Wavefunction, panels: int | None = None) -> float:
+def inner_product(f: Wavefunction, g: Wavefunction) -> float:
     """L2 scalar product over D by composite Gauss-Legendre quadrature.
 
     Both functions must live on the same domain (equal hat_omega).  The
-    default panel count grows with the combined polynomial degree and
-    holds absolute error below ~1e-12 up to combined degree 64.
+    48 + (deg f + deg g)//2 panels grow with the combined polynomial
+    degree and hold absolute error below ~1e-12 up to combined degree 64.
     """
     if f.params.hat_omega != g.params.hat_omega:
         raise ValueError("wavefunctions live on different domains (hat_omega differs)")
     if f.is_zero or g.is_zero:
         return 0.0
-    if panels is None:
-        panels = 48 + (f.degree + g.degree) // 2
     d = f.params.half_width
 
     def integrand(x):
         rec = samples(f.params, x)
         return evaluate(f, rec) * evaluate(g, rec)
 
-    return quadrature(integrand, -d, d, panels)
+    return quadrature(integrand, -d, d, 48 + (f.degree + g.degree) // 2)

@@ -235,6 +235,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
 
+    def test_unwritable_output_fails_before_suites(self, capsys, monkeypatch, tmp_path):
+        # the destination is opened first, as a shell redirect is
+        def must_not_run(*args, **kwargs):
+            pytest.fail("run_all ran before --output was opened")
+
+        monkeypatch.setattr(cli.verify_mod, "run_all", must_not_run)
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "verify", "--output", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         from susy_pt import verify as verify_mod
 
@@ -251,6 +262,22 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "fail" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--omega", "1e200", "--k", "2"],
+        ["spectrum", "--omega", "1e150", "--k", "1e8"],
+        ["spectrum", "--omega", "1e-200", "--epsilon", "1e-200", "--k", "2"],
+        ["eigenfunction", "--omega", "1e-200", "--epsilon", "1e-200", "--k", "2"],
+        ["spectrum", "--omega", "1e-300", "--epsilon", "1e300", "--k", "2"],
+    ],
+)
+def test_out_of_range_params_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_command_usage_error(capsys):

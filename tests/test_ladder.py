@@ -122,6 +122,16 @@ class TestLoweringRaising:
         out = lower(LadderContext(P_REF, 2.0), build_cached(P_REF, 1))
         assert math.sqrt(inner_product(out, out)) == pytest.approx(math.sqrt(5.0), rel=1e-10)
 
+    def test_zero_function_maps_to_zero(self):
+        # the calculus alone carries the zero function: A_k 0 = 0 at
+        # kappa = k+1 and A_k^+ 0 = 0 at kappa = k
+        for p in (P_REF, ModelParams(1.0, 2.0, 3.7)):
+            ctx = LadderContext(p, p.k)
+            down = lower(ctx, Wavefunction(p, p.k, []))
+            assert down.is_zero and down.kappa == p.k + 1.0
+            up = raise_(ctx, Wavefunction(p, p.k + 1.0, []))
+            assert up.is_zero and up.kappa == p.k
+
     def test_raise_increases_degree_by_one(self, build_cached):
         up = P_REF.with_k(3.0)
         for n in range(5):
@@ -377,7 +387,7 @@ class TestFactorization:
     def test_rejects_unrelated_envelope(self):
         wf = Wavefunction(P_REF, 5.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            factorization_residual(2.0, wf)
+            factorization_residual(2.0, wf, interior_grid(P_REF, 10_000).points)
 
 
 class TestCommutator:
@@ -388,7 +398,8 @@ class TestCommutator:
         mult = lambda x: 2.0 * k * (1.0 + math.tan(P_REF.hat_omega * x) ** 2)
         assert mult(0.0) == 4.0
         assert mult(math.pi / 4.0) == pytest.approx(8.0, rel=1e-14)
-        assert commutator_check(k, build_cached(P_REF, 0)) <= 1e-8
+        x = interior_grid(P_REF, 10_000).points
+        assert commutator_check(k, build_cached(P_REF, 0), x) <= 1e-8
 
     def test_random_polynomials(self):
         rng = np.random.default_rng(29)
@@ -401,7 +412,7 @@ class TestCommutator:
         # intermediate exponents drop below 1; the check must still hold
         p = ModelParams(1.0, 1.0, 1.5)
         wf = Wavefunction(p, 1.5, np.array([0.3, -0.7, 1.1]))
-        assert commutator_check(1.5, wf) <= 1e-8
+        assert commutator_check(1.5, wf, interior_grid(p, 10_000).points) <= 1e-8
 
 
 class TestBuildFromGround:

@@ -31,7 +31,9 @@ class TestModelParams:
         "omega,epsilon,k",
         [(-1.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, -0.5, 2.0), (1.0, 0.0, 2.0),
          (1.0, 1.0, 1.0), (1.0, 1.0, 0.9), (1.0, 1.0, 2.0e8), (1.0, 1.0, float("nan")),
-         (float("inf"), 1.0, 2.0), (1.0, float("inf"), 2.0)],
+         (float("inf"), 1.0, 2.0), (1.0, float("inf"), 2.0),
+         # hat_omega overflows, underflows to 0, or leaves half_width infinite
+         (1e300, 1e300, 2.0), (1e-200, 1e-200, 2.0), (1e-170, 1e-170, 2.0)],
     )
     def test_rejects_bad_params(self, omega, epsilon, k):
         with pytest.raises(ValueError):
@@ -142,6 +144,19 @@ class TestSpectrumFormulas:
         for fn in (energy_squared, delta_eigenvalue):
             with pytest.raises(ValueError):
                 fn(p, -1)
+
+    @pytest.mark.parametrize(
+        "omega,epsilon,k",
+        # hat_omega ** 2 overflows; the product overflows; epsilon ** 2
+        # overflows; hat_omega ** 2 underflows to 0
+        [(1e200, 1.0, 2.0), (1e150, 1.0, 1e8), (1e-300, 1e300, 2.0), (1e-200, 1.0, 2.0)],
+    )
+    def test_rejects_energy_out_of_range(self, omega, epsilon, k):
+        p = ModelParams(omega, epsilon, k)
+        with pytest.raises(ValueError, match="E_n"):
+            energy_squared(p, 0)
+        with pytest.raises(ValueError, match="E_n"):
+            spectrum(p, 2)
 
     def test_spectrum_builder(self):
         p = ModelParams(1.0, 2.0, 3.7)

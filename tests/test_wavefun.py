@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 
 from susy_pt import ModelParams
 from susy_pt.model import K_MAX
-from susy_pt.numeric import interior_grid
+from susy_pt.numeric import interior_grid, quadrature
 from susy_pt.wavefun import (
     MAX_LEVEL,
     Samples,
@@ -15,7 +15,6 @@ from susy_pt.wavefun import (
     _horner,
     build_eigenfunction,
     evaluate,
-    evaluate_envelope_form,
     ground_state,
     hypergeometric_coefficients,
     hypergeometric_terminating,
@@ -151,13 +150,7 @@ class TestWavefunctionType:
         wf = Wavefunction(p, 2.0, 0.5)
         assert wf.coeffs.tobytes() == np.array([0.5]).tobytes()
         x = np.array([-0.4, 0.0, 0.7])
-        assert np.array_equal(evaluate_envelope_form(p, 2.0, 0.5, x), evaluate(wf, x))
-
-    def test_envelope_form_rejects_coefficients_not_1d(self):
-        # two points and a 2x2 array would broadcast into wrong values
-        p = ModelParams(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="1-D"):
-            evaluate_envelope_form(p, 2.0, [[1.0, 2.0], [3.0, 0.0]], np.array([0.1, 0.2]))
+        assert np.array_equal(evaluate(wf, x), 0.5 * np.cos(x) ** 2)
 
 
 class TestBuildEigenfunction:
@@ -339,16 +332,6 @@ class TestSamples:
                     assert type(got) is type(evaluate(wf, x))
                     assert _bytes(got) == _bytes(evaluate(wf, x))
 
-    def test_evaluate_envelope_form_bitwise(self):
-        for p in self.PARAMS:
-            for kappa in (p.k - 1.5, p.k, p.k + 1.0):
-                for coeffs in ([], [0.7], [0.1, -0.4, 0.0, 1.3]):
-                    for x in self._positions(p):
-                        got = evaluate_envelope_form(p, kappa, coeffs, samples(p, x))
-                        want = evaluate_envelope_form(p, kappa, coeffs, x)
-                        assert got.shape == want.shape
-                        assert got.tobytes() == want.tobytes()
-
     def test_record_fields(self):
         p = ModelParams(1.0, 2.0, 3.7)
         d = p.half_width
@@ -380,8 +363,6 @@ class TestSamples:
         rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))
         with pytest.raises(ValueError, match="hat_omega"):
             evaluate(build_cached(p, 2), rec)
-        with pytest.raises(ValueError, match="hat_omega"):
-            evaluate_envelope_form(p, 2.0, [1.0], rec)
         # same domain, other k: accepted
         same = samples(p.with_k(7.0), np.array([0.0, 0.3]))
         assert evaluate(build_cached(p, 2), same).shape == (2,)
@@ -424,7 +405,8 @@ class TestInnerProduct:
         p = ModelParams(1.0, 1.0, 3.7)
         f, g = build_cached(p, 2), build_cached(p, 4)
         a = inner_product(f, g)
-        b = inner_product(f, g, panels=400)
+        d = p.half_width
+        b = quadrature(lambda x: evaluate(f, x) * evaluate(g, x), -d, d, 400)
         assert abs(a - b) <= 1e-12
 
     def test_rejects_mismatched_domains(self, build_cached):
