@@ -223,7 +223,7 @@ def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     lhs = _envelope(rec, *up_down) - _envelope(rec, *down_up)
     t = np.tan(params.hat_omega * rec.x).reshape(rec.shape)
     rhs = 2.0 * k * (1.0 + t * t) * _envelope(rec, kappa, p)
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), initial=0.0))
 
 
 def _general_lower(k: float, kappa: float, p: np.ndarray):

@@ -118,8 +118,15 @@ def k_from_mass(m: float, omega: float, epsilon: float) -> float:
 
 
 def mass_from_k(params: ModelParams) -> float:
-    """Mass m = sqrt(k(k-1)) * epsilon * w of the model."""
-    return math.sqrt(params.k * (params.k - 1.0)) * params.epsilon * params.hat_omega
+    """Mass m = sqrt(k(k-1)) * epsilon * w of the model.
+
+    Raises ValueError where m is not a positive finite float: the
+    product can overflow, or underflow to 0, for admitted parameters.
+    """
+    m = math.sqrt(params.k * (params.k - 1.0)) * params.epsilon * params.hat_omega
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"mass is {m!r}: not a positive finite float")
+    return m
 
 
 def energy_squared(params: ModelParams, n: int) -> float:

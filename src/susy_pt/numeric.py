@@ -79,28 +79,61 @@ class TridiagonalOperator:
 def discretize_delta(params: ModelParams, kind: str, n_points: int) -> TridiagonalOperator:
     """Finite-difference image of -(1/w^2) d^2/dx^2 + V on the interior grid.
 
-    kind selects V: "minus" -> V_-(k), "plus" -> V_+(k), "zero" -> 0
-    (particle in a box, for convergence sanity checks).  Eigenfunctions
+    kind selects V: "minus" -> V_-(k), "plus" -> V_+(k).  Eigenfunctions
     vanish like cos^k at the boundary (k > 1), so Dirichlet conditions
     are exact in the continuum limit.  The potential is evaluated only at
     interior nodes and never touches the tan^2 singularity.
+
+    V is even, so the operator is persymmetric; it is made so to the bit
+    by evaluating V on the left half of the grid (and the centre node for
+    odd n_points) and mirroring it, since the grid -d + h*i is symmetric
+    only to an ulp.
     """
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = interior_grid(params, n_points)
     n_points = grid.n_points
     if kind == "minus":
-        v = v_minus(params, grid.points)
+        pot = v_minus
     elif kind == "plus":
-        v = v_plus(params, grid.points)
-    elif kind == "zero":
-        v = np.zeros(n_points)
+        pot = v_plus
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
     scale = 1.0 / (params.hat_omega * grid.spacing) ** 2
-    diag = 2.0 * scale + v
+    left = 2.0 * scale + pot(params, grid.points[: (n_points + 1) // 2])
+    diag = np.concatenate((left, left[: n_points // 2][::-1]))
     offdiag = np.full(n_points - 1, -scale)
     return TridiagonalOperator(diag, offdiag)
+
+
+def _parity_blocks(op: TridiagonalOperator) -> tuple[TridiagonalOperator, TridiagonalOperator]:
+    """(even, odd) blocks of a persymmetric tridiagonal operator.
+
+    A palindromic eigenvector v_i = v_{N+1-i} solves the leading block
+    with the centre coupling b folded in; an anti-palindromic one solves
+    it with the coupling folded out.  For N = 2m both blocks are the
+    first m rows, with last diagonal a_m + b (even) or a_m - b (odd).
+    For N = 2m+1 the even block is rows 1..m+1 with last off-diagonal
+    sqrt(2)*b (symmetrized from 2b), and the odd block is rows 1..m,
+    since odd vectors vanish at the centre (Cantoni & Butler, Linear
+    Algebra Appl. 13 (1976) 275).
+    """
+    n = op.size
+    m = n // 2
+    b = float(op.offdiag[m - 1])
+    if n % 2 == 0:
+        even = op.diag[:m].copy()
+        odd = op.diag[:m].copy()
+        even[-1] += b
+        odd[-1] -= b
+        off = op.offdiag[: m - 1]
+        return TridiagonalOperator(even, off), TridiagonalOperator(odd, off)
+    even_off = op.offdiag[:m].copy()
+    even_off[-1] = math.sqrt(2.0) * b
+    return (
+        TridiagonalOperator(op.diag[: m + 1], even_off),
+        TridiagonalOperator(op.diag[:m], op.offdiag[: m - 1]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +285,35 @@ def delta_eigenvalues_fd(
     """Lowest eigenvalues of the discretized operator, optionally sharpened
     by Richardson extrapolation over the pair (n_points, 2*n_points).
 
+    The operator is persymmetric (V is even), so it is solved as its even
+    and odd parity blocks of half the size (_parity_blocks).  By the
+    Sturm oscillation theorem for Jacobi matrices, eigenvector j has j
+    sign changes; a palindrome has an even number of them and an
+    anti-palindrome an odd number, so the parities alternate from the
+    ground state up: ceil(count/2) eigenvalues come from the even block
+    and floor(count/2) from the odd one.  The merged list is sorted,
+    because where the grid cannot resolve the state an even and an odd
+    eigenvalue agree to rounding and may come out in either order.
+
     Central differences converge at O(h^2); combining grids with step
     ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).
     """
-    lam1 = eigenvalues_lowest(discretize_delta(params, kind, n_points), count)
+
+    def lowest(n: int) -> list[float]:
+        op = discretize_delta(params, kind, n)
+        if not 0 < count <= op.size:
+            raise ValueError("count must be in 1..n_points")
+        even, odd = _parity_blocks(op)
+        lams = eigenvalues_lowest(even, (count + 1) // 2)
+        if count > 1:
+            lams += eigenvalues_lowest(odd, count // 2)
+        return sorted(lams)
+
+    lam1 = lowest(n_points)
     if not richardson:
         return lam1
     n2 = 2 * n_points
-    lam2 = eigenvalues_lowest(discretize_delta(params, kind, n2), count)
+    lam2 = lowest(n2)
     r = (n2 + 1) / (n_points + 1)  # h1/h2
     r2 = r * r
     return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(lam1, lam2)]

@@ -272,6 +272,9 @@ class TestVerifyCommand:
         ["spectrum", "--omega", "1e-200", "--epsilon", "1e-200", "--k", "2"],
         ["eigenfunction", "--omega", "1e-200", "--epsilon", "1e-200", "--k", "2"],
         ["spectrum", "--omega", "1e-300", "--epsilon", "1e300", "--k", "2"],
+        # mass = sqrt(2) * 1e300 * 1e50 overflows
+        ["hierarchy", "--omega", "1e-250", "--epsilon", "1e300", "--k", "2", "--n", "1",
+         "--format", "json"],
     ],
 )
 def test_out_of_range_params_usage_error(capsys, argv):

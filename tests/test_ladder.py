@@ -408,6 +408,12 @@ class TestCommutator:
             wf = Wavefunction(P_REF, 2.0, rng.uniform(-1.0, 1.0, 9))
             assert commutator_check(2.0, wf, x) <= 1e-8
 
+    def test_empty_positions(self):
+        # no positions, no residual, as in factorization_residual
+        wf = Wavefunction(P_REF, 2.0, np.array([1.0, 2.0]))
+        assert commutator_check(2.0, wf, np.empty(0)) == 0.0
+        assert factorization_residual(2.0, wf, np.empty(0)) == 0.0
+
     def test_low_envelope_exponent(self):
         # intermediate exponents drop below 1; the check must still hold
         p = ModelParams(1.0, 1.0, 1.5)

@@ -79,6 +79,16 @@ class TestMassConversions:
         m = mass_from_k(ModelParams(1.0, 1.0, 1.0 + 1e-12))
         assert 0.0 < m < 2e-6
 
+    @pytest.mark.parametrize(
+        "omega,epsilon",
+        # the product overflows (hat_omega = 1e50, epsilon = 1e300), or
+        # underflows to 0 (hat_omega = 1e-100, epsilon = 1e-300)
+        [(1e-250, 1e300), (1e200, 1e-300)],
+    )
+    def test_rejects_mass_out_of_range(self, omega, epsilon):
+        with pytest.raises(ValueError, match="mass"):
+            mass_from_k(ModelParams(omega, epsilon, 2.0))
+
     def test_round_trip_k(self):
         rng = np.random.default_rng(42)
         log_k = rng.uniform(np.log10(1.0 + 1e-6), 6.0, 1000)

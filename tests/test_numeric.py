@@ -14,6 +14,7 @@ from susy_pt.numeric import (
     delta_eigenvalues_fd,
     discretize_delta,
     eigenvalues_lowest,
+    _parity_blocks,
     interior_grid,
     log_gamma,
     quadrature,
@@ -106,7 +107,7 @@ class TestGridAndOperator:
         p = ModelParams(1.0, 1.0, 2.0)
         with pytest.raises(ValueError, match="n_points"):
             discretize_delta(p, "minus", 16.5)
-        op = discretize_delta(p, "zero", 16.0)
+        op = discretize_delta(p, "minus", 16.0)
         assert op.size == 16 and op.offdiag.shape == (15,)
 
     def test_discretize_shape_and_symmetry(self):
@@ -115,8 +116,16 @@ class TestGridAndOperator:
         assert op.size == 64 and op.offdiag.shape == (63,)
         scale = 1.0 / (p.hat_omega * interior_grid(p, 64).spacing) ** 2
         assert np.allclose(op.offdiag, -scale, rtol=1e-15)
-        # even potential on a symmetric grid
-        assert np.allclose(op.diag, op.diag[::-1], rtol=1e-13)
+        # even potential, mirrored to the bit
+        assert np.array_equal(op.diag, op.diag[::-1])
+
+    @pytest.mark.parametrize("n_points,k", [(16, 1e3), (17, 3.7), (4097, 1e8)])
+    def test_discretize_persymmetric_to_the_bit(self, n_points, k):
+        # the grid -d + h*i alone is symmetric only to an ulp
+        for kind in ("minus", "plus"):
+            op = discretize_delta(ModelParams(1.0, 1.0, k), kind, n_points)
+            assert op.diag.tobytes() == op.diag[::-1].tobytes()
+            assert op.offdiag.tobytes() == op.offdiag[::-1].tobytes()
 
     def test_discretize_rejects_small_grid(self):
         p = ModelParams(1.0, 1.0, 2.0)
@@ -124,6 +133,8 @@ class TestGridAndOperator:
             discretize_delta(p, "minus", 15)
         with pytest.raises(ValueError):
             discretize_delta(p, "nonsense", 64)
+        with pytest.raises(ValueError):
+            discretize_delta(p, "zero", 64)
 
 
 class TestEigenvaluesLowest:
@@ -133,13 +144,14 @@ class TestEigenvaluesLowest:
         assert eigenvalues_lowest(op, 2) == pytest.approx([1.0, 3.0], abs=5e-10)
 
     def test_free_laplacian_exact_discrete_eigenvalues(self):
-        # with V = 0 the discrete eigenvalues are known in closed form:
-        # 4/(wh)^2 sin^2(j pi / (2(N+1)))
+        # with V = 0 (particle in a box) the discrete eigenvalues are
+        # known in closed form: 4/(wh)^2 sin^2(j pi / (2(N+1)))
         p = ModelParams(1.0, 2.0, 2.0)
         n = 256
-        op = discretize_delta(p, "zero", n)
-        got = eigenvalues_lowest(op, 6)
         wh = p.hat_omega * interior_grid(p, n).spacing
+        scale = 1.0 / wh**2
+        op = TridiagonalOperator(np.full(n, 2.0 * scale), np.full(n - 1, -scale))
+        got = eigenvalues_lowest(op, 6)
         for j, lam in enumerate(got, start=1):
             exact = 4.0 / wh**2 * math.sin(j * math.pi / (2.0 * (n + 1))) ** 2
             assert abs(lam - exact) <= 2e-10 * (1.0 + exact)
@@ -318,6 +330,77 @@ class TestEigensolverCertification:
         for n, lam in enumerate(lams):
             exact = n * (n + 2.0 * k)
             assert abs(lam - exact) <= 1e-3 * (1.0 + exact)
+
+
+SPLIT_NS = (16, 17, 255, 1024, 4097)
+SPLIT_KS = (1.01, 1.25, 3.7, 1e3, 1e5, 1e8)
+SPLIT_EPSILONS = (0.5, 2.0)
+SPLIT_COUNTS = (1, 2, 5, 6)
+
+
+def _random_persymmetric(rng, n):
+    diag = rng.normal(size=n)
+    offdiag = rng.normal(size=n - 1)
+    return TridiagonalOperator(
+        np.where(np.arange(n) < n // 2, diag, diag[::-1]),
+        np.where(np.arange(n - 1) < (n - 1) // 2, offdiag, offdiag[::-1]),
+    )
+
+
+class TestParityBlocks:
+    """delta_eigenvalues_fd solves the even and odd parity blocks of the
+    persymmetric operator; every result is checked on the full one."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 40, 41])
+    def test_blocks_hold_the_full_spectrum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            op = _random_persymmetric(rng, n)
+            assert np.array_equal(op.diag, op.diag[::-1])
+            even, odd = _parity_blocks(op)
+            assert (even.size, odd.size) == ((n + 1) // 2, n // 2)
+            ref = np.linalg.eigvalsh(_dense(op))
+            got = np.sort(np.concatenate([np.linalg.eigvalsh(_dense(b)) for b in (even, odd)]))
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    @pytest.mark.parametrize("n_points", SPLIT_NS)
+    def test_sorted_and_certified_on_full_operator(self, n_points, kind):
+        # unresolved grids (large k on few points) included: there even
+        # and odd eigenvalues agree to rounding
+        for k in SPLIT_KS:
+            for eps in SPLIT_EPSILONS:
+                p = ModelParams(1.0, eps, k)
+                op = discretize_delta(p, kind, n_points)
+                for count in SPLIT_COUNTS:
+                    lams = delta_eigenvalues_fd(p, kind, count, n_points)
+                    assert len(lams) == count
+                    assert lams == sorted(lams)
+                    _assert_certified(op, lams)
+
+    @pytest.mark.parametrize("n_points", SPLIT_NS)
+    def test_matches_full_solve_where_resolved(self, n_points):
+        resolved = 0
+        for k in SPLIT_KS:
+            for kind in ("minus", "plus"):
+                p = ModelParams(1.0, 1.0, k)
+                full = eigenvalues_lowest(discretize_delta(p, kind, n_points), 6)
+                # resolved: the lowest levels are well apart on this grid
+                if min((b - a) / (1.0 + abs(b)) for a, b in zip(full, full[1:])) < 1e-2:
+                    continue
+                resolved += 1
+                lams = delta_eigenvalues_fd(p, kind, 6, n_points)
+                for lam, ref in zip(lams, full):
+                    assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
+        assert resolved >= 6
+
+    @pytest.mark.parametrize("n_points", [16, 17])
+    def test_count_validation(self, n_points):
+        p = ModelParams(1.0, 1.0, 2.0)
+        assert len(delta_eigenvalues_fd(p, "minus", n_points, n_points)) == n_points
+        for count in (0, n_points + 1, n_points + 2):
+            with pytest.raises(ValueError, match="count"):
+                delta_eigenvalues_fd(p, "minus", count, n_points)
 
 
 def test_fd_oracle_does_not_import_scipy():
