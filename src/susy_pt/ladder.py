@@ -167,10 +167,10 @@ def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     ddp = _der(dp) if p.size > 2 else np.zeros(1)
     s, c = rec.s, rec.c  # inside D the record's max(cos, 0) is cos itself
     c2 = c * c
-    c_kappa = c ** kappa
+    c_kappa = rec.power(kappa)
     pv = _horner(s, p)
     out = (
-        (lead - kappa * (kappa - 1.0)) * c ** (kappa - 2.0) * s * s * pv
+        (lead - kappa * (kappa - 1.0)) * rec.power(kappa - 2.0) * s * s * pv
         + mid * c_kappa * pv
         + (2.0 * kappa + 1.0) * s * c_kappa * _horner(s, dp)
         - c_kappa * c2 * _horner(s, ddp)

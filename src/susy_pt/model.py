@@ -205,13 +205,22 @@ def superpotential(params: ModelParams, x):
     return out if out.ndim else float(out)
 
 
+def _check_int(value, name: str, positive: bool = False) -> int:
+    """The one integer rule: an integral value (2.0 passes as 2) that is
+    nonnegative, or positive if asked, comes back as an int; anything
+    else, NaN and the infinities included, raises ValueError."""
+    if not (value >= (1 if positive else 0) and float(value).is_integer()):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 def _check_level(n, cap=None) -> int:
     """The one level validator: n a nonnegative integer, at most cap."""
-    if n != int(n) or n < 0:
-        raise ValueError("level index n must be a nonnegative integer")
+    n = _check_int(n, "level index n")
     if cap is not None and n > cap:
         raise ValueError(f"level index n must not exceed {cap}")
-    return int(n)
+    return n
 
 
 def _check_interior(params: ModelParams, x) -> np.ndarray:

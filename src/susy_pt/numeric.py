@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, v_minus, v_plus
+from .model import ModelParams, _check_int, v_minus, v_plus
 
 __all__ = [
     "Grid",
@@ -48,9 +48,7 @@ class Grid:
 
 
 def interior_grid(params: ModelParams, n_points: int) -> Grid:
-    if not (n_points >= 1 and float(n_points).is_integer()):
-        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
-    n_points = int(n_points)
+    n_points = _check_int(n_points, "n_points", positive=True)
     d = params.half_width
     h = 2.0 * d / (n_points + 1)
     points = -d + h * np.arange(1, n_points + 1, dtype=float)
@@ -165,7 +163,8 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
     and needs no convergence tuning.
     """
     n = op.size
-    if not 0 < count <= n:
+    count = _check_int(count, "count", positive=True)
+    if count > n:
         raise ValueError("count must be in 1..n_points")
     radius = np.concatenate(([0.0], np.abs(op.offdiag))) + np.concatenate(
         (np.abs(op.offdiag), [0.0])
@@ -298,10 +297,11 @@ def delta_eigenvalues_fd(
     Central differences converge at O(h^2); combining grids with step
     ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).
     """
+    count = _check_int(count, "count", positive=True)
 
     def lowest(n: int) -> list[float]:
         op = discretize_delta(params, kind, n)
-        if not 0 < count <= op.size:
+        if count > op.size:
             raise ValueError("count must be in 1..n_points")
         even, odd = _parity_blocks(op)
         lams = eigenvalues_lowest(even, (count + 1) // 2)
@@ -333,8 +333,7 @@ def quadrature(f, a: float, b: float, panels: int) -> float:
     All nodes are interior, so integrands singular exactly at the panel
     edges (e.g. at the domain boundary) are never evaluated there.
     """
-    if panels < 1:
-        raise ValueError("panels must be positive")
+    panels = _check_int(panels, "panels", positive=True)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (b - a) / panels
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -54,6 +54,10 @@ VERIFIED_LEVEL = 16
 _TEST_FN_SEED = 20260809
 _NONREL_KS = (1.0e2, 1.0e3, 1.0e4, 1.0e6)
 
+# Points of the one interior grid on which the pointwise suites compare
+# states and operator terms.
+_GRID_POINTS = 2001
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -115,6 +119,13 @@ class _Run:
     state: Callable[[ModelParams, int], Wavefunction]
 
 
+def _grid(p):
+    """A new Samples record of the pointwise suites' interior grid on p's
+    domain.  Each suite builds its own per model, so the record's memo of
+    envelope powers lives no longer than that suite's pass over p."""
+    return samples(p, interior_grid(p, _GRID_POINTS).points)
+
+
 def _suite_orthonormality(battery, run):
     for p in battery:
         fns = [run.state(p, n) for n in range(8)]
@@ -132,7 +143,7 @@ def _eigen_residual(p, kind, wf, lam, x):
 
 def _suite_eigen_residual(battery, run):
     for p in battery:
-        x = samples(p, interior_grid(p, 2001).points)
+        x = _grid(p)
         for n in range(run.n_max + 1):
             wf = run.state(p, n)
             yield _eigen_residual(p, "minus", wf, delta_eigenvalue(p, n), x)
@@ -140,7 +151,7 @@ def _suite_eigen_residual(battery, run):
 
 def _suite_partner_eigen_residual(battery, run):
     for p in battery:
-        x = samples(p, interior_grid(p, 2001).points)
+        x = _grid(p)
         up = p.with_k(p.k + 1.0)
         for n in range(1, run.n_max + 1):
             wf = run.state(up, n - 1)
@@ -149,7 +160,7 @@ def _suite_partner_eigen_residual(battery, run):
 
 def _suite_ladder(battery, run):
     for p in battery:
-        x = samples(p, interior_grid(p, 2001).points)
+        x = _grid(p)
         ctx = LadderContext(p, p.k)
         up = p.with_k(p.k + 1.0)
         expected = p.with_k(p.k + run.k_corruption)
@@ -192,7 +203,7 @@ def _random_test_fns(count=20, max_degree=8):
 
 def _suite_factorization(battery, run):
     for p in battery:
-        x = samples(p, interior_grid(p, 2001).points)
+        x = _grid(p)
         for coeffs in _random_test_fns():
             for kappa in (p.k, p.k + 1.0):
                 wf = Wavefunction(p, kappa, coeffs)
@@ -202,7 +213,7 @@ def _suite_factorization(battery, run):
 
 def _suite_commutator(battery, run):
     for p in battery:
-        x = samples(p, interior_grid(p, 2001).points)
+        x = _grid(p)
         for coeffs in _random_test_fns():
             wf = Wavefunction(p, p.k, coeffs)
             yield commutator_check(p.k, wf, x)
@@ -210,7 +221,7 @@ def _suite_commutator(battery, run):
 
 def _suite_build_up(battery, run):
     for p in battery:
-        x = samples(p, interior_grid(p, 2001).points)
+        x = _grid(p)
         for n in range(run.n_max + 1):
             direct = run.state(p, n)
             chained = build_from_ground(p, n)

@@ -22,11 +22,11 @@ factors along the whole hierarchy, so ladder identities are sign-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, _check_level, _domain_flags
+from .model import ModelParams, _check_int, _check_level, _domain_flags
 from .numeric import log_gamma, quadrature
 
 __all__ = [
@@ -90,7 +90,7 @@ def hypergeometric_terminating(n_s: int, b: float, c: float, z):
     Exact polynomial in z, no truncation beyond rounding.  c must not be
     a nonpositive integer.  z may be a scalar or ndarray.
     """
-    _check_series_args(n_s, c)
+    n_s = _check_series_args(n_s, b, c)
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -102,7 +102,7 @@ def hypergeometric_terminating(n_s: int, b: float, c: float, z):
 
 def hypergeometric_coefficients(n_s: int, b: float, c: float) -> np.ndarray:
     """Coefficients a_0..a_{n_s} of F(-n_s, b; c; z) as a polynomial in z."""
-    _check_series_args(n_s, c)
+    n_s = _check_series_args(n_s, b, c)
     a = np.empty(n_s + 1)
     a[0] = 1.0
     for j in range(n_s):
@@ -110,11 +110,16 @@ def hypergeometric_coefficients(n_s: int, b: float, c: float) -> np.ndarray:
     return a
 
 
-def _check_series_args(n_s: int, c: float):
-    if n_s != int(n_s) or n_s < 0:
-        raise ValueError("series order n_s must be a nonnegative integer")
+def _check_series_args(n_s, b: float, c: float) -> int:
+    """Reject a non-finite b or c, a c that is a nonpositive integer and
+    an n_s that is not a nonnegative integer; n_s comes back as an int
+    (2.0 passes as 2)."""
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"series parameters b and c must be finite, got b={b!r}, c={c!r}")
+    n_s = _check_int(n_s, "series order n_s")
     if c <= 0.0 and c == int(c):
         raise ValueError("lower parameter c must not be a nonpositive integer")
+    return n_s
 
 
 def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
@@ -168,7 +173,14 @@ class Samples:
     c exactly 0 at the boundary |x| = half_width, and the two domain
     flags.  Built by samples() alone.  Every evaluator accepts a
     record or an array, and turns an array into a record through that
-    one constructor; shape is the shape of the positions given."""
+    one constructor; shape is the shape of the positions given.
+
+    The record is also the one place envelope powers c ** kappa are
+    formed: power(kappa) memoizes them, so states and operator terms
+    that share an exponent on one grid pay for it once.  The memo lives
+    exactly as long as the record (one per verify suite and model, one
+    per inner_product call); the calls on one record mostly differ in
+    the polynomial alone, so nearly every read finds its power."""
 
     hat_omega: float
     shape: tuple
@@ -177,11 +189,24 @@ class Samples:
     c: np.ndarray
     in_domain: bool  # every |x| <= half_width
     interior: bool  # every |x| < half_width
+    _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         """Number of positions (what np.size reports for a record)."""
         return self.x.size
+
+    def power(self, kappa: float) -> np.ndarray:
+        """c ** kappa, flat and read-only: formed on first use, the same
+        array after that.  A NaN kappa is formed every time, since it
+        equals no key."""
+        out = self._powers.get(kappa)
+        if out is None:
+            out = self.c ** kappa
+            out.setflags(write=False)
+            if kappa == kappa:
+                self._powers[kappa] = out
+        return out
 
 
 def samples(params: ModelParams, x) -> Samples:
@@ -230,12 +255,13 @@ def _envelope(rec: Samples, kappa: float, p: np.ndarray) -> np.ndarray:
     kappa and trimmed 1-D coefficients p (zeros when p is empty); no
     domain or kappa checks.  The one place envelope values are formed:
     evaluate and the operator residuals, whose intermediate terms carry
-    exponents below the bound-state range, all call it.  At a boundary
-    point the envelope is 0.0 ** kappa (samples() sets c to exactly 0).
+    exponents below the bound-state range, all call it.  The power is
+    the record's (rec.power).  At a boundary point the envelope is
+    0.0 ** kappa (samples() sets c to exactly 0).
     """
     if p.size == 0:
         return np.zeros(rec.shape)
-    return (rec.c ** kappa * _horner(rec.s, p)).reshape(rec.shape)
+    return (rec.power(kappa) * _horner(rec.s, p)).reshape(rec.shape)
 
 
 def _coeff_array(coeffs) -> np.ndarray:
@@ -249,10 +275,16 @@ def _coeff_array(coeffs) -> np.ndarray:
 
 def _horner(s, c: np.ndarray):
     """P(s) for ascending 1-D coefficients c (size >= 1): numpy's polyval
-    loop without its wrappers, same products in the same order."""
+    loop without its wrappers, same products in the same order.
+
+    The loop runs in place on one accumulator, acc *= s; acc += c_j,
+    where polyval forms c_j + acc * s in new arrays.  The product is the
+    same, and IEEE addition is exactly commutative, signed zeros
+    included, so the bits are polyval's."""
     acc = c[-1] + s * 0
     for c_j in c[-2::-1]:
-        acc = c_j + acc * s
+        acc *= s
+        acc += c_j
     return acc
 
 

@@ -326,6 +326,44 @@ class TestSamplesRecord:
                     assert commutator_check(p.k, test_fn, pos).hex() == want_c.hex()
                     assert factorization_residual(p.k, test_fn, pos).hex() == want_f.hex()
 
+    def test_memo_keeps_bits(self, build_cached):
+        # one record read at kappa - 2, kappa - 1, kappa and kappa + 1, the
+        # exponents the factorization and commutator forms, gives the bits
+        # of a fresh record per call
+        rng = np.random.default_rng(47)
+        for p in self.PARAMS:
+            k = p.k
+            points = interior_grid(p, 2001).points
+            used = samples(p, points)
+            for kappa in (k + 1.0, k - 1.0, k - 2.0):
+                used.power(kappa)
+            for n in (0, 1, 5):
+                for kind, wf in (("minus", build_cached(p, n)), ("plus", build_cached(p.with_k(k + 1.0), n))):
+                    want = apply_delta(kind, k, wf, samples(p, points))
+                    assert apply_delta(kind, k, wf, used).tobytes() == want.tobytes()
+            coeffs = rng.uniform(-1.0, 1.0, 7)
+            for kappa in (k, k + 1.0):
+                wf = Wavefunction(p, kappa, coeffs)
+                want = factorization_residual(k, wf, samples(p, points))
+                assert factorization_residual(k, wf, used).hex() == want.hex()
+            test_fn = Wavefunction(p, k, coeffs)
+            want = commutator_check(k, test_fn, samples(p, points))
+            assert commutator_check(k, test_fn, used).hex() == want.hex()
+            assert set(used._powers) == {k - 2.0, k - 1.0, k, k + 1.0}
+
+    def test_operators_read_the_memo(self, build_cached):
+        # each exponent is formed once on the record the caller passes
+        p = ModelParams(1.0, 2.0, 3.7)
+        k = p.k
+        rec = samples(p, interior_grid(p, 2001).points)
+        apply_delta("minus", k, build_cached(p, 4), rec)
+        assert set(rec._powers) == {k, k - 2.0}
+        c_k = rec.power(k)
+        commutator_check(k, Wavefunction(p, k, [0.3, -1.0, 0.5]), rec)
+        assert set(rec._powers) == {k, k - 2.0} and rec.power(k) is c_k
+        factorization_residual(k, Wavefunction(p, k + 1.0, [0.3, -1.0, 0.5]), rec)
+        assert set(rec._powers) == {k - 2.0, k - 1.0, k, k + 1.0}
+
     def test_rejects_record_of_another_domain(self, build_cached):
         rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))
         wf = build_cached(P_REF, 1)

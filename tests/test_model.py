@@ -155,6 +155,16 @@ class TestSpectrumFormulas:
             with pytest.raises(ValueError):
                 fn(p, -1)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf])
+    def test_rejects_non_integer_level(self, n):
+        # one integer rule: an infinite level raised OverflowError, a NaN
+        # one numpy's conversion error
+        p = ModelParams(1.0, 1.0, 2.0)
+        for fn in (energy_squared, delta_eigenvalue):
+            with pytest.raises(ValueError, match="^level index n must be a nonnegative integer"):
+                fn(p, n)
+        assert delta_eigenvalue(p, 3.0) == delta_eigenvalue(p, 3)
+
     @pytest.mark.parametrize(
         "omega,epsilon,k",
         # hat_omega ** 2 overflows; the product overflows; epsilon ** 2

@@ -80,6 +80,16 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature(lambda x: x, 0.0, 1.0, panels=0)
 
+    @pytest.mark.parametrize("panels", [-2, 2.5, math.nan, math.inf])
+    def test_rejects_non_integral_panels(self, panels):
+        with pytest.raises(ValueError, match="panels"):
+            quadrature(lambda x: x, 0.0, 1.0, panels=panels)
+
+    def test_integral_float_panels(self):
+        # 4.0 passes as 4; it used to fail with TypeError inside linspace
+        f = lambda x: np.cos(x) ** 3
+        assert quadrature(f, 0.0, 1.0, 4.0) == quadrature(f, 0.0, 1.0, 4)
+
 
 class TestGridAndOperator:
     def test_grid_layout(self):
@@ -222,6 +232,22 @@ class TestEigenvaluesLowest:
             eigenvalues_lowest(op, 0)
         with pytest.raises(ValueError):
             eigenvalues_lowest(op, 3)
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf])
+    def test_rejects_fractional_count(self, count):
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="count"):
+            eigenvalues_lowest(discretize_delta(p, "minus", 64), count)
+        with pytest.raises(ValueError, match="count"):
+            delta_eigenvalues_fd(p, "minus", count, 64)
+
+    def test_integral_float_count(self):
+        # 2.0 passes as 2, as interior_grid takes 31.0 points; it used to
+        # fail with TypeError in [lo0] * count
+        p = ModelParams(1.0, 1.0, 2.0)
+        op = discretize_delta(p, "minus", 64)
+        assert eigenvalues_lowest(op, 2.0) == eigenvalues_lowest(op, 2)
+        assert delta_eigenvalues_fd(p, "minus", 3.0, 64) == delta_eigenvalues_fd(p, "minus", 3, 64)
 
 
 def _dense(op):

@@ -12,6 +12,7 @@ from susy_pt.wavefun import (
     MAX_LEVEL,
     Samples,
     Wavefunction,
+    _envelope,
     _horner,
     build_eigenfunction,
     evaluate,
@@ -98,6 +99,34 @@ class TestHypergeometric:
         direct = hypergeometric_terminating(4, 7.3, 1.5, z)
         horner = sum(a * z**j for j, a in enumerate(coeffs))
         assert horner == pytest.approx(direct, rel=1e-14)
+
+    def test_integral_float_order(self):
+        # 2.0 passes as the order 2, as the level validator admits it
+        want = hypergeometric_terminating(2, 1.0, 0.5, 0.3)
+        assert hypergeometric_terminating(2.0, 1.0, 0.5, 0.3) == want
+        want = hypergeometric_coefficients(2, 1.0, 0.5)
+        assert hypergeometric_coefficients(2.0, 1.0, 0.5).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="series order"):
+            hypergeometric_coefficients(2.5, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "n_s,b,c",
+        [
+            (2, 1.0, math.nan),
+            (2, math.nan, 0.5),
+            (2, 1.0, -math.inf),
+            (2, math.inf, 0.5),
+            (math.nan, 1.0, 0.5),
+            (math.inf, 1.0, 0.5),
+        ],
+    )
+    def test_rejects_non_finite_arguments(self, n_s, b, c):
+        # a NaN b or c used to give [1, nan, nan]; an infinite c or n_s
+        # raised OverflowError, a NaN n_s numpy's conversion error
+        with pytest.raises(ValueError, match="series"):
+            hypergeometric_coefficients(n_s, b, c)
+        with pytest.raises(ValueError, match="series"):
+            hypergeometric_terminating(n_s, b, c, 0.5)
 
 
 class TestWavefunctionType:
@@ -378,6 +407,44 @@ class TestSamples:
     def test_nan_fails_both_flags(self, x):
         rec = samples(ModelParams(1.0, 1.0, 2.0), x)
         assert not rec.in_domain and not rec.interior
+
+    def test_power_is_memoized_read_only(self):
+        p = ModelParams(1.0, 2.0, 3.7)
+        rec = samples(p, interior_grid(p, 2001).points)
+        for kappa in (p.k, p.k + 1.0, p.k - 2.0, 2):
+            got = rec.power(kappa)
+            assert not got.flags.writeable
+            assert got.tobytes() == (rec.c ** kappa).tobytes()
+            assert rec.power(kappa) is got
+        # an integral kappa and its float are one key with the same bits
+        assert rec.power(2.0) is rec.power(2)
+
+    def test_evaluate_bitwise_on_used_record(self, build_cached):
+        # a record already used at other exponents gives a fresh record's bits
+        for p in self.PARAMS:
+            used = samples(p, interior_grid(p, 2001).points)
+            for kappa in (p.k - 2.0, p.k - 1.0, p.k + 1.0):
+                used.power(kappa)
+            for n in (0, 3, 8):
+                for wf in (build_cached(p, n), build_cached(p.with_k(p.k + 1.0), n)):
+                    fresh = samples(p, interior_grid(p, 2001).points)
+                    assert evaluate(wf, used).tobytes() == evaluate(wf, fresh).tobytes()
+            assert {p.k, p.k + 1.0} <= set(used._powers)
+
+    def test_nan_kappa_formed_every_time(self):
+        # the raw envelope path admits any kappa; NaN gives what c ** nan
+        # gives (1.0 where c == 1) and never enters the memo
+        p = ModelParams(1.0, 1.0, 2.0)
+        d = p.half_width
+        rec = samples(p, np.array([-d, -0.3, 0.0, 0.4, d]))
+        coeffs = np.array([0.5, -1.0, 2.0])
+        want = rec.c ** math.nan * npoly.polyval(rec.s, coeffs)
+        for _ in range(2):
+            got = _envelope(rec, math.nan, coeffs)
+            assert got.tobytes() == want.tobytes()
+        assert got[2] == 0.5 and np.isnan(got[[0, 1, 3, 4]]).all()
+        assert rec.power(math.nan) is not rec.power(math.nan)
+        assert not rec._powers
 
 
 class TestHorner:
