@@ -44,7 +44,7 @@ import numpy as np
 
 from .model import ModelParams, _check_level, _require_interior
 from .numeric import log_gamma
-from .wavefun import MAX_LEVEL, Wavefunction, _as_samples, _envelope, _horner, ground_state
+from .wavefun import MAX_LEVEL, Wavefunction, _as_samples, _envelope, _horner, _scale
 
 __all__ = [
     "LadderContext",
@@ -98,8 +98,8 @@ class LadderContext:
     k_level: float
 
     def __post_init__(self):
-        if not self.k_level > 1.0:
-            raise ValueError("k_level must exceed 1")
+        if not 1.0 < self.k_level < math.inf:
+            raise ValueError(f"k_level must exceed 1 and be finite, got {self.k_level!r}")
 
 
 def lower(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
@@ -252,7 +252,8 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     levels = [k]
     for _ in range(n):
         levels.append(levels[-1] + 1.0)
-    wf = ground_state(params, levels[-1])
+    top = levels[-1]  # may exceed K_MAX, so not ground_state(params.with_k(top))
+    wf = Wavefunction(params, top, [_scale(params.hat_omega, top, 0)])
     for k_j in reversed(levels[:-1]):
         wf = raise_(LadderContext(params, k_j), wf)
     if n == 0:

@@ -66,6 +66,8 @@ class TridiagonalOperator:
     def __post_init__(self):
         if self.offdiag.shape[0] != self.diag.shape[0] - 1:
             raise ValueError("offdiag must have length len(diag) - 1")
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):
+            raise ValueError("operator entries must be finite")
         self.diag.setflags(write=False)
         self.offdiag.setflags(write=False)
 
@@ -334,6 +336,8 @@ def quadrature(f, a: float, b: float, panels: int) -> float:
     edges (e.g. at the domain boundary) are never evaluated there.
     """
     panels = _check_int(panels, "panels", positive=True)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite, got a={a!r}, b={b!r}")
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (b - a) / panels
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,14 +108,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _Run:
-    """The options of one run_all call, shared by every suite; state is
-    build_eigenfunction memoized for that call."""
+    """The options of one run_all call, shared by every suite."""
 
     n_max: int
     grid_n: int
     richardson: bool
     k_corruption: float
-    state: Callable[[ModelParams, int], Wavefunction]
 
 
 def _grid(p):
@@ -128,7 +125,7 @@ def _grid(p):
 
 def _suite_orthonormality(battery, run):
     for p in battery:
-        fns = [run.state(p, n) for n in range(8)]
+        fns = [build_eigenfunction(p, n) for n in range(8)]
         for i in range(8):
             for j in range(i, 8):
                 g = inner_product(fns[i], fns[j])
@@ -145,7 +142,7 @@ def _suite_eigen_residual(battery, run):
     for p in battery:
         x = _grid(p)
         for n in range(run.n_max + 1):
-            wf = run.state(p, n)
+            wf = build_eigenfunction(p, n)
             yield _eigen_residual(p, "minus", wf, delta_eigenvalue(p, n), x)
 
 
@@ -154,7 +151,7 @@ def _suite_partner_eigen_residual(battery, run):
         x = _grid(p)
         up = p.with_k(p.k + 1.0)
         for n in range(1, run.n_max + 1):
-            wf = run.state(up, n - 1)
+            wf = build_eigenfunction(up, n - 1)
             yield _eigen_residual(p, "plus", wf, delta_eigenvalue(p, n), x)
 
 
@@ -165,8 +162,8 @@ def _suite_ladder(battery, run):
         up = p.with_k(p.k + 1.0)
         expected = p.with_k(p.k + run.k_corruption)
         for n in range(1, run.n_max + 1):
-            u_n = run.state(p, n)
-            u_down = run.state(up, n - 1)
+            u_n = build_eigenfunction(p, n)
+            u_down = build_eigenfunction(up, n - 1)
             factor = math.sqrt(delta_eigenvalue(expected, n))
             lowered = lower(ctx, u_n)
             res = np.abs(evaluate(lowered, x) - factor * evaluate(u_down, x))
@@ -223,7 +220,7 @@ def _suite_build_up(battery, run):
     for p in battery:
         x = _grid(p)
         for n in range(run.n_max + 1):
-            direct = run.state(p, n)
+            direct = build_eigenfunction(p, n)
             chained = build_from_ground(p, n)
             res = np.abs(evaluate(chained, x) - evaluate(direct, x))
             yield float(np.max(res))
@@ -295,15 +292,17 @@ def run_all(
     is a test hook: it shifts k inside the expected ladder factors so a
     deliberate error makes the ladder suite fail.  Each suite's worst
     residual is its largest, 0 if it yields none.  A failing suite is
-    recorded, not raised; a state build_eigenfunction cannot normalize
-    raises its ValueError.
+    recorded, not raised.  A model whose partner level k+1 exceeds K_MAX
+    is rejected with a ValueError before any suite runs.
     """
     battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
     if not battery:
         raise ValueError("params_set must not be empty")
+    for p in battery:  # the partner, ladder and shape-invariance suites build level k+1
+        if p.k + 1.0 > model.K_MAX:
+            raise ValueError(f"partner level k+1 = {p.k + 1.0!r} exceeds K_MAX = {model.K_MAX:g}")
     n_max = model._check_level(n_max, VERIFIED_LEVEL)
-    # looked up per call, so a rebound module-level build_eigenfunction is seen
-    run = _Run(n_max, grid_n, richardson, k_corruption, functools.cache(build_eigenfunction))
+    run = _Run(n_max, grid_n, richardson, k_corruption)
     results = []
     for name, suite, tol in _select_suites(suites):
         worst = float(max(suite(battery, run), default=0.0))

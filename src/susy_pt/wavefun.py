@@ -11,7 +11,8 @@ from the terminating Gauss series
     sin^s(wx) * F(-n_s, k+s+n_s; s+1/2; sin^2 wx).
 
 Coefficients are extracted exactly from the term recurrence (never by
-sampling and fitting), normalization is numerical quadrature over D.
+sampling and fitting); the normalization is closed-form, from the
+Gegenbauer norms (_scale).
 
 Sign convention: the highest-order coefficient of P is positive.  The
 series itself fixes degree and parity but not the overall sign; this
@@ -61,8 +62,8 @@ class Wavefunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not self.kappa > 1.0:
-            raise ValueError("kappa must exceed 1")
+        if not 1.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must exceed 1 and be finite, got {self.kappa!r}")
         c = _coeff_array(self.coeffs)
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
@@ -127,43 +128,43 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
 
     Parity s = n mod 2, series order n_s = (n - s)/2; the polynomial part
     is sin^s * F(-n_s, k+s+n_s; s+1/2; sin^2), expanded exactly into
-    monomial coefficients.  Unit L2 norm by quadrature; highest-order
-    coefficient positive.  A state the quadrature does not resolve (norm
-    not a positive finite number, as for odd n at k = 1e8) is rejected.
+    monomial coefficients and scaled by the closed-form _scale: unit L2
+    norm, highest-order coefficient positive.
     """
     n = _check_level(n, MAX_LEVEL)
     s = n % 2
     n_s = (n - s) // 2
     series = hypergeometric_coefficients(n_s, params.k + s + n_s, s + 0.5)
     coeffs = np.zeros(n + 1)
-    coeffs[s::2] = series
-    raw = Wavefunction(params, params.k, coeffs)
-    norm_sq = inner_product(raw, raw)
-    if not 0.0 < norm_sq < math.inf:
-        raise ValueError(
-            f"cannot normalize level n={n} at k={params.k!r}: quadrature norm^2 is {norm_sq!r}"
-        )
-    scale = 1.0 / math.sqrt(norm_sq)
-    if raw.coeffs[-1] < 0.0:
-        scale = -scale
-    return Wavefunction(params, params.k, raw.coeffs * scale)
+    coeffs[s::2] = series * _scale(params.hat_omega, params.k, n)
+    return Wavefunction(params, params.k, coeffs)
 
 
-def ground_state(params: ModelParams, k_level: float | None = None) -> Wavefunction:
-    """Closed-form normalized ground state at hierarchy level k_level
-    (default params.k):
+def ground_state(params: ModelParams) -> Wavefunction:
+    """Closed-form normalized ground state at k = params.k:
 
         U(x) = (w^2/pi)^(1/4) * sqrt(Gamma(k+1)/Gamma(k+1/2)) * cos^k(wx).
-
-    The gamma ratio is evaluated in log space.
     """
-    k = params.k if k_level is None else float(k_level)
-    if not k > 1.0:
-        raise ValueError("k_level must exceed 1")
-    norm = (params.hat_omega ** 2 / math.pi) ** 0.25 * math.exp(
-        0.5 * (log_gamma(k + 1.0) - log_gamma(k + 0.5))
-    )
-    return Wavefunction(params, k, np.array([norm]))
+    return Wavefunction(params, params.k, [_scale(params.hat_omega, params.k, 0)])
+
+
+def _scale(hat_omega: float, k: float, n: int) -> float:
+    """(-1)^n_s g0 sqrt(r_n), the closed-form factor that makes the raw
+    level-n series of build_eigenfunction unit-norm with its highest
+    coefficient positive.  g0 normalizes level 0 (gamma ratio in log
+    space); r_n, the raw squared norm of level 0 over that of level n,
+    steps up two levels at a time from r_0 = 1, r_1 = 2(k+1) by O(1)
+    ratios, so it neither under- nor overflows at large k.  The ratios
+    follow from the Gegenbauer Gauss series and the norms h_n of DLMF
+    Table 18.3.1."""
+    s = n % 2
+    r = 2.0 * (k + 1.0) if s else 1.0
+    for i in range(1, n // 2 + 1):
+        j = 2 * i + s
+        r *= (j + k) / (j - 2 + k) * (j * (j - 1)) / ((2.0 * k + j - 2) * (2.0 * k + j - 1))
+        r *= ((k + i + s - 1) / i) ** 2
+    g0 = (hat_omega ** 2 / math.pi) ** 0.25 * math.exp(0.5 * (log_gamma(k + 1.0) - log_gamma(k + 0.5)))
+    return (-1.0) ** (n // 2) * g0 * math.sqrt(r)
 
 
 @dataclass(frozen=True)

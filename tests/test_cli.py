@@ -144,12 +144,18 @@ class TestEigenfunctionCommand:
                 assert err == h_err and err.startswith("level index n must")
 
     def test_unresolved_state_is_usage_error(self, capsys):
-        # odd n at k = 1e8: one line on stderr and exit 2, not a traceback
-        # with exit 1 (the verification-failure code)
-        for argv in (("eigenfunction", "--k", "1e8", "--n", "1"), ("verify", "--k", "1e8")):
-            code, out, err = run_cli(capsys, *argv)
+        # every level at k = K_MAX is built from its closed-form norm
+        code, out, _ = run_cli(capsys, "eigenfunction", "--k", "1e8", "--n", "1", "--samples", "5")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "eigenfunction", "--k", "1e8", "--n", "0", "--samples", "5")
+        assert code == 0 and "\n0,75.112559250007877\n" in out
+        # verify also builds the partner level k+1, which exceeds K_MAX:
+        # one line on stderr and exit 2, not a traceback with exit 1 (the
+        # verification-failure code), and before any suite runs
+        for k, up in (("1e8", "100000001.0"), ("99999999.5", "100000000.5")):
+            code, out, err = run_cli(capsys, "verify", "--k", k)
             assert code == 2 and out == ""
-            assert err == "cannot normalize level n=1 at k=100000000.0: quadrature norm^2 is 0.0\n"
+            assert err == f"partner level k+1 = {up} exceeds K_MAX = 1e+08\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -85,6 +85,11 @@ class TestLadderContext:
         with pytest.raises(ValueError):
             LadderContext(P_REF, 1.0)
 
+    @pytest.mark.parametrize("k_level", [math.inf, math.nan])
+    def test_rejects_non_finite_level(self, k_level):
+        with pytest.raises(ValueError, match="k_level must exceed 1 and be finite"):
+            LadderContext(P_REF, k_level)
+
 
 class TestLoweringRaising:
     def test_ground_state_annihilated(self, build_cached):

@@ -85,6 +85,12 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="panels"):
             quadrature(lambda x: x, 0.0, 1.0, panels=panels)
 
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+    def test_rejects_non_finite_limits(self, a, b):
+        # these returned nan
+        with pytest.raises(ValueError, match="limits must be finite"):
+            quadrature(lambda x: np.exp(-x * x), a, b, 4)
+
     def test_integral_float_panels(self):
         # 4.0 passes as 4; it used to fail with TypeError inside linspace
         f = lambda x: np.cos(x) ** 3
@@ -136,6 +142,16 @@ class TestGridAndOperator:
             op = discretize_delta(ModelParams(1.0, 1.0, k), kind, n_points)
             assert op.diag.tobytes() == op.diag[::-1].tobytes()
             assert op.offdiag.tobytes() == op.offdiag[::-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "diag,offdiag",
+        [([2.0, math.nan, 2.0], [-1.0, -1.0]), ([2.0, 2.0, 2.0], [-1.0, math.inf]),
+         ([-math.inf, 2.0], [-1.0])],
+    )
+    def test_operator_rejects_non_finite_entries(self, diag, offdiag):
+        # these gave eigenvalues_lowest(op, 2) == [nan, nan] and a Sturm count of 0
+        with pytest.raises(ValueError, match="entries must be finite"):
+            TridiagonalOperator(np.array(diag), np.array(offdiag))
 
     def test_discretize_rejects_small_grid(self):
         p = ModelParams(1.0, 1.0, 2.0)

@@ -1,6 +1,5 @@
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from susy_pt import ModelParams, energy_squared, mass_from_k
 from susy_pt import verify as verify_mod
 from susy_pt import wavefun
+from susy_pt.model import K_MAX
 from susy_pt.verify import (
     DEFAULT_BATTERY,
     SUITE_NAMES,
@@ -64,22 +64,17 @@ class TestRunAll:
         with pytest.raises(ValueError, match="nonnegative integer"):
             run_all(n_max=2.5)
 
-    def test_each_state_built_once_per_run(self, monkeypatch):
-        calls = Counter()
-        real = verify_mod.build_eigenfunction
+    @pytest.mark.parametrize("k", [K_MAX, K_MAX - 0.5])
+    def test_rejects_partner_level_above_k_max(self, k, monkeypatch):
+        # k itself is admitted, but the partner suites build level k+1;
+        # rejected before any suite runs, with the partner level named
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
 
-        def counting(params, n):
-            calls[params, n] += 1
-            return real(params, n)
-
-        monkeypatch.setattr(verify_mod, "build_eigenfunction", counting)
-        battery = [ModelParams(1.0, 1.0, 2.0), ModelParams(1.0, 0.5, 3.7)]
-        report = run_all(params_set=battery, **SMALL)
-        assert report.all_passed
-        assert calls and set(calls.values()) == {1}
-        # orthonormality builds n = 0..7 of each model; the partner suites
-        # build n = 0..n_max-1 at k + 1
-        assert len(calls) == 2 * (8 + SMALL["n_max"])
+        suites = tuple((name, no_suite, tol) for name, _, tol in verify_mod._SUITES)
+        monkeypatch.setattr(verify_mod, "_SUITES", suites)
+        with pytest.raises(ValueError, match=rf"partner level k\+1 = {k + 1.0!r} exceeds K_MAX"):
+            run_all(params_set=[DEFAULT_BATTERY[0], ModelParams(1.0, 1.0, k)], **SMALL)
 
     def test_one_samples_record_per_suite_grid(self, monkeypatch):
         # each of the six suites on the 2001-point grid builds one record

@@ -148,6 +148,13 @@ class TestWavefunctionType:
         with pytest.raises(ValueError):
             Wavefunction(p, 1.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_rejects_non_finite_kappa(self, kappa):
+        # an infinite exponent gave evaluate(...) == [1, 0] on [0, 0.5]
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="kappa must exceed 1 and be finite"):
+            Wavefunction(p, kappa, np.array([1.0]))
+
     def test_rejects_non_finite(self):
         p = ModelParams(1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
@@ -270,31 +277,64 @@ class TestBuildEigenfunction:
         wf = build_eigenfunction(p, MAX_LEVEL)  # constructible, coeffs finite
         assert np.all(np.isfinite(wf.coeffs)) and wf.degree == MAX_LEVEL
 
-    def test_unresolved_norm_rejected(self):
-        # at k = K_MAX, cos^k underflows at every quadrature node for odd n,
-        # so the norm is 0; rejected with k and n named, not divided by
-        p = ModelParams(1.0, 1.0, K_MAX)
-        with pytest.raises(ValueError, match=r"level n=1 at k=100000000\.0"):
-            build_eigenfunction(p, 1)
-
 
 class TestGroundStateClosedForm:
     def test_matches_quadrature_normalized_build(self, build_cached):
-        # gamma-ratio normalization vs numerical normalization
+        # the closed-form ground state against the level-0 series build
         for p in BATTERY:
             a = ground_state(p)
             b = build_cached(p, 0)
             assert a.coeffs[0] == pytest.approx(b.coeffs[0], rel=1e-11)
 
-    def test_k_level_override(self):
-        p = ModelParams(1.0, 1.0, 2.0)
-        g = ground_state(p, k_level=5.0)
-        assert g.kappa == 5.0
-        assert abs(inner_product(g, g) - 1.0) <= 1e-12
+    def test_level_zero_build_is_ground_state_bit_for_bit(self):
+        for p in (*BATTERY, ModelParams(1.0, 1.0, 1.01), ModelParams(2.5, 0.5, K_MAX)):
+            assert build_eigenfunction(p, 0).coeffs.tobytes() == ground_state(p).coeffs.tobytes()
 
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            ground_state(ModelParams(1.0, 1.0, 2.0), k_level=1.0)
+
+class TestClosedFormNormalization:
+    """The scale build_eigenfunction puts on the raw series, read through
+    the public API as coeffs[-1] over the series' last coefficient,
+    against mpmath's normalized Gegenbauer state
+    sqrt(w/h_n) C_n^k(sin wx) cos^k(wx), with h_n from DLMF Table 18.3.1."""
+
+    LEVELS = (0, 1, 2, 15, 16, 63, 64)
+
+    @staticmethod
+    def _scale(p, n):
+        s = n % 2
+        n_s = (n - s) // 2
+        series = hypergeometric_coefficients(n_s, p.k + s + n_s, s + 0.5)
+        return build_eigenfunction(p, n).coeffs[-1] / series[-1]
+
+    @staticmethod
+    def _reference(p, n):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            k = mp.mpf(p.k)
+            h = (mp.pi * mp.power(2, 1 - 2 * k) * mp.gamma(n + 2 * k)
+                 / ((n + k) * mp.gamma(k) ** 2 * mp.factorial(n)))
+            s = n % 2
+            n_s = (n - s) // 2
+            # the raw series and C_n^k, both at sin wx = 1, fix the ratio
+            raw_at_1 = mp.hyp2f1(-n_s, k + s + n_s, s + mp.mpf(0.5), 1)
+            return mp.sqrt(p.hat_omega / h) * mp.gegenbauer(n, k, 1) / raw_at_1
+
+    @pytest.mark.parametrize("k", [1.01, 1.5, 3.7, 10.0])
+    def test_scale_matches_mpmath(self, k):
+        p = ModelParams(1.3, 0.7, k)
+        for n in self.LEVELS:
+            ref = self._reference(p, n)
+            assert abs(self._scale(p, n) / ref - 1) <= 1e-14, n
+
+    @pytest.mark.parametrize("k", [1e3, 1e5, K_MAX])
+    def test_level_ratio_matches_mpmath_at_large_k(self, k):
+        # the level factor sqrt(r_n) alone: scale_0, the gamma ratio, is
+        # not yet accurate to 1e-14 at large k
+        p = ModelParams(1.0, 1.0, k)
+        ref_0 = self._reference(p, 0)
+        for n in self.LEVELS:
+            ratio = self._scale(p, n) / self._scale(p, 0)
+            assert abs(ratio / (self._reference(p, n) / ref_0) - 1) <= 1e-14, n
 
 
 class TestEvaluate:
