@@ -252,7 +252,7 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     levels = [k]
     for _ in range(n):
         levels.append(levels[-1] + 1.0)
-    top = levels[-1]  # may exceed K_MAX, so not ground_state(params.with_k(top))
+    top = levels[-1]  # may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
     wf = Wavefunction(params, top, [_scale(params.hat_omega, top, 0)])
     for k_j in reversed(levels[:-1]):
         wf = raise_(LadderContext(params, k_j), wf)

@@ -338,12 +338,18 @@ def quadrature(f, a: float, b: float, panels: int) -> float:
     panels = _check_int(panels, "panels", positive=True)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite, got a={a!r}, b={b!r}")
+    nodes, half = _gl_panels(a, b, panels)
+    vals = np.asarray(f(nodes), dtype=float).reshape(panels, 16)
+    return float(half * np.sum(vals @ _GL_WEIGHTS))
+
+
+def _gl_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, float]:
+    """Nodes of the composite rule on [a, b], 16 per panel in panel order,
+    and the half panel width that scales _GL_WEIGHTS."""
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (b - a) / panels
     mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = mids[:, None] + half * _GL_NODES[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(panels, 16)
-    return float(half * np.sum(vals @ _GL_WEIGHTS))
+    return (mids[:, None] + half * _GL_NODES[None, :]).ravel(), half
 
 
 # ----------------------------------------------------------------------

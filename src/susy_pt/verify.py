@@ -28,8 +28,8 @@ from .ladder import (
     apply_delta,
 )
 from .model import ModelParams, delta_eigenvalue, energy, mass_from_k, v_minus, v_plus
-from .numeric import delta_eigenvalues_fd, interior_grid
-from .wavefun import Wavefunction, build_eigenfunction, evaluate, inner_product, samples
+from .numeric import _GL_WEIGHTS, _gl_panels, delta_eigenvalues_fd, interior_grid
+from .wavefun import Wavefunction, _panels, build_eigenfunction, evaluate, samples
 
 __all__ = [
     "DEFAULT_BATTERY",
@@ -124,12 +124,15 @@ def _grid(p):
 
 
 def _suite_orthonormality(battery, run):
+    # one Gram matrix of levels 0..7 per model, on inner_product's nodes
+    # for the top pair (7, 7): no pair gets fewer panels than it would there
+    panels = _panels(2 * 7)
     for p in battery:
-        fns = [build_eigenfunction(p, n) for n in range(8)]
-        for i in range(8):
-            for j in range(i, 8):
-                g = inner_product(fns[i], fns[j])
-                yield abs(g - (1.0 if i == j else 0.0))
+        nodes, half = _gl_panels(-p.half_width, p.half_width, panels)
+        x = samples(p, nodes)
+        u = np.array([evaluate(build_eigenfunction(p, n), x) for n in range(8)])
+        gram = (u * np.tile(half * _GL_WEIGHTS, panels)) @ u.T
+        yield from np.abs(gram - np.eye(8))[np.triu_indices(8)]
 
 
 def _eigen_residual(p, kind, wf, lam, x):

@@ -36,7 +36,6 @@ __all__ = [
     "hypergeometric_terminating",
     "hypergeometric_coefficients",
     "build_eigenfunction",
-    "ground_state",
     "Samples",
     "samples",
     "evaluate",
@@ -140,14 +139,6 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
     return Wavefunction(params, params.k, coeffs)
 
 
-def ground_state(params: ModelParams) -> Wavefunction:
-    """Closed-form normalized ground state at k = params.k:
-
-        U(x) = (w^2/pi)^(1/4) * sqrt(Gamma(k+1)/Gamma(k+1/2)) * cos^k(wx).
-    """
-    return Wavefunction(params, params.k, [_scale(params.hat_omega, params.k, 0)])
-
-
 def _scale(hat_omega: float, k: float, n: int) -> float:
     """(-1)^n_s g0 sqrt(r_n), the closed-form factor that makes the raw
     level-n series of build_eigenfunction unit-norm with its highest
@@ -179,9 +170,8 @@ class Samples:
     The record is also the one place envelope powers c ** kappa are
     formed: power(kappa) memoizes them, so states and operator terms
     that share an exponent on one grid pay for it once.  The memo lives
-    exactly as long as the record (one per verify suite and model, one
-    per inner_product call); the calls on one record mostly differ in
-    the polynomial alone, so nearly every read finds its power."""
+    exactly as long as the record; the calls on one record mostly differ
+    in the polynomial alone, so nearly every read finds its power."""
 
     hat_omega: float
     shape: tuple
@@ -293,8 +283,10 @@ def inner_product(f: Wavefunction, g: Wavefunction) -> float:
     """L2 scalar product over D by composite Gauss-Legendre quadrature.
 
     Both functions must live on the same domain (equal hat_omega).  The
-    48 + (deg f + deg g)//2 panels grow with the combined polynomial
-    degree and hold absolute error below ~1e-12 up to combined degree 64.
+    panels (_panels) grow with the combined degree but not with k, so
+    |<U_n, U_n> - 1| <= 3.1e-13 holds only for n <= 16 and 1.5 <= k <=
+    1e3 (README, "Quadrature range"); hierarchy's final_norm and verify's
+    orthonormality suite share that range.
     """
     if f.params.hat_omega != g.params.hat_omega:
         raise ValueError("wavefunctions live on different domains (hat_omega differs)")
@@ -306,4 +298,9 @@ def inner_product(f: Wavefunction, g: Wavefunction) -> float:
         rec = samples(f.params, x)
         return evaluate(f, rec) * evaluate(g, rec)
 
-    return quadrature(integrand, -d, d, 48 + (f.degree + g.degree) // 2)
+    return quadrature(integrand, -d, d, _panels(f.degree + g.degree))
+
+
+def _panels(degree: int) -> int:
+    """inner_product's panel count for a product of combined polynomial degree."""
+    return 48 + degree // 2

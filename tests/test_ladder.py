@@ -23,7 +23,6 @@ from susy_pt.wavefun import (
     Wavefunction,
     build_eigenfunction,
     evaluate,
-    ground_state,
     inner_product,
     samples,
 )
@@ -467,7 +466,7 @@ class TestCommutator:
 class TestBuildFromGround:
     def test_level_zero_is_closed_form_ground(self):
         got = build_from_ground(P_REF, 0)
-        want = ground_state(P_REF)
+        want = build_eigenfunction(P_REF, 0)
         assert got.kappa == want.kappa
         assert np.array_equal(got.coeffs, want.coeffs)
 

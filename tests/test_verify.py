@@ -6,7 +6,7 @@ import pytest
 
 from susy_pt import ModelParams, energy_squared, mass_from_k
 from susy_pt import verify as verify_mod
-from susy_pt import wavefun
+from susy_pt import Wavefunction, wavefun
 from susy_pt.model import K_MAX
 from susy_pt.verify import (
     DEFAULT_BATTERY,
@@ -78,36 +78,25 @@ class TestRunAll:
 
     def test_one_samples_record_per_suite_grid(self, monkeypatch):
         # each of the six suites on the 2001-point grid builds one record
-        # per model and reuses it for its whole inner loop; the only
-        # other records are the one each inner_product builds from its
-        # nodes
+        # per model and reuses it for its whole inner loop; orthonormality
+        # builds one record of its 55 x 16 Gram nodes per model; no suite
+        # calls inner_product, which integrates through wavefun.quadrature
         builds = []
-        inside = [0]
-        inner_calls = [0]
-        real_samples, real_inner = wavefun.samples, wavefun.inner_product
+        quadratures = []
+        real_samples = wavefun.samples
 
         def counting_samples(params, x):
             rec = real_samples(params, x)
-            builds.append((inside[0], rec.size))
+            builds.append(rec.size)
             return rec
-
-        def counting_inner(*args, **kwargs):
-            inner_calls[0] += 1
-            inside[0] += 1
-            try:
-                return real_inner(*args, **kwargs)
-            finally:
-                inside[0] -= 1
 
         for mod in (wavefun, verify_mod):
             monkeypatch.setattr(mod, "samples", counting_samples)
-            monkeypatch.setattr(mod, "inner_product", counting_inner)
+        monkeypatch.setattr(wavefun, "quadrature", lambda *args: quadratures.append(args))
         assert run_all().all_passed
-        grid_builds = [size for depth, size in builds if depth == 0]
-        assert grid_builds == [2001] * (6 * len(DEFAULT_BATTERY))
-        assert inner_calls[0] > 0
-        assert sum(depth == 1 for depth, _ in builds) == inner_calls[0]
-        assert len(builds) == len(grid_builds) + inner_calls[0]
+        models = len(DEFAULT_BATTERY)
+        assert builds == [880] * models + [2001] * (6 * models)
+        assert quadratures == []
 
     def test_richardson_tightens_numeric_suite(self):
         battery = [ModelParams(1.0, 1.0, 2.0)]
@@ -125,6 +114,39 @@ class TestRunAll:
             params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["equidistance"], **SMALL
         )
         assert report.suites[0].worst_residual <= 1e-12
+
+
+class TestOrthonormalityGram:
+    """The Gram matrix must catch a level off unit norm (its diagonal)
+    and two levels that are not orthogonal (off it)."""
+
+    P = ModelParams(1.0, 1.0, 2.0)
+
+    def worst(self, monkeypatch, build):
+        real = verify_mod.build_eigenfunction
+        monkeypatch.setattr(verify_mod, "build_eigenfunction", lambda p, n: build(real, p, n))
+        (suite,) = run_all(params_set=[self.P], suites=["orthonormality"], **SMALL).suites
+        assert suite.status == "fail"
+        return suite.worst_residual
+
+    def test_scaled_level_fails_on_the_diagonal(self, monkeypatch):
+        def build(real, p, n):
+            wf = real(p, n)
+            return Wavefunction(p, wf.kappa, (1.0 + 1e-6) * wf.coeffs) if n == 5 else wf
+
+        # <(1+e)U, (1+e)U> - 1 = 2e + e^2
+        assert self.worst(monkeypatch, build) == pytest.approx(2e-6 + 1e-12, abs=1e-13)
+
+    def test_mixed_levels_fail_off_the_diagonal(self, monkeypatch):
+        def build(real, p, n):
+            if n != 0:
+                return real(p, n)
+            coeffs = 1e-6 * real(p, 2).coeffs
+            coeffs[0] += real(p, 0).coeffs[0]
+            return Wavefunction(p, p.k, coeffs)
+
+        # <U_0 + e U_2, U_2> = e; the diagonal moves by e^2 alone
+        assert self.worst(monkeypatch, build) == pytest.approx(1e-6, abs=1e-13)
 
 
 class TestReportSerialization:

@@ -16,7 +16,6 @@ from susy_pt.wavefun import (
     _horner,
     build_eigenfunction,
     evaluate,
-    ground_state,
     hypergeometric_coefficients,
     hypergeometric_terminating,
     inner_product,
@@ -278,19 +277,6 @@ class TestBuildEigenfunction:
         assert np.all(np.isfinite(wf.coeffs)) and wf.degree == MAX_LEVEL
 
 
-class TestGroundStateClosedForm:
-    def test_matches_quadrature_normalized_build(self, build_cached):
-        # the closed-form ground state against the level-0 series build
-        for p in BATTERY:
-            a = ground_state(p)
-            b = build_cached(p, 0)
-            assert a.coeffs[0] == pytest.approx(b.coeffs[0], rel=1e-11)
-
-    def test_level_zero_build_is_ground_state_bit_for_bit(self):
-        for p in (*BATTERY, ModelParams(1.0, 1.0, 1.01), ModelParams(2.5, 0.5, K_MAX)):
-            assert build_eigenfunction(p, 0).coeffs.tobytes() == ground_state(p).coeffs.tobytes()
-
-
 class TestClosedFormNormalization:
     """The scale build_eigenfunction puts on the raw series, read through
     the public API as coeffs[-1] over the series' last coefficient,
@@ -521,6 +507,13 @@ class TestInnerProduct:
         g = build_cached(ModelParams(1.0, 2.0, 2.0), 0)
         with pytest.raises(ValueError):
             inner_product(f, g)
+
+    @pytest.mark.parametrize("n", [0, 8, 16])
+    def test_norm_resolved_at_documented_k_edge(self, n):
+        # the top of the k range the docstring certifies; past it the
+        # fixed panels no longer resolve states of width ~1/sqrt(k)
+        wf = build_eigenfunction(ModelParams(1.0, 1.0, 1e3), n)
+        assert abs(inner_product(wf, wf) - 1.0) <= 1e-12
 
     def test_hierarchy_levels_share_domain(self, build_cached):
         # different k, same hat_omega: must be accepted
