@@ -3,9 +3,9 @@ The independent eigensolver oracle
 ==================================
 
 A second-order central-difference image of -(1/w^2) d^2/dx^2 + V on the
-interior grid, solved by Sturm counting + bisection, confirms the
-closed-form eigenvalues n(n+2k) without touching the exact polynomial
-machinery.
+interior grid, solved by Sturm counts, safeguarded Newton and a
+bisection finish, confirms the closed-form eigenvalues n(n+2k) without
+touching the exact polynomial machinery.
 """
 
 from susy_pt import ModelParams, delta_eigenvalues_fd, discretize_delta, eigenvalues_lowest

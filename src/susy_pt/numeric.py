@@ -10,6 +10,7 @@ closed-form results.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,12 +147,17 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     Counts negative pivots of the LDL^T factorization of T - lam*I; the
     pivot recurrence d_i = (a_i - lam) - b_{i-1}^2 / d_{i-1} is the
     classical Sturm sequence.  A tiny pivot is replaced by -pivmin so the
-    count stays well defined (LAPACK-style safeguard).
+    count stays well defined (LAPACK-style safeguard).  lam = -inf and
+    +inf give 0 and n; a NaN lam is a ValueError.
     """
-    return _pivot_sweep(*_pivot_data(op), lam)[0]
+    if math.isnan(lam):
+        raise ValueError("sturm_count requires a shift that is not NaN")
+    return _pivot_count(*_pivot_data(op), lam)
 
 
-def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
+def eigenvalues_lowest(
+    op: TridiagonalOperator, count: int, *, starts: Sequence[float] = ()
+) -> list[float]:
     """The count smallest eigenvalues by shared-bracket Sturm counting.
 
     Each eigenvalue is bracketed to width <= 1e-10 * (1 + |lambda|) and
@@ -162,7 +168,13 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
     det(T - lam*I) approach the eigenvalue; counts either side of the
     converged iterate shrink the bracket, and plain bisection finishes
     it.  The result is certified by Sturm counts alone, deterministic,
-    and needs no convergence tuning.
+    and needs no convergence tuning.  Counting sweeps skip the Newton
+    sums (_pivot_count).
+
+    starts[j] replaces the midpoint as the first Newton iterate for
+    eigenvalue j when it lies strictly inside j's isolating bracket;
+    any other start (NaN, +-inf, outside) is ignored.  A start can save
+    sweeps but never changes what is certified.
     """
     n = op.size
     count = _check_int(count, "count", positive=True)
@@ -185,7 +197,10 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
     below_hi = [n] * count
 
     def probe(lam: float, newton: bool = False):
-        below, step = _pivot_sweep(*data, lam, newton)
+        if newton:
+            below, step = _pivot_sweep(*data, lam)
+        else:
+            below, step = _pivot_count(*data, lam), None
         for i in range(min(below, count)):
             if lam < hi[i]:
                 hi[i], below_hi[i] = lam, below
@@ -209,6 +224,8 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> list[float]:
         # safeguarded Newton (as in rtsafe): back to the midpoint whenever
         # the step leaves the bracket, is not finite or fails to halve
         x = 0.5 * (lo[j] + hi[j])
+        if j < len(starts) and lo[j] < starts[j] < hi[j]:
+            x = float(starts[j])
         last = hi[j] - lo[j]
         while not _settled(lo[j], hi[j]):
             dx = probe(x, newton=True)
@@ -242,16 +259,30 @@ def _settled(lo: float, hi: float) -> bool:
 
 
 def _pivot_data(op: TridiagonalOperator):
-    """Rows for _pivot_sweep: diagonal, squared off-diagonal (0 before the
-    first row), and the LAPACK pivot floor pivmin."""
+    """Rows for the pivot sweeps: diagonal, squared off-diagonal (0
+    before the first row), and the LAPACK pivot floor pivmin."""
     offsq = np.square(op.offdiag)
     pivmin = 2.2250738585072014e-308 * float(np.max(offsq, initial=1.0))
     return op.diag.tolist(), np.concatenate(([0.0], offsq)).tolist(), pivmin
 
 
-def _pivot_sweep(diag, offsq, pivmin: float, lam: float, newton: bool = False):
+def _pivot_count(diag, offsq, pivmin: float, lam: float) -> int:
+    """_pivot_sweep's count without the Newton sums: the same pivots,
+    formed in the same order, so the counts agree to the bit."""
+    below = 0
+    d = 1.0
+    for a, bsq in zip(diag, offsq):
+        d = (a - lam) - bsq / d
+        if d < pivmin:
+            below += 1
+            if d > -pivmin:
+                d = -pivmin
+    return below
+
+
+def _pivot_sweep(diag, offsq, pivmin: float, lam: float):
     """One LDL^T pivot sweep of T - lam*I: (number of negative pivots,
-    Newton step for det(T - lam*I), or None when newton is false).
+    Newton step for det(T - lam*I)).
 
     det = prod d_i, so the step is -1 / sum(d_i'/d_i) with
     d_i' = -1 + (b_{i-1}^2 / d_{i-1}) d_{i-1}'/d_{i-1}; the loop carries
@@ -268,11 +299,8 @@ def _pivot_sweep(diag, offsq, pivmin: float, lam: float, newton: bool = False):
             below += 1
             if d > -pivmin:
                 d = -pivmin
-        if newton:
-            g = (q * g - 1.0) / d
-            total += g
-    if not newton:
-        return below, None
+        g = (q * g - 1.0) / d
+        total += g
     return below, (-1.0 / total if total else math.inf)
 
 
@@ -296,6 +324,9 @@ def delta_eigenvalues_fd(
     because where the grid cannot resolve the state an even and an odd
     eigenvalue agree to rounding and may come out in either order.
 
+    The even levels give the odd block its Newton starts (_odd_starts):
+    the continuum levels n(n+2k) are quadratic in n.
+
     Central differences converge at O(h^2); combining grids with step
     ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).
     """
@@ -308,7 +339,7 @@ def delta_eigenvalues_fd(
         even, odd = _parity_blocks(op)
         lams = eigenvalues_lowest(even, (count + 1) // 2)
         if count > 1:
-            lams += eigenvalues_lowest(odd, count // 2)
+            lams += eigenvalues_lowest(odd, count // 2, starts=_odd_starts(lams, count))
         return sorted(lams)
 
     lam1 = lowest(n_points)
@@ -319,6 +350,22 @@ def delta_eigenvalues_fd(
     r = (n2 + 1) / (n_points + 1)  # h1/h2
     r2 = r * r
     return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(lam1, lam2)]
+
+
+def _odd_starts(even: list[float], count: int) -> list[float]:
+    """Estimates of the odd levels n = 1, 3, ... < count: the Lagrange
+    quadratic in n through the three nearest of the even levels
+    0, 2, 4, ..., the line through two of them, or none from one."""
+    starts = []
+    for n in range(1, count, 2):
+        if len(even) >= 3:
+            s = min(max(n // 2 - 1, 0), len(even) - 3)
+            e0, e1, e2 = even[s : s + 3]
+            t = 0.5 * n - s  # n in units of the node spacing 2, from node s
+            starts.append(0.5 * (t - 1.0) * (t - 2.0) * e0 - t * (t - 2.0) * e1 + 0.5 * t * (t - 1.0) * e2)
+        elif len(even) == 2:
+            starts.append(even[0] + 0.5 * n * (even[1] - even[0]))
+    return starts
 
 
 # ----------------------------------------------------------------------
@@ -373,14 +420,15 @@ _LANCZOS_COEFFS = (
 
 
 def log_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0 by the Lanczos approximation.
+    """ln Gamma(z) for finite z > 0 by the Lanczos approximation.
 
     For z < 0.5 the recurrence ln Gamma(z) = ln Gamma(z+1) - ln z keeps
     the series argument in its well-conditioned range.  Exact zeros are
-    returned at z = 1 and z = 2.
+    returned at z = 1 and z = 2.  Any other z (0, negative, NaN, +inf)
+    is a ValueError, as non-finite input is for quadrature.
     """
-    if not z > 0.0:
-        raise ValueError("log_gamma requires z > 0")
+    if not 0.0 < z < math.inf:
+        raise ValueError("log_gamma requires finite z > 0")
     if z == 1.0 or z == 2.0:
         return 0.0
     if z < 0.5:

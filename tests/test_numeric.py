@@ -8,13 +8,17 @@ import pytest
 
 import susy_pt
 
-from susy_pt import ModelParams
+from susy_pt import ModelParams, numeric, verify
 from susy_pt.numeric import (
     TridiagonalOperator,
     delta_eigenvalues_fd,
     discretize_delta,
     eigenvalues_lowest,
+    _odd_starts,
     _parity_blocks,
+    _pivot_count,
+    _pivot_data,
+    _pivot_sweep,
     interior_grid,
     log_gamma,
     quadrature,
@@ -48,6 +52,12 @@ class TestLogGamma:
     @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
     def test_rejects_nonpositive(self, z):
         with pytest.raises(ValueError):
+            log_gamma(z)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, z):
+        # log_gamma(inf) returned nan; math.lgamma gives inf
+        with pytest.raises(ValueError, match="finite"):
             log_gamma(z)
 
 
@@ -443,6 +453,131 @@ class TestParityBlocks:
         for count in (0, n_points + 1, n_points + 2):
             with pytest.raises(ValueError, match="count"):
                 delta_eigenvalues_fd(p, "minus", count, n_points)
+
+
+class TestSturmCount:
+    def test_infinite_shifts(self):
+        op = _random_tridiagonal(np.random.default_rng(5), 30)
+        assert sturm_count(op, -math.inf) == 0
+        assert sturm_count(op, math.inf) == op.size
+
+    def test_rejects_nan_shift(self):
+        # a NaN pivot is never negative, so this returned 0
+        op = _random_tridiagonal(np.random.default_rng(5), 30)
+        with pytest.raises(ValueError, match="NaN"):
+            sturm_count(op, math.nan)
+
+    @pytest.mark.parametrize(
+        "op", [_random_tridiagonal(np.random.default_rng(s), 60) for s in range(3)]
+        + [_wilkinson_plus(), _split_blocks(), _all_negative()],
+    )
+    def test_count_loop_matches_newton_loop(self, op):
+        # shifts at the diagonal entries zero a pivot (the first one
+        # exactly), which the pivmin floor clamps; shifts at eigenvalues
+        # make some pivot tiny by design
+        data = _pivot_data(op)
+        ref = np.linalg.eigvalsh(_dense(op))
+        rng = np.random.default_rng(op.size)
+        shifts = np.concatenate((op.diag, ref, np.nextafter(ref, np.inf), rng.uniform(ref[0] - 1.0, ref[-1] + 1.0, 200)))
+        for lam in shifts.tolist() + [-math.inf, math.inf]:
+            assert _pivot_count(*data, lam) == _pivot_sweep(*data, lam)[0]
+
+
+def _bad_starts(op, count):
+    """Newton starts that must be ignored or survived: non-finite, far
+    outside every bracket, and each on a neighbouring eigenvalue (count
+    must be below op.size)."""
+    ref = np.linalg.eigvalsh(_dense(op))[: count + 1].tolist()
+    span = ref[-1] - ref[0] + 1.0
+    return [
+        [math.nan] * count,
+        [math.inf] * count,
+        [-math.inf] * count,
+        [lam + 10.0 * span for lam in ref[:count]],
+        [lam - 10.0 * span for lam in ref[:count]],
+        ref[1:],
+        [ref[0]] + ref[: count - 1],
+    ]
+
+
+class TestWarmStarts:
+    """eigenvalues_lowest(op, count, starts=...) stays certified whatever
+    the starts, and ignored starts leave the probe sequence unchanged."""
+
+    @staticmethod
+    def _check(op, count):
+        plain = eigenvalues_lowest(op, count)
+        dense = np.linalg.eigvalsh(_dense(op))[:count]
+        for starts in _bad_starts(op, count) + [dense]:
+            got = eigenvalues_lowest(op, count, starts=starts)
+            for lam, ref, exact in zip(got, plain, dense):
+                assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
+                assert abs(lam - exact) <= 1e-10 * (1.0 + abs(exact))
+            _assert_certified(op, got)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tridiagonal(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(3, 201))
+        self._check(_random_tridiagonal(rng, n), min(n - 1, 7))
+
+    def test_wilkinson_near_degenerate_pairs(self):
+        op = _wilkinson_plus()
+        self._check(op, op.size - 1)
+
+    def test_split_matrix_with_double_eigenvalues(self):
+        self._check(_split_blocks(), 10)
+
+    def test_ignored_starts_give_the_same_bits(self):
+        op = discretize_delta(ModelParams(1.0, 1.0, 3.7), "plus", 1024)
+        plain = eigenvalues_lowest(op, 5)
+        assert eigenvalues_lowest(op, 5, starts=()) == plain
+        for starts in ([math.nan] * 5, [math.inf, -math.inf], [1e300] * 9):
+            assert eigenvalues_lowest(op, 5, starts=starts) == plain
+
+    def test_odd_starts_are_exact_on_a_quadratic_spectrum(self):
+        level = lambda n: n * (n + 2.0 * 3.7)
+        even = [level(n) for n in (0, 2, 4, 6)]
+        for count in (5, 6, 7, 8):
+            starts = _odd_starts(even[: (count + 1) // 2], count)
+            assert starts == pytest.approx([level(n) for n in range(1, count, 2)], rel=1e-14, abs=1e-13)
+        # a line through two even levels; nothing from one
+        assert _odd_starts(even[:2], 3) == pytest.approx([0.5 * (even[0] + even[1])])
+        assert len(_odd_starts(even[:2], 4)) == 2
+        assert _odd_starts(even[:1], 2) == [] and _odd_starts(even[:1], 1) == []
+
+    @pytest.mark.parametrize("n_points", [1024, 4097])
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    def test_fd_blocks(self, kind, n_points):
+        # the even block is solved without starts, to the bit; the odd
+        # block from the even levels, within the certified width
+        for k in (1.25, 3.7, 10.0):
+            p = ModelParams(1.0, 1.0, k)
+            even, odd = _parity_blocks(discretize_delta(p, kind, n_points))
+            lams = delta_eigenvalues_fd(p, kind, 5, n_points)
+            evens = eigenvalues_lowest(even, 3)
+            assert lams[0::2] == evens
+            assert lams[1::2] == eigenvalues_lowest(odd, 2, starts=_odd_starts(evens, 5))
+            for lam, ref in zip(lams[1::2], eigenvalues_lowest(odd, 2)):
+                assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    def test_cross_check_sweep_counts(self, monkeypatch):
+        # a default numeric_cross_check run took 100 Newton sweeps and 80
+        # counting sweeps from bracket midpoints alone
+        sweeps = {"newton": 0, "count": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                sweeps[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(numeric, "_pivot_sweep", counted("newton", _pivot_sweep))
+        monkeypatch.setattr(numeric, "_pivot_count", counted("count", _pivot_count))
+        report = verify.run_all(suites=["numeric_cross_check"])
+        assert report.all_passed
+        assert 0 < sweeps["newton"] <= 80
+        assert 0 < sweeps["count"] <= 80
 
 
 def test_fd_oracle_does_not_import_scipy():
