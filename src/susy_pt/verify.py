@@ -118,9 +118,18 @@ class _Run:
 
 def _grid(p):
     """A new Samples record of the pointwise suites' interior grid on p's
-    domain.  Each suite builds its own per model, so the record's memo of
-    envelope powers lives no longer than that suite's pass over p."""
+    domain.  Each suite builds its own for each model it runs on, so the
+    record's memo of envelope powers lives no longer than that suite's
+    pass over p."""
     return samples(p, interior_grid(p, _GRID_POINTS).points)
+
+
+def _first_per_k(battery):
+    """The battery's first model with each distinct k, in battery order."""
+    first = {}
+    for p in battery:
+        first.setdefault(p.k, p)
+    return tuple(first.values())
 
 
 def _suite_orthonormality(battery, run):
@@ -177,7 +186,13 @@ def _suite_ladder(battery, run):
 
 
 def _suite_shape_invariance(battery, run):
-    for p in battery:
+    """V_+(k) = V_-(k+1) + 2k + 1 for the dimensionless potentials, on a
+    10^4-point grid.
+
+    The grid is pi/w times a fixed set of points and the potentials read
+    it only through tan(wx), so the residual depends on k alone: one model
+    per distinct k covers the battery."""
+    for p in _first_per_k(battery):
         x = interior_grid(p, 10_000).points
         ref = v_minus(p.with_k(p.k + 1.0), x)
         res = np.abs(v_plus(p, x) - ref - (2.0 * p.k + 1.0)) / (1.0 + np.abs(ref))
@@ -202,7 +217,15 @@ def _random_test_fns(count=20, max_degree=8):
 
 
 def _suite_factorization(battery, run):
-    for p in battery:
+    """H_- = A^+A and H_+ = AA^+ on the test polynomials at levels k and
+    k+1.
+
+    The polynomials and the levels are the same for every model; the grid
+    is pi/w times a fixed set of points and the operators read it only
+    through wx.  So the residuals depend on k alone, and the suite runs on
+    the first model of each distinct k.  Where w is a power of two, wx is
+    exact and so are the residuals; elsewhere they move by rounding."""
+    for p in _first_per_k(battery):
         x = _grid(p)
         for coeffs in _random_test_fns():
             for kappa in (p.k, p.k + 1.0):
@@ -212,7 +235,11 @@ def _suite_factorization(battery, run):
 
 
 def _suite_commutator(battery, run):
-    for p in battery:
+    """[A, A^+] = 2k + (1/2k)(A + A^+)^2 on the test polynomials.
+
+    As for factorization, the residuals depend on k alone, so the suite
+    runs on the first model of each distinct k."""
+    for p in _first_per_k(battery):
         x = _grid(p)
         for coeffs in _random_test_fns():
             wf = Wavefunction(p, p.k, coeffs)
@@ -295,8 +322,9 @@ def run_all(
     is a test hook: it shifts k inside the expected ladder factors so a
     deliberate error makes the ladder suite fail.  Each suite's worst
     residual is its largest, 0 if it yields none.  A failing suite is
-    recorded, not raised.  A model whose partner level k+1 exceeds K_MAX
-    is rejected with a ValueError before any suite runs.
+    recorded, not raised.  A model whose partner level k+1 exceeds K_MAX,
+    and a grid_n that is not an integer of at least 16, are rejected with
+    a ValueError before any suite runs.
     """
     battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
     if not battery:
@@ -305,6 +333,9 @@ def run_all(
         if p.k + 1.0 > model.K_MAX:
             raise ValueError(f"partner level k+1 = {p.k + 1.0!r} exceeds K_MAX = {model.K_MAX:g}")
     n_max = model._check_level(n_max, VERIFIED_LEVEL)
+    if model._check_int(grid_n, "grid_n", positive=True) < 16:  # discretize_delta's bound
+        raise ValueError(f"grid_n must be at least 16, got {grid_n!r}")
+    grid_n = int(grid_n)
     run = _Run(n_max, grid_n, richardson, k_corruption)
     results = []
     for name, suite, tol in _select_suites(suites):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from susy_pt import ModelParams, energy_squared, mass_from_k
+from susy_pt import commutator_check, evaluate, factorization_residual, interior_grid, v_minus, v_plus
 from susy_pt import verify as verify_mod
 from susy_pt import Wavefunction, wavefun
 from susy_pt.model import K_MAX
@@ -17,6 +18,7 @@ from susy_pt.verify import (
 
 SMALL = dict(n_max=4, grid_n=1024)
 FAST_SUITES = ("equidistance", "nonrel_limit", "shape_invariance")
+PER_K_SUITES = ("shape_invariance", "factorization", "commutator")
 
 
 class TestRunAll:
@@ -76,11 +78,32 @@ class TestRunAll:
         with pytest.raises(ValueError, match=rf"partner level k\+1 = {k + 1.0!r} exceeds K_MAX"):
             run_all(params_set=[DEFAULT_BATTERY[0], ModelParams(1.0, 1.0, k)], **SMALL)
 
+    @pytest.mark.parametrize("grid_n", [0, 15, 15.5, True, math.nan, math.inf])
+    def test_rejects_bad_grid_n_before_any_suite(self, grid_n, monkeypatch):
+        # the bound of discretize_delta, checked next to n_max: neither a
+        # wasted run of the other suites nor a subset run that never meets it
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
+
+        suites = tuple((name, no_suite, tol) for name, _, tol in verify_mod._SUITES)
+        monkeypatch.setattr(verify_mod, "_SUITES", suites)
+        with pytest.raises(ValueError, match="grid_n must be"):
+            run_all(grid_n=grid_n)
+        with pytest.raises(ValueError, match="grid_n must be"):
+            run_all(grid_n=grid_n, suites=["ladder"])
+
+    def test_grid_n_stored_as_int(self):
+        report = run_all(params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["equidistance"], grid_n=16.0)
+        assert type(report.meta["grid_n"]) is int
+        assert '"grid_n": 16,' in report.to_json()
+
     def test_one_samples_record_per_suite_grid(self, monkeypatch):
-        # each of the six suites on the 2001-point grid builds one record
-        # per model and reuses it for its whole inner loop; orthonormality
-        # builds one record of its 55 x 16 Gram nodes per model; no suite
-        # calls inner_product, which integrates through wavefun.quadrature
+        # eigen_residual, partner, ladder and build_up each build one
+        # record of the 2001-point grid per model, factorization and
+        # commutator one per distinct k, and each reuses it for its whole
+        # inner loop; orthonormality builds one record of its 55 x 16 Gram
+        # nodes per model; no suite calls inner_product, which integrates
+        # through wavefun.quadrature
         builds = []
         quadratures = []
         real_samples = wavefun.samples
@@ -95,8 +118,22 @@ class TestRunAll:
         monkeypatch.setattr(wavefun, "quadrature", lambda *args: quadratures.append(args))
         assert run_all().all_passed
         models = len(DEFAULT_BATTERY)
-        assert builds == [880] * models + [2001] * (6 * models)
+        ks = len({p.k for p in DEFAULT_BATTERY})
+        assert builds == [880] * models + [2001] * (4 * models + 2 * ks)
         assert quadratures == []
+
+    def test_identity_suites_call_once_per_distinct_k(self, monkeypatch):
+        # 20 test polynomials at 2 levels, and 20 at 1, for each of the 4
+        # distinct k of the battery (480 and 240 calls when they ran per model)
+        calls = dict.fromkeys(("factorization_residual", "commutator_check"), 0)
+        for attr in calls:
+            def wrapper(*args, attr=attr, real=getattr(verify_mod, attr)):
+                calls[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(verify_mod, attr, wrapper)
+        assert run_all().all_passed
+        assert calls == {"factorization_residual": 160, "commutator_check": 80}
 
     def test_richardson_tightens_numeric_suite(self):
         battery = [ModelParams(1.0, 1.0, 2.0)]
@@ -212,6 +249,57 @@ class TestNonrelLimit:
     def test_mass_column(self):
         (row,) = run_nonrel_limit(1.0, 1.0, (100.0,))
         assert row.mass == pytest.approx(mass_from_k(ModelParams(1.0, 1.0, 100.0)), rel=1e-15)
+
+
+def _identity_maxima(battery):
+    """The worst residual of each per-k suite, taken over every model of
+    the battery as the suites computed it before they ran once per k."""
+    worst = dict.fromkeys(PER_K_SUITES, 0.0)
+    for p in battery:
+        x = interior_grid(p, 10_000).points
+        ref = v_minus(p.with_k(p.k + 1.0), x)
+        res = np.abs(v_plus(p, x) - ref - (2.0 * p.k + 1.0)) / (1.0 + np.abs(ref))
+        worst["shape_invariance"] = max(worst["shape_invariance"], float(np.max(res)))
+        x = interior_grid(p, 2001).points
+        for coeffs in verify_mod._random_test_fns():
+            for kappa in (p.k, p.k + 1.0):
+                wf = Wavefunction(p, kappa, coeffs)
+                scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
+                res = factorization_residual(p.k, wf, x) / scale
+                worst["factorization"] = max(worst["factorization"], res)
+            res = commutator_check(p.k, Wavefunction(p, p.k, coeffs), x)
+            worst["commutator"] = max(worst["commutator"], res)
+    return worst
+
+
+class TestPerKSuites:
+    """shape_invariance, factorization and commutator read the grid only
+    through wx, so one model per distinct k stands for all of them."""
+
+    def worst(self, battery):
+        report = run_all(params_set=battery, suites=PER_K_SUITES, **SMALL)
+        return {s.name: s.worst_residual for s in report.suites}
+
+    def test_default_battery_equals_per_model_maximum_to_the_bit(self):
+        # the battery's w are powers of two, so wx is exact for every model
+        assert self.worst(DEFAULT_BATTERY) == _identity_maxima(DEFAULT_BATTERY)
+
+    def test_one_k_runs_first_model_within_rounding(self, monkeypatch):
+        battery = [ModelParams(1.0, eps, 3.7) for eps in (0.7, 1.3)]
+        seen = set()
+        for attr in ("factorization_residual", "commutator_check"):
+            real = getattr(verify_mod, attr)
+
+            def wrapper(k, wf, x, real=real):
+                seen.add(wf.params)
+                return real(k, wf, x)
+
+            monkeypatch.setattr(verify_mod, attr, wrapper)
+        worst = self.worst(battery)
+        assert seen == {battery[0]}
+        maxima = _identity_maxima(battery)
+        for name, res in worst.items():
+            assert abs(res - maxima[name]) <= 1e-14, name
 
 
 def test_default_battery_composition():
