@@ -246,19 +246,26 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     step finds exactly the envelope exponent the previous one produced
     (fl(fl(k+j)+1) and fl(k+j+1) can differ by one ulp).  Result matches
     build_eigenfunction up to rounding.
+
+    Each step is raise_'s rule on the bare coefficients, and the result
+    is wrapped in a Wavefunction once, so the bits are those of the chain
+    of raise_ calls; a step that overflows stops the chain where raise_
+    would, with Wavefunction's error.
     """
     n = _check_level(n, MAX_LEVEL)
     k = params.k
     levels = [k]
     for _ in range(n):
         levels.append(levels[-1] + 1.0)
-    top = levels[-1]  # may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
-    wf = Wavefunction(params, top, [_scale(params.hat_omega, top, 0)])
+    # the top level may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
+    c = np.array([_scale(params.hat_omega, levels[-1], 0)])
     for k_j in reversed(levels[:-1]):
-        wf = raise_(LadderContext(params, k_j), wf)
-    if n == 0:
-        return wf
-    return Wavefunction(params, k, wf.coeffs * chain_prefactor(k, n))
+        c = _first_order(2.0 * k_j + 1.0, c, -1.0)
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
+    if n:
+        c = c * chain_prefactor(k, n)
+    return Wavefunction(params, k, c)
 
 
 def chain_prefactor(k: float, n: int) -> float:

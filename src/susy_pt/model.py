@@ -208,8 +208,11 @@ def superpotential(params: ModelParams, x):
 def _check_int(value, name: str, positive: bool = False) -> int:
     """The one integer rule: an integral value (2.0 passes as 2) that is
     nonnegative, or positive if asked, comes back as an int; anything
-    else, NaN and the infinities included, raises ValueError."""
-    if not (value >= (1 if positive else 0) and float(value).is_integer()):
+    else, NaN, the infinities and the booleans included, raises
+    ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not (
+        value >= (1 if positive else 0) and float(value).is_integer()
+    ):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)

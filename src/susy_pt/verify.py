@@ -2,8 +2,12 @@
 with a machine-readable report.
 
 Each suite is a generator that yields its residuals; the contractual
-tolerances live in the one table _SUITES.  run_all reduces each suite's
-residuals to the worst one, and a suite passes iff worst residual <=
+tolerances and the scope each suite runs in live in the one table
+_SUITES.  run_all makes one pass over the battery: for each model it
+fills one level table (_Levels) and runs the per-model suites on it,
+and the per-k suites too where the model is the first with its k; the
+per-battery suites then see the whole battery.  Each suite's residuals
+are reduced to the worst one, and a suite passes iff worst residual <=
 tolerance.  Suites are deterministic given their inputs (random test
 polynomials use a fixed seed).
 """
@@ -118,10 +122,48 @@ class _Run:
 
 def _grid(p):
     """A new Samples record of the pointwise suites' interior grid on p's
-    domain.  Each suite builds its own for each model it runs on, so the
-    record's memo of envelope powers lives no longer than that suite's
-    pass over p."""
+    domain.  run_all builds one per model, held by that model's level
+    table, so the record's memo of envelope powers lives exactly as long
+    as the model's pass."""
     return samples(p, interior_grid(p, _GRID_POINTS).points)
+
+
+class _Levels:
+    """One model's level table, the one place its suites get states and
+    their values: the pointwise grid record _grid(p), the states U_{k,n}
+    and the partner states U_{k+1,m}, and their values on that record.
+    Each is formed on first use (a state by the module's
+    build_eigenfunction, values by evaluate) and is the same object
+    after that.  run_all fills one table per model and drops it before
+    the next model's table fills, so nothing in it outlives the model."""
+
+    def __init__(self, p):
+        self.params = p
+        self._partner = p.with_k(p.k + 1.0)
+        self._states = {}
+        self._values = {}
+
+    @functools.cached_property
+    def x(self):
+        """The model's pointwise grid record."""
+        return _grid(self.params)
+
+    def state(self, n, partner=False):
+        """U_{k,n}, or U_{k+1,n} if partner."""
+        key = (partner, n)
+        wf = self._states.get(key)
+        if wf is None:
+            wf = self._states[key] = build_eigenfunction(self._partner if partner else self.params, n)
+        return wf
+
+    def values(self, n, partner=False):
+        """The state's values on the grid record x, read-only."""
+        key = (partner, n)
+        vals = self._values.get(key)
+        if vals is None:
+            vals = self._values[key] = evaluate(self.state(n, partner), self.x)
+            vals.setflags(write=False)
+        return vals
 
 
 def _first_per_k(battery):
@@ -132,62 +174,56 @@ def _first_per_k(battery):
     return tuple(first.values())
 
 
-def _suite_orthonormality(battery, run):
-    # one Gram matrix of levels 0..7 per model, on inner_product's nodes
-    # for the top pair (7, 7): no pair gets fewer panels than it would there
+def _suite_orthonormality(p, table, run):
+    """Per model: one Gram matrix of levels 0..7, on inner_product's
+    nodes for the top pair (7, 7), so no pair gets fewer panels than it
+    would there; the states are the table's, the node record its own."""
     panels = _panels(2 * 7)
-    for p in battery:
-        nodes, half = _gl_panels(-p.half_width, p.half_width, panels)
-        x = samples(p, nodes)
-        u = np.array([evaluate(build_eigenfunction(p, n), x) for n in range(8)])
-        gram = (u * np.tile(half * _GL_WEIGHTS, panels)) @ u.T
-        yield from np.abs(gram - np.eye(8))[np.triu_indices(8)]
+    nodes, half = _gl_panels(-p.half_width, p.half_width, panels)
+    x = samples(p, nodes)
+    u = np.array([evaluate(table.state(n), x) for n in range(8)])
+    gram = (u * np.tile(half * _GL_WEIGHTS, panels)) @ u.T
+    yield from np.abs(gram - np.eye(8))[np.triu_indices(8)]
 
 
-def _eigen_residual(p, kind, wf, lam, x):
-    vals = apply_delta(kind, p.k, wf, x)
-    ref = lam * evaluate(wf, x)
-    return float(np.max(np.abs(vals - ref))) / (1.0 + lam)
+def _eigen_residual(p, kind, lam, table, n, partner=False):
+    vals = apply_delta(kind, p.k, table.state(n, partner), table.x)
+    return float(np.max(np.abs(vals - lam * table.values(n, partner)))) / (1.0 + lam)
 
 
-def _suite_eigen_residual(battery, run):
-    for p in battery:
-        x = _grid(p)
-        for n in range(run.n_max + 1):
-            wf = build_eigenfunction(p, n)
-            yield _eigen_residual(p, "minus", wf, delta_eigenvalue(p, n), x)
+def _suite_eigen_residual(p, table, run):
+    """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max."""
+    for n in range(run.n_max + 1):
+        yield _eigen_residual(p, "minus", delta_eigenvalue(p, n), table, n)
 
 
-def _suite_partner_eigen_residual(battery, run):
-    for p in battery:
-        x = _grid(p)
-        up = p.with_k(p.k + 1.0)
-        for n in range(1, run.n_max + 1):
-            wf = build_eigenfunction(up, n - 1)
-            yield _eigen_residual(p, "plus", wf, delta_eigenvalue(p, n), x)
+def _suite_partner_eigen_residual(p, table, run):
+    """Per model: Delta_+ U_{k+1,n-1} = n(n+2k) U_{k+1,n-1} for
+    1 <= n <= n_max."""
+    for n in range(1, run.n_max + 1):
+        yield _eigen_residual(p, "plus", delta_eigenvalue(p, n), table, n - 1, partner=True)
 
 
-def _suite_ladder(battery, run):
-    for p in battery:
-        x = _grid(p)
-        ctx = LadderContext(p, p.k)
-        up = p.with_k(p.k + 1.0)
-        expected = p.with_k(p.k + run.k_corruption)
-        for n in range(1, run.n_max + 1):
-            u_n = build_eigenfunction(p, n)
-            u_down = build_eigenfunction(up, n - 1)
-            factor = math.sqrt(delta_eigenvalue(expected, n))
-            lowered = lower(ctx, u_n)
-            res = np.abs(evaluate(lowered, x) - factor * evaluate(u_down, x))
-            yield float(np.max(res))
-            raised = raise_(ctx, u_down)
-            res = np.abs(evaluate(raised, x) - factor * evaluate(u_n, x))
-            yield float(np.max(res))
+def _suite_ladder(p, table, run):
+    """Per model: A_k U_{k,n} = f U_{k+1,n-1} and A_k^+ U_{k+1,n-1} =
+    f U_{k,n} with f = sqrt(n(n+2k)), through the public lower and
+    raise_; the k inside f is shifted by the k_corruption hook."""
+    ctx = LadderContext(p, p.k)
+    expected = p.with_k(p.k + run.k_corruption)
+    x = table.x
+    for n in range(1, run.n_max + 1):
+        factor = math.sqrt(delta_eigenvalue(expected, n))
+        lowered = lower(ctx, table.state(n))
+        res = np.abs(evaluate(lowered, x) - factor * table.values(n - 1, partner=True))
+        yield float(np.max(res))
+        raised = raise_(ctx, table.state(n - 1, partner=True))
+        res = np.abs(evaluate(raised, x) - factor * table.values(n))
+        yield float(np.max(res))
 
 
 def _suite_shape_invariance(battery, run):
-    """V_+(k) = V_-(k+1) + 2k + 1 for the dimensionless potentials, on a
-    10^4-point grid.
+    """Per battery: V_+(k) = V_-(k+1) + 2k + 1 for the dimensionless
+    potentials, on a 10^4-point grid.
 
     The grid is pi/w times a fixed set of points and the potentials read
     it only through tan(wx), so the residual depends on k alone: one model
@@ -216,49 +252,45 @@ def _random_test_fns(count=20, max_degree=8):
     return tuple(fns)
 
 
-def _suite_factorization(battery, run):
-    """H_- = A^+A and H_+ = AA^+ on the test polynomials at levels k and
-    k+1.
+def _suite_factorization(p, table, run):
+    """Per distinct k: H_- = A^+A and H_+ = AA^+ on the test polynomials
+    at levels k and k+1, on the table's grid record.
 
     The polynomials and the levels are the same for every model; the grid
     is pi/w times a fixed set of points and the operators read it only
     through wx.  So the residuals depend on k alone, and the suite runs on
     the first model of each distinct k.  Where w is a power of two, wx is
     exact and so are the residuals; elsewhere they move by rounding."""
-    for p in _first_per_k(battery):
-        x = _grid(p)
-        for coeffs in _random_test_fns():
-            for kappa in (p.k, p.k + 1.0):
-                wf = Wavefunction(p, kappa, coeffs)
-                scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
-                yield factorization_residual(p.k, wf, x) / scale
+    x = table.x
+    for coeffs in _random_test_fns():
+        for kappa in (p.k, p.k + 1.0):
+            wf = Wavefunction(p, kappa, coeffs)
+            scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
+            yield factorization_residual(p.k, wf, x) / scale
 
 
-def _suite_commutator(battery, run):
-    """[A, A^+] = 2k + (1/2k)(A + A^+)^2 on the test polynomials.
+def _suite_commutator(p, table, run):
+    """Per distinct k: [A, A^+] = 2k + (1/2k)(A + A^+)^2 on the test
+    polynomials, on the table's grid record.
 
     As for factorization, the residuals depend on k alone, so the suite
     runs on the first model of each distinct k."""
-    for p in _first_per_k(battery):
-        x = _grid(p)
-        for coeffs in _random_test_fns():
-            wf = Wavefunction(p, p.k, coeffs)
-            yield commutator_check(p.k, wf, x)
+    for coeffs in _random_test_fns():
+        yield commutator_check(p.k, Wavefunction(p, p.k, coeffs), table.x)
 
 
-def _suite_build_up(battery, run):
-    for p in battery:
-        x = _grid(p)
-        for n in range(run.n_max + 1):
-            direct = build_eigenfunction(p, n)
-            chained = build_from_ground(p, n)
-            res = np.abs(evaluate(chained, x) - evaluate(direct, x))
-            yield float(np.max(res))
+def _suite_build_up(p, table, run):
+    """Per model: the raising chain build_from_ground(p, n) against the
+    closed form U_{k,n} for n <= n_max."""
+    for n in range(run.n_max + 1):
+        res = np.abs(evaluate(build_from_ground(p, n), table.x) - table.values(n))
+        yield float(np.max(res))
 
 
 def _suite_numeric_cross_check(battery, run):
-    # eigenvalues n(n+2k) carry no omega/epsilon dependence, so one solve
-    # per distinct k covers the battery
+    """Per battery: the FD oracle's lowest five eigenvalues against
+    n(n+2k).  They carry no omega/epsilon dependence, so one solve per
+    distinct k covers the battery."""
     for k in sorted({p.k for p in battery}):
         p = ModelParams(1.0, 1.0, k)
         lam = delta_eigenvalues_fd(p, "minus", 5, run.grid_n, richardson=run.richardson)
@@ -268,6 +300,7 @@ def _suite_numeric_cross_check(battery, run):
 
 
 def _suite_equidistance(battery, run):
+    """Per battery: E_{n+1} - E_n = omega at epsilon = 1."""
     for p in battery:
         q = p if p.epsilon == 1.0 else ModelParams(p.omega, 1.0, p.k)
         for n in range(VERIFIED_LEVEL + 1):
@@ -275,6 +308,8 @@ def _suite_equidistance(battery, run):
 
 
 def _suite_nonrel_limit(battery, run):
+    """Per battery: the levels approach the oscillator's as k grows, on a
+    fixed k sequence."""
     rows = run_nonrel_limit(1.0, 1.0, _NONREL_KS)
     yield rows[-1].residuals[0]
     for n in range(6):
@@ -283,23 +318,28 @@ def _suite_nonrel_limit(battery, run):
             yield math.inf
 
 
-# The one table of suites in report order, with their tolerances; a
-# callable tolerance depends on the run.
+# Where a suite runs: on every model's level table, on the table of the
+# first model of each distinct k, or once on the whole battery.
+_MODEL, _PER_K, _BATTERY = "model", "k", "battery"
+
+# The one table of suites in report order, with their scopes and
+# tolerances; a callable tolerance depends on the run.  A per-model or
+# per-k suite is fn(p, table, run), a per-battery one fn(battery, run).
 _SUITES = (
-    ("orthonormality", _suite_orthonormality, 1e-8),
-    ("eigen_residual", _suite_eigen_residual, 1e-8),
-    ("partner_eigen_residual", _suite_partner_eigen_residual, 1e-8),
-    ("ladder", _suite_ladder, 1e-8),
-    ("shape_invariance", _suite_shape_invariance, 1e-10),
-    ("factorization", _suite_factorization, 1e-8),
-    ("commutator", _suite_commutator, 1e-8),
-    ("build_up", _suite_build_up, 1e-8),
-    ("numeric_cross_check", _suite_numeric_cross_check, lambda run: 1e-6 if run.richardson else 1e-3),
-    ("equidistance", _suite_equidistance, 1e-12),
-    ("nonrel_limit", _suite_nonrel_limit, 1e-5),
+    ("orthonormality", _MODEL, _suite_orthonormality, 1e-8),
+    ("eigen_residual", _MODEL, _suite_eigen_residual, 1e-8),
+    ("partner_eigen_residual", _MODEL, _suite_partner_eigen_residual, 1e-8),
+    ("ladder", _MODEL, _suite_ladder, 1e-8),
+    ("shape_invariance", _BATTERY, _suite_shape_invariance, 1e-10),
+    ("factorization", _PER_K, _suite_factorization, 1e-8),
+    ("commutator", _PER_K, _suite_commutator, 1e-8),
+    ("build_up", _MODEL, _suite_build_up, 1e-8),
+    ("numeric_cross_check", _BATTERY, _suite_numeric_cross_check, lambda run: 1e-6 if run.richardson else 1e-3),
+    ("equidistance", _BATTERY, _suite_equidistance, 1e-12),
+    ("nonrel_limit", _BATTERY, _suite_nonrel_limit, 1e-5),
 )
 
-SUITE_NAMES = tuple(name for name, _, _ in _SUITES)
+SUITE_NAMES = tuple(name for name, *_ in _SUITES)
 
 
 # ----------------------------------------------------------------------
@@ -323,26 +363,51 @@ def run_all(
     deliberate error makes the ladder suite fail.  Each suite's worst
     residual is its largest, 0 if it yields none.  A failing suite is
     recorded, not raised.  A model whose partner level k+1 exceeds K_MAX,
-    and a grid_n that is not an integer of at least 16, are rejected with
-    a ValueError before any suite runs.
+    a k_corruption that is not finite or takes some model's k outside
+    (1, K_MAX], a grid_n that is not an integer of at least 16 and a
+    richardson that is not a bool are rejected with a ValueError before
+    any suite runs.
     """
     battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
     if not battery:
         raise ValueError("params_set must not be empty")
+    if not math.isfinite(k_corruption):
+        raise ValueError(f"k_corruption must be finite, got {k_corruption!r}")
     for p in battery:  # the partner, ladder and shape-invariance suites build level k+1
         if p.k + 1.0 > model.K_MAX:
             raise ValueError(f"partner level k+1 = {p.k + 1.0!r} exceeds K_MAX = {model.K_MAX:g}")
+        if not 1.0 < p.k + k_corruption <= model.K_MAX:  # the ladder suite's expected level
+            raise ValueError(
+                f"k + k_corruption = {p.k + k_corruption!r} lies outside (1, K_MAX = {model.K_MAX:g}]"
+            )
     n_max = model._check_level(n_max, VERIFIED_LEVEL)
     if model._check_int(grid_n, "grid_n", positive=True) < 16:  # discretize_delta's bound
         raise ValueError(f"grid_n must be at least 16, got {grid_n!r}")
     grid_n = int(grid_n)
+    if not isinstance(richardson, (bool, np.bool_)):
+        raise ValueError(f"richardson must be a bool, got {richardson!r}")
+    richardson = bool(richardson)
     run = _Run(n_max, grid_n, richardson, k_corruption)
+    selected = _select_suites(suites)
+
+    worst = dict.fromkeys(name for name, *_ in selected)
+    seen_k = set()
+    for p in battery:
+        first_of_k = p.k not in seen_k
+        seen_k.add(p.k)
+        table = _Levels(p)
+        for name, scope, suite, _ in selected:
+            if scope == _MODEL or (scope == _PER_K and first_of_k):
+                worst[name] = _fold(worst[name], suite(p, table, run))
+    for name, scope, suite, _ in selected:
+        if scope == _BATTERY:
+            worst[name] = _fold(worst[name], suite(battery, run))
+
     results = []
-    for name, suite, tol in _select_suites(suites):
-        worst = float(max(suite(battery, run), default=0.0))
+    for name, _, _, tol in selected:
+        res = float(0.0 if worst[name] is None else worst[name])
         tol = float(tol(run) if callable(tol) else tol)
-        status = "pass" if worst <= tol else "fail"
-        results.append(SuiteResult(name, status, worst, tol))
+        results.append(SuiteResult(name, "pass" if res <= tol else "fail", res, tol))
 
     meta = {
         "params_set": [{"omega": p.omega, "epsilon": p.epsilon, "k": p.k} for p in battery],
@@ -351,6 +416,18 @@ def run_all(
         "richardson": richardson,
     }
     return VerificationReport(tuple(results), meta)
+
+
+def _fold(worst, residuals):
+    """The worst so far after residuals, by max's rule continued across
+    calls: the first residual stays until a strictly greater one comes,
+    so a leading NaN is kept and a later one passed over, as in
+    max(residuals, default=0.0).  worst is None before a suite's first
+    residual."""
+    for r in residuals:
+        if worst is None or r > worst:
+            worst = r
+    return worst
 
 
 def _select_suites(names):

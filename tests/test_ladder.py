@@ -11,6 +11,7 @@ from susy_pt.ladder import (
     _first_order,
     apply_delta,
     build_from_ground,
+    chain_prefactor,
     commutator_check,
     factorization_residual,
     lower,
@@ -18,6 +19,7 @@ from susy_pt.ladder import (
 )
 from susy_pt.model import superpotential, v_minus, v_plus
 from susy_pt.numeric import interior_grid
+from susy_pt.verify import DEFAULT_BATTERY
 from susy_pt.wavefun import (
     MAX_LEVEL,
     Wavefunction,
@@ -489,6 +491,31 @@ class TestBuildFromGround:
                 got = build_from_ground(p, n)
                 want = build_cached(p, n)
                 assert np.max(np.abs(evaluate(got, x) - evaluate(want, x))) <= 1e-8
+
+    def test_bytes_of_the_public_raise_chain(self):
+        # the chain steps on bare coefficients and wraps the result once;
+        # its bytes must be those of n public raise_ calls from the
+        # closed-form ground state at level k + n
+        for p in DEFAULT_BATTERY:
+            for n in range(MAX_LEVEL + 1):
+                levels = [p.k]
+                for _ in range(n):
+                    levels.append(levels[-1] + 1.0)
+                wf = build_eigenfunction(p.with_k(levels[-1]), 0)
+                for k_j in reversed(levels[:-1]):
+                    wf = raise_(LadderContext(p, k_j), wf)
+                if n:
+                    wf = Wavefunction(p, p.k, wf.coeffs * chain_prefactor(p.k, n))
+                got = build_from_ground(p, n)
+                assert got.kappa == wf.kappa == p.k
+                assert got.coeffs.tobytes() == wf.coeffs.tobytes(), (p, n)
+
+    def test_overflowing_chain_stops_with_wavefunction_error(self):
+        # at k = 1e6 the unnormalized chain overflows before level 64; it
+        # stops at the first step that does, as the raise_ chain did
+        p = ModelParams(1.0, 1.0, 1.0e6)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficients must be finite"):
+            build_from_ground(p, MAX_LEVEL)
 
     def test_off_grid_k_chain_levels(self):
         # fl(fl(k+j)+1) != fl(k+j+1) for about 1% of such k; the chain

@@ -165,6 +165,17 @@ class TestSpectrumFormulas:
                 fn(p, n)
         assert delta_eigenvalue(p, 3.0) == delta_eigenvalue(p, 3)
 
+    @pytest.mark.parametrize("n", [True, False, np.True_, np.False_])
+    def test_rejects_boolean_level(self, n):
+        # a bool is not an integer to the one integer rule: spectrum(p, True)
+        # returned two levels
+        p = ModelParams(1.0, 1.0, 2.0)
+        for fn in (energy_squared, delta_eigenvalue, spectrum):
+            with pytest.raises(ValueError, match="^level index n must be a nonnegative integer"):
+                fn(p, n)
+        with pytest.raises(ValueError, match="^n_points must be a positive integer"):
+            interior_grid(p, n)
+
     @pytest.mark.parametrize(
         "omega,epsilon,k",
         # hat_omega ** 2 overflows; the product overflows; epsilon ** 2

@@ -17,6 +17,21 @@ from susy_pt.verify import (
 )
 
 SMALL = dict(n_max=4, grid_n=1024)
+
+
+def _forbid_suites_and_tables(monkeypatch):
+    """Make any suite or level table that run_all starts fail the test,
+    for checks that must reject their input before either runs."""
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    def no_table(*args):
+        raise AssertionError("a level table was built")
+
+    suites = tuple((name, scope, no_suite, tol) for name, scope, _, tol in verify_mod._SUITES)
+    monkeypatch.setattr(verify_mod, "_SUITES", suites)
+    monkeypatch.setattr(verify_mod, "_Levels", no_table)
 FAST_SUITES = ("equidistance", "nonrel_limit", "shape_invariance")
 PER_K_SUITES = ("shape_invariance", "factorization", "commutator")
 
@@ -70,11 +85,7 @@ class TestRunAll:
     def test_rejects_partner_level_above_k_max(self, k, monkeypatch):
         # k itself is admitted, but the partner suites build level k+1;
         # rejected before any suite runs, with the partner level named
-        def no_suite(*args):
-            raise AssertionError("a suite ran")
-
-        suites = tuple((name, no_suite, tol) for name, _, tol in verify_mod._SUITES)
-        monkeypatch.setattr(verify_mod, "_SUITES", suites)
+        _forbid_suites_and_tables(monkeypatch)
         with pytest.raises(ValueError, match=rf"partner level k\+1 = {k + 1.0!r} exceeds K_MAX"):
             run_all(params_set=[DEFAULT_BATTERY[0], ModelParams(1.0, 1.0, k)], **SMALL)
 
@@ -82,11 +93,7 @@ class TestRunAll:
     def test_rejects_bad_grid_n_before_any_suite(self, grid_n, monkeypatch):
         # the bound of discretize_delta, checked next to n_max: neither a
         # wasted run of the other suites nor a subset run that never meets it
-        def no_suite(*args):
-            raise AssertionError("a suite ran")
-
-        suites = tuple((name, no_suite, tol) for name, _, tol in verify_mod._SUITES)
-        monkeypatch.setattr(verify_mod, "_SUITES", suites)
+        _forbid_suites_and_tables(monkeypatch)
         with pytest.raises(ValueError, match="grid_n must be"):
             run_all(grid_n=grid_n)
         with pytest.raises(ValueError, match="grid_n must be"):
@@ -97,13 +104,13 @@ class TestRunAll:
         assert type(report.meta["grid_n"]) is int
         assert '"grid_n": 16,' in report.to_json()
 
-    def test_one_samples_record_per_suite_grid(self, monkeypatch):
-        # eigen_residual, partner, ladder and build_up each build one
-        # record of the 2001-point grid per model, factorization and
-        # commutator one per distinct k, and each reuses it for its whole
-        # inner loop; orthonormality builds one record of its 55 x 16 Gram
-        # nodes per model; no suite calls inner_product, which integrates
-        # through wavefun.quadrature
+    def test_one_samples_record_per_model_and_grid(self, monkeypatch):
+        # each model's level table builds one record of the 2001-point
+        # grid, which eigen_residual, partner, ladder and build_up share,
+        # and factorization and commutator too on the first model of each
+        # k; orthonormality builds one record of its 55 x 16 Gram nodes per
+        # model; no suite calls inner_product, which integrates through
+        # wavefun.quadrature
         builds = []
         quadratures = []
         real_samples = wavefun.samples
@@ -117,10 +124,52 @@ class TestRunAll:
             monkeypatch.setattr(mod, "samples", counting_samples)
         monkeypatch.setattr(wavefun, "quadrature", lambda *args: quadratures.append(args))
         assert run_all().all_passed
-        models = len(DEFAULT_BATTERY)
-        ks = len({p.k for p in DEFAULT_BATTERY})
-        assert builds == [880] * models + [2001] * (4 * models + 2 * ks)
+        assert builds == [880, 2001] * len(DEFAULT_BATTERY)
         assert quadratures == []
+
+    def test_each_state_built_once_per_run(self, monkeypatch):
+        # U_{k,n} for n <= 16 and U_{k+1,m} for m < 16 on each of the 12
+        # models: 33 states per model, 396 in all, each built once (the
+        # suites built 1080 when each formed its own); orthonormality's
+        # levels 0..7 are among them
+        keys = []
+        real = verify_mod.build_eigenfunction
+
+        def counting_build(p, n):
+            keys.append((p, n))
+            return real(p, n)
+
+        monkeypatch.setattr(verify_mod, "build_eigenfunction", counting_build)
+        assert run_all().all_passed
+        assert len(keys) == len(set(keys)) == 396
+
+    def test_each_suite_alone_matches_the_full_run_to_the_bit(self):
+        # the table is shared by every suite of a model: what one suite
+        # reads must not depend on which others ran before it; w not a
+        # power of two and two models of one k, so the per-k suites skip one
+        battery = [ModelParams(1.0, 0.7, 3.7), ModelParams(1.3, 1.1, 3.7), ModelParams(0.9, 1.0, 2.5)]
+        full = run_all(params_set=battery, n_max=6, grid_n=1024)
+        for s in full.suites:
+            (alone,) = run_all(params_set=battery, suites=[s.name], n_max=6, grid_n=1024).suites
+            assert alone.worst_residual.hex() == s.worst_residual.hex(), s.name
+
+    @pytest.mark.parametrize(
+        "per_model",
+        [[[0.5, 2.0], [1.0]], [[math.nan, 3.0], [1.0]], [[1.0], [math.nan, 3.0]], [[], []], [[], [0.0]]],
+    )
+    def test_worst_residual_follows_max_across_models(self, per_model, monkeypatch):
+        # the worst residual folds the per-model streams in model order by
+        # max's rule: a leading NaN stays, a later one is passed over
+        streams = iter(per_model)
+        suites = tuple(
+            (name, scope, (lambda p, table, run: next(streams)) if name == "eigen_residual" else suite, tol)
+            for name, scope, suite, tol in verify_mod._SUITES
+        )
+        monkeypatch.setattr(verify_mod, "_SUITES", suites)
+        battery = [ModelParams(1.0, 1.0, 2.0), ModelParams(1.0, 0.5, 2.0)]
+        (suite,) = run_all(params_set=battery, suites=["eigen_residual"], **SMALL).suites
+        want = max((r for stream in per_model for r in stream), default=0.0)
+        assert suite.worst_residual.hex() == float(want).hex()
 
     def test_identity_suites_call_once_per_distinct_k(self, monkeypatch):
         # 20 test polynomials at 2 levels, and 20 at 1, for each of the 4
@@ -145,6 +194,51 @@ class TestRunAll:
         assert sharp.suites[0].tolerance == 1e-6
         assert sharp.suites[0].status == "pass"
         assert sharp.suites[0].worst_residual < plain.suites[0].worst_residual
+
+    @pytest.mark.parametrize("richardson", ["false", 0, 1, None, 1.0])
+    def test_rejects_non_bool_richardson_before_any_suite(self, richardson, monkeypatch):
+        # any truthy value ran the Richardson solve and went into meta as given
+        _forbid_suites_and_tables(monkeypatch)
+        with pytest.raises(ValueError, match="richardson must be a bool"):
+            run_all(params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["numeric_cross_check"], richardson=richardson)
+
+    @pytest.mark.parametrize("richardson", [np.True_, np.False_, True, False])
+    def test_richardson_stored_as_bool(self, richardson):
+        report = run_all(params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["equidistance"], richardson=richardson)
+        assert report.meta["richardson"] is bool(richardson)
+        assert report.suites[0].tolerance == 1e-12
+
+    @pytest.mark.parametrize("n_max", [True, False, np.True_])
+    def test_rejects_boolean_n_max(self, n_max):
+        # True ran with n_max 1
+        with pytest.raises(ValueError, match="level index n must be a nonnegative integer"):
+            run_all(n_max=n_max, suites=["equidistance"])
+
+    @pytest.mark.parametrize(
+        "k_corruption,match",
+        [
+            (math.nan, "k_corruption must be finite"),
+            (math.inf, "k_corruption must be finite"),
+            (-math.inf, "k_corruption must be finite"),
+            (-5.0, r"k \+ k_corruption = -2\.0 lies outside \(1, K_MAX"),
+            (-1.0, r"k \+ k_corruption = 1\.0 lies outside"),
+            (K_MAX, r"k \+ k_corruption = 100000003\.0 lies outside"),
+        ],
+    )
+    def test_rejects_k_corruption_before_any_suite(self, k_corruption, match, monkeypatch):
+        # the ladder suite builds level k + k_corruption; out of range it
+        # failed inside that suite, after the suites before it had run
+        _forbid_suites_and_tables(monkeypatch)
+        battery = [ModelParams(1.0, 1.0, 3.0), ModelParams(1.0, 1.0, 2.0)]
+        with pytest.raises(ValueError, match=match):
+            run_all(params_set=battery, suites=["ladder"], k_corruption=k_corruption)
+        with pytest.raises(ValueError, match=match):
+            run_all(params_set=battery, k_corruption=k_corruption)
+
+    def test_k_corruption_to_k_max_admitted(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        (ladder,) = run_all([p], suites=["ladder"], k_corruption=K_MAX - 2.0, **SMALL).suites
+        assert ladder.status == "fail"
 
     def test_equidistance_suite_reports_zero_scale_residual(self):
         report = run_all(
