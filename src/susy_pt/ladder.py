@@ -250,7 +250,7 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     Each step is raise_'s rule on the bare coefficients, and the result
     is wrapped in a Wavefunction once, so the bits are those of the chain
     of raise_ calls; a step that overflows stops the chain where raise_
-    would, with Wavefunction's error.
+    would, with Wavefunction's error and no numpy warning.
     """
     n = _check_level(n, MAX_LEVEL)
     k = params.k
@@ -259,10 +259,11 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
         levels.append(levels[-1] + 1.0)
     # the top level may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
     c = np.array([_scale(params.hat_omega, levels[-1], 0)])
-    for k_j in reversed(levels[:-1]):
-        c = _first_order(2.0 * k_j + 1.0, c, -1.0)
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        for k_j in reversed(levels[:-1]):
+            c = _first_order(2.0 * k_j + 1.0, c, -1.0)
+            if not np.isfinite(c).all():
+                raise ValueError("coefficients must be finite")
     if n:
         c = c * chain_prefactor(k, n)
     return Wavefunction(params, k, c)

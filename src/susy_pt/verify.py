@@ -1,15 +1,18 @@
 """Property suites tying the closed-form results to the numerical oracle,
 with a machine-readable report.
 
-Each suite is a generator that yields its residuals; the contractual
-tolerances and the scope each suite runs in live in the one table
-_SUITES.  run_all makes one pass over the battery: for each model it
-fills one level table (_Levels) and runs the per-model suites on it,
-and the per-k suites too where the model is the first with its k; the
-per-battery suites then see the whole battery.  Each suite's residuals
-are reduced to the worst one, and a suite passes iff worst residual <=
-tolerance.  Suites are deterministic given their inputs (random test
-polynomials use a fixed seed).
+Each suite is a generator fn(p, table, run) that yields its residuals
+for one model p and that model's level table (_Levels).  The one table
+_SUITES gives each suite its tolerance and its scope, and one rule
+places every suite: run_all makes one pass over the battery and runs a
+suite on the first model of each distinct value of its scope key.  The
+key is the model itself for orthonormality, eigen_residual,
+partner_eigen_residual, ladder, build_up and equidistance; its k for
+shape_invariance, factorization, commutator and numeric_cross_check;
+and a constant for nonrel_limit, so it runs once.  Each suite's
+residuals are reduced to the worst one, and a suite passes iff worst
+residual <= tolerance.  Suites are deterministic given their inputs
+(random test polynomials use a fixed seed).
 """
 
 from __future__ import annotations
@@ -120,17 +123,9 @@ class _Run:
     k_corruption: float
 
 
-def _grid(p):
-    """A new Samples record of the pointwise suites' interior grid on p's
-    domain.  run_all builds one per model, held by that model's level
-    table, so the record's memo of envelope powers lives exactly as long
-    as the model's pass."""
-    return samples(p, interior_grid(p, _GRID_POINTS).points)
-
-
 class _Levels:
     """One model's level table, the one place its suites get states and
-    their values: the pointwise grid record _grid(p), the states U_{k,n}
+    their values: the pointwise grid record x, the states U_{k,n}
     and the partner states U_{k+1,m}, and their values on that record.
     Each is formed on first use (a state by the module's
     build_eigenfunction, values by evaluate) and is the same object
@@ -145,8 +140,10 @@ class _Levels:
 
     @functools.cached_property
     def x(self):
-        """The model's pointwise grid record."""
-        return _grid(self.params)
+        """The model's pointwise grid record: a new Samples record of the
+        interior grid, held here so that its memo of envelope powers lives
+        exactly as long as the model's table."""
+        return samples(self.params, interior_grid(self.params, _GRID_POINTS).points)
 
     def state(self, n, partner=False):
         """U_{k,n}, or U_{k+1,n} if partner."""
@@ -164,14 +161,6 @@ class _Levels:
             vals = self._values[key] = evaluate(self.state(n, partner), self.x)
             vals.setflags(write=False)
         return vals
-
-
-def _first_per_k(battery):
-    """The battery's first model with each distinct k, in battery order."""
-    first = {}
-    for p in battery:
-        first.setdefault(p.k, p)
-    return tuple(first.values())
 
 
 def _suite_orthonormality(p, table, run):
@@ -221,18 +210,16 @@ def _suite_ladder(p, table, run):
         yield float(np.max(res))
 
 
-def _suite_shape_invariance(battery, run):
-    """Per battery: V_+(k) = V_-(k+1) + 2k + 1 for the dimensionless
+def _suite_shape_invariance(p, table, run):
+    """Per distinct k: V_+(k) = V_-(k+1) + 2k + 1 for the dimensionless
     potentials, on a 10^4-point grid.
 
     The grid is pi/w times a fixed set of points and the potentials read
-    it only through tan(wx), so the residual depends on k alone: one model
-    per distinct k covers the battery."""
-    for p in _first_per_k(battery):
-        x = interior_grid(p, 10_000).points
-        ref = v_minus(p.with_k(p.k + 1.0), x)
-        res = np.abs(v_plus(p, x) - ref - (2.0 * p.k + 1.0)) / (1.0 + np.abs(ref))
-        yield float(np.max(res))
+    it only through tan(wx), so the residual depends on k alone."""
+    x = interior_grid(p, 10_000).points
+    ref = v_minus(p.with_k(p.k + 1.0), x)
+    res = np.abs(v_plus(p, x) - ref - (2.0 * p.k + 1.0)) / (1.0 + np.abs(ref))
+    yield float(np.max(res))
 
 
 @functools.cache
@@ -258,9 +245,9 @@ def _suite_factorization(p, table, run):
 
     The polynomials and the levels are the same for every model; the grid
     is pi/w times a fixed set of points and the operators read it only
-    through wx.  So the residuals depend on k alone, and the suite runs on
-    the first model of each distinct k.  Where w is a power of two, wx is
-    exact and so are the residuals; elsewhere they move by rounding."""
+    through wx.  So the residuals depend on k alone.  Where w is a power
+    of two, wx is exact and so are the residuals; elsewhere they move by
+    rounding."""
     x = table.x
     for coeffs in _random_test_fns():
         for kappa in (p.k, p.k + 1.0):
@@ -273,8 +260,7 @@ def _suite_commutator(p, table, run):
     """Per distinct k: [A, A^+] = 2k + (1/2k)(A + A^+)^2 on the test
     polynomials, on the table's grid record.
 
-    As for factorization, the residuals depend on k alone, so the suite
-    runs on the first model of each distinct k."""
+    As for factorization, the residuals depend on k alone."""
     for coeffs in _random_test_fns():
         yield commutator_check(p.k, Wavefunction(p, p.k, coeffs), table.x)
 
@@ -287,28 +273,26 @@ def _suite_build_up(p, table, run):
         yield float(np.max(res))
 
 
-def _suite_numeric_cross_check(battery, run):
-    """Per battery: the FD oracle's lowest five eigenvalues against
-    n(n+2k).  They carry no omega/epsilon dependence, so one solve per
-    distinct k covers the battery."""
-    for k in sorted({p.k for p in battery}):
-        p = ModelParams(1.0, 1.0, k)
-        lam = delta_eigenvalues_fd(p, "minus", 5, run.grid_n, richardson=run.richardson)
-        for n, lam_hat in enumerate(lam):
-            exact = delta_eigenvalue(p, n)
-            yield abs(lam_hat - exact) / (1.0 + exact)
+def _suite_numeric_cross_check(p, table, run):
+    """Per distinct k: the FD oracle's lowest five eigenvalues against
+    n(n+2k), solved at omega = epsilon = 1; the eigenvalues carry no
+    omega/epsilon dependence."""
+    q = ModelParams(1.0, 1.0, p.k)
+    lam = delta_eigenvalues_fd(q, "minus", 5, run.grid_n, richardson=run.richardson)
+    for n, lam_hat in enumerate(lam):
+        exact = delta_eigenvalue(q, n)
+        yield abs(lam_hat - exact) / (1.0 + exact)
 
 
-def _suite_equidistance(battery, run):
-    """Per battery: E_{n+1} - E_n = omega at epsilon = 1."""
-    for p in battery:
-        q = p if p.epsilon == 1.0 else ModelParams(p.omega, 1.0, p.k)
-        for n in range(VERIFIED_LEVEL + 1):
-            yield abs(energy(q, n + 1) - energy(q, n) - q.omega)
+def _suite_equidistance(p, table, run):
+    """Per model: E_{n+1} - E_n = omega at epsilon = 1."""
+    q = p if p.epsilon == 1.0 else ModelParams(p.omega, 1.0, p.k)
+    for n in range(VERIFIED_LEVEL + 1):
+        yield abs(energy(q, n + 1) - energy(q, n) - q.omega)
 
 
-def _suite_nonrel_limit(battery, run):
-    """Per battery: the levels approach the oscillator's as k grows, on a
+def _suite_nonrel_limit(p, table, run):
+    """Once per run: the levels approach the oscillator's as k grows, on a
     fixed k sequence."""
     rows = run_nonrel_limit(1.0, 1.0, _NONREL_KS)
     yield rows[-1].residuals[0]
@@ -318,25 +302,24 @@ def _suite_nonrel_limit(battery, run):
             yield math.inf
 
 
-# Where a suite runs: on every model's level table, on the table of the
-# first model of each distinct k, or once on the whole battery.
-_MODEL, _PER_K, _BATTERY = "model", "k", "battery"
+# A suite's scope is its key: run_all runs the suite on the first model
+# of each distinct key, so per model, per distinct k or once per run.
+_MODEL, _PER_K, _ONCE = (lambda p: p), (lambda p: p.k), (lambda p: None)
 
 # The one table of suites in report order, with their scopes and
-# tolerances; a callable tolerance depends on the run.  A per-model or
-# per-k suite is fn(p, table, run), a per-battery one fn(battery, run).
+# tolerances; a callable tolerance depends on the run.
 _SUITES = (
     ("orthonormality", _MODEL, _suite_orthonormality, 1e-8),
     ("eigen_residual", _MODEL, _suite_eigen_residual, 1e-8),
     ("partner_eigen_residual", _MODEL, _suite_partner_eigen_residual, 1e-8),
     ("ladder", _MODEL, _suite_ladder, 1e-8),
-    ("shape_invariance", _BATTERY, _suite_shape_invariance, 1e-10),
+    ("shape_invariance", _PER_K, _suite_shape_invariance, 1e-10),
     ("factorization", _PER_K, _suite_factorization, 1e-8),
     ("commutator", _PER_K, _suite_commutator, 1e-8),
     ("build_up", _MODEL, _suite_build_up, 1e-8),
-    ("numeric_cross_check", _BATTERY, _suite_numeric_cross_check, lambda run: 1e-6 if run.richardson else 1e-3),
-    ("equidistance", _BATTERY, _suite_equidistance, 1e-12),
-    ("nonrel_limit", _BATTERY, _suite_nonrel_limit, 1e-5),
+    ("numeric_cross_check", _PER_K, _suite_numeric_cross_check, lambda run: 1e-6 if run.richardson else 1e-3),
+    ("equidistance", _MODEL, _suite_equidistance, 1e-12),
+    ("nonrel_limit", _ONCE, _suite_nonrel_limit, 1e-5),
 )
 
 SUITE_NAMES = tuple(name for name, *_ in _SUITES)
@@ -357,7 +340,7 @@ def run_all(
     """Run the property suites and assemble a VerificationReport.
 
     params_set defaults to the fixture battery.  suites optionally
-    selects a subset by name.  richardson sharpens the numeric
+    selects a nonempty subset by name.  richardson sharpens the numeric
     cross-check from 1e-3 to 1e-6 at roughly double cost.  k_corruption
     is a test hook: it shifts k inside the expected ladder factors so a
     deliberate error makes the ladder suite fail.  Each suite's worst
@@ -391,17 +374,14 @@ def run_all(
     selected = _select_suites(suites)
 
     worst = dict.fromkeys(name for name, *_ in selected)
-    seen_k = set()
+    seen = set()
     for p in battery:
-        first_of_k = p.k not in seen_k
-        seen_k.add(p.k)
         table = _Levels(p)
         for name, scope, suite, _ in selected:
-            if scope == _MODEL or (scope == _PER_K and first_of_k):
+            key = (name, scope(p))
+            if key not in seen:
+                seen.add(key)
                 worst[name] = _fold(worst[name], suite(p, table, run))
-    for name, scope, suite, _ in selected:
-        if scope == _BATTERY:
-            worst[name] = _fold(worst[name], suite(battery, run))
 
     results = []
     for name, _, _, tol in selected:
@@ -434,6 +414,8 @@ def _select_suites(names):
     if names is None:
         return _SUITES
     names = [names] if isinstance(names, str) else list(names)
+    if not names:  # a run that checks nothing must not pass
+        raise ValueError("suites must name at least one suite")
     unknown = set(names) - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suite name(s): {sorted(unknown)}")

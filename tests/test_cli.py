@@ -217,6 +217,14 @@ class TestHierarchyCommand:
         final = float(out.split("final_norm=")[1].split()[0])
         assert final == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("k,n", [("1e6", "64"), ("1e8", "37")])
+    def test_overflowing_chain_is_usage_error_alone(self, capsys, k, n):
+        # numpy's overflow warning came on stderr before the message
+        code, out, err = run_cli(capsys, "hierarchy", "--k", k, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == "coefficients must be finite\n"
+
 
 class TestVerifyCommand:
     def test_fast_suites_pass(self, capsys):

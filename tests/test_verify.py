@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from susy_pt import ModelParams, energy_squared, mass_from_k
+from susy_pt import ModelParams, delta_eigenvalue, delta_eigenvalues_fd, energy_squared, mass_from_k
 from susy_pt import commutator_check, evaluate, factorization_residual, interior_grid, v_minus, v_plus
 from susy_pt import verify as verify_mod
 from susy_pt import Wavefunction, wavefun
@@ -32,8 +32,10 @@ def _forbid_suites_and_tables(monkeypatch):
     suites = tuple((name, scope, no_suite, tol) for name, scope, _, tol in verify_mod._SUITES)
     monkeypatch.setattr(verify_mod, "_SUITES", suites)
     monkeypatch.setattr(verify_mod, "_Levels", no_table)
+
+
 FAST_SUITES = ("equidistance", "nonrel_limit", "shape_invariance")
-PER_K_SUITES = ("shape_invariance", "factorization", "commutator")
+PER_K_SUITES = ("shape_invariance", "factorization", "commutator", "numeric_cross_check")
 
 
 class TestRunAll:
@@ -68,6 +70,12 @@ class TestRunAll:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_all(suites=["no_such_suite"], **SMALL)
+
+    def test_empty_suite_selection_rejected_before_any_suite(self, monkeypatch):
+        # it returned a report of no suites whose all_passed was True
+        _forbid_suites_and_tables(monkeypatch)
+        with pytest.raises(ValueError, match="at least one suite"):
+            run_all(suites=[], **SMALL)
 
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):
@@ -173,16 +181,50 @@ class TestRunAll:
 
     def test_identity_suites_call_once_per_distinct_k(self, monkeypatch):
         # 20 test polynomials at 2 levels, and 20 at 1, for each of the 4
-        # distinct k of the battery (480 and 240 calls when they ran per model)
-        calls = dict.fromkeys(("factorization_residual", "commutator_check"), 0)
+        # distinct k of the battery (480 and 240 calls when they ran per
+        # model); one FD solve per distinct k; the nonrel_limit sequence once
+        calls = dict.fromkeys(
+            ("factorization_residual", "commutator_check", "delta_eigenvalues_fd", "run_nonrel_limit"), 0
+        )
         for attr in calls:
-            def wrapper(*args, attr=attr, real=getattr(verify_mod, attr)):
+            def wrapper(*args, attr=attr, real=getattr(verify_mod, attr), **kwargs):
                 calls[attr] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(verify_mod, attr, wrapper)
         assert run_all().all_passed
-        assert calls == {"factorization_residual": 160, "commutator_check": 80}
+        assert calls == {
+            "factorization_residual": 160,
+            "commutator_check": 80,
+            "delta_eigenvalues_fd": 4,
+            "run_nonrel_limit": 1,
+        }
+
+    def test_each_suite_runs_on_the_first_model_of_each_scope_key(self, monkeypatch):
+        # per model, per distinct k or once per run; a repeated model runs
+        # nothing again, so the report is that of the battery without it
+        a, b, c = ModelParams(1.0, 0.7, 3.7), ModelParams(1.3, 1.1, 3.7), ModelParams(0.9, 1.0, 2.5)
+        calls = []
+
+        def recording(name, suite):
+            def wrapper(p, table, run):
+                calls.append((name, p))
+                return suite(p, table, run)
+
+            return wrapper
+
+        suites = tuple(
+            (name, scope, recording(name, suite), tol) for name, scope, suite, tol in verify_mod._SUITES
+        )
+        monkeypatch.setattr(verify_mod, "_SUITES", suites)
+        reports = []
+        for battery in ([a, b, c], [a, b, a, c, b]):
+            calls.clear()
+            reports.append(run_all(params_set=battery, **SMALL).suites)
+            for name in SUITE_NAMES:
+                want = [a] if name == "nonrel_limit" else [a, c] if name in PER_K_SUITES else [a, b, c]
+                assert [p for n, p in calls if n == name] == want, name
+        assert reports[0] == reports[1]
 
     def test_richardson_tightens_numeric_suite(self):
         battery = [ModelParams(1.0, 1.0, 2.0)]
@@ -350,6 +392,10 @@ def _identity_maxima(battery):
     the battery as the suites computed it before they ran once per k."""
     worst = dict.fromkeys(PER_K_SUITES, 0.0)
     for p in battery:
+        q = ModelParams(1.0, 1.0, p.k)
+        for n, lam in enumerate(delta_eigenvalues_fd(q, "minus", 5, SMALL["grid_n"])):
+            res = abs(lam - delta_eigenvalue(q, n)) / (1.0 + delta_eigenvalue(q, n))
+            worst["numeric_cross_check"] = max(worst["numeric_cross_check"], res)
         x = interior_grid(p, 10_000).points
         ref = v_minus(p.with_k(p.k + 1.0), x)
         res = np.abs(v_plus(p, x) - ref - (2.0 * p.k + 1.0)) / (1.0 + np.abs(ref))
@@ -368,7 +414,8 @@ def _identity_maxima(battery):
 
 class TestPerKSuites:
     """shape_invariance, factorization and commutator read the grid only
-    through wx, so one model per distinct k stands for all of them."""
+    through wx, and the FD eigenvalues of numeric_cross_check carry no
+    omega or epsilon, so one model per distinct k stands for all of them."""
 
     def worst(self, battery):
         report = run_all(params_set=battery, suites=PER_K_SUITES, **SMALL)
