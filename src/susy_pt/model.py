@@ -218,6 +218,14 @@ def _check_int(value, name: str, positive: bool = False) -> int:
     return int(value)
 
 
+def _check_bool(value, name: str) -> bool:
+    """The one flag rule: a bool or numpy bool comes back as a bool;
+    anything else (0, 1, None, "no", NaN) raises ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _check_level(n, cap=None) -> int:
     """The one level validator: n a nonnegative integer, at most cap."""
     n = _check_int(n, "level index n")

@@ -10,12 +10,13 @@ closed-form results.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check_int, v_minus, v_plus
+from .model import ModelParams, _check_bool, _check_int, v_minus, v_plus
 
 __all__ = [
     "Grid",
@@ -156,30 +157,41 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
 
 
 def eigenvalues_lowest(
-    op: TridiagonalOperator, count: int, *, starts: Sequence[float] = ()
+    op: TridiagonalOperator, count: int, *, starts: Iterable[float] = ()
 ) -> list[float]:
     """The count smallest eigenvalues by shared-bracket Sturm counting.
 
     Each eigenvalue is bracketed to width <= 1e-10 * (1 + |lambda|) and
     returned as the bracket midpoint.  As in LAPACK dstebz, every pivot
-    sweep updates the brackets of all requested eigenvalues, and the
-    upper end is found by doubling up from the Gershgorin lower end.
-    Within an isolating bracket, safeguarded Newton steps on
-    det(T - lam*I) approach the eigenvalue; counts either side of the
+    sweep updates the brackets of all requested eigenvalues.  Eigenvalue
+    j is approached by one safeguarded Newton loop on det(T - lam*I),
+    stopped at |dx| <= 1e-6 * (1 + |x|); counts either side of the
     converged iterate shrink the bracket, and plain bisection finishes
-    it.  The result is certified by Sturm counts alone, deterministic,
-    and needs no convergence tuning.  Counting sweeps skip the Newton
-    sums (_pivot_count).
+    it.  The Newton loop runs from
+    - starts[j], when it lies strictly inside j's current bracket, which
+      need not isolate j yet: no doubling or isolating probe comes first
+      (the start-first path);
+    - otherwise, or once the safeguard trips on that path, the midpoint
+      of an isolating bracket: the upper end is found by doubling up
+      from the Gershgorin lower end, bisection isolates j, and Newton
+      restarts from the midpoint whenever the safeguard trips.
+    The safeguard trips on a step that leaves j's bracket, is not finite
+    or fails to halve, and on an iterate whose count shows Newton
+    heading for another eigenvalue.
+    The result is certified by Sturm counts alone, deterministic, and
+    needs no convergence tuning.  Counting sweeps skip the Newton sums
+    (_pivot_count).
 
-    starts[j] replaces the midpoint as the first Newton iterate for
-    eigenvalue j when it lies strictly inside j's isolating bracket;
-    any other start (NaN, +-inf, outside) is ignored.  A start can save
+    starts is any iterable of real numbers, read once; a scalar or an
+    entry that is not a real number is a ValueError.  Starts that are
+    NaN, +-inf or outside the bracket are ignored, so a start can save
     sweeps but never changes what is certified.
     """
     n = op.size
     count = _check_int(count, "count", positive=True)
     if count > n:
         raise ValueError("count must be in 1..n_points")
+    starts = _read_starts(starts)
     radius = np.concatenate(([0.0], np.abs(op.offdiag))) + np.concatenate(
         (np.abs(op.offdiag), [0.0])
     )
@@ -207,35 +219,29 @@ def eigenvalues_lowest(
         for i in range(below, count):
             if lam > lo[i]:
                 lo[i], below_lo[i] = lam, below
-        return step
+        return below, step
 
-    # the lowest eigenvalues of a discretized second-order operator are
-    # spaced about (Gershgorin width) / n^2 apart
-    reach = (hi0 - lo0) / (n * n)
-    while hi[-1] == hi0 and lo0 + reach < hi0:
-        probe(lo0 + reach)
-        reach *= 2.0
-
-    out = []
-    for j in range(count):
-        # bisect until the bracket holds eigenvalue j alone
-        while (below_lo[j] != j or below_hi[j] != j + 1) and not _settled(lo[j], hi[j]):
-            probe(0.5 * (lo[j] + hi[j]))
-        # safeguarded Newton (as in rtsafe): back to the midpoint whenever
-        # the step leaves the bracket, is not finite or fails to halve
-        x = 0.5 * (lo[j] + hi[j])
-        if j < len(starts) and lo[j] < starts[j] < hi[j]:
-            x = float(starts[j])
+    def newton(j: int, x: float) -> bool:
+        """Safeguarded Newton (as in rtsafe) for eigenvalue j from x:
+        False as soon as an iterate has a count other than j or j + 1
+        (it is heading for another eigenvalue) or a step leaves j's
+        bracket, is not finite or fails to halve; True once the bracket
+        is settled or the step has converged and x has been counted
+        either side.  Inside an isolating bracket every count is j or
+        j + 1."""
         last = hi[j] - lo[j]
         while not _settled(lo[j], hi[j]):
-            dx = probe(x, newton=True)
-            if not (math.isfinite(dx) and lo[j] < x + dx < hi[j] and abs(dx) <= 0.5 * last):
-                x = 0.5 * (lo[j] + hi[j])
-                last = hi[j] - lo[j]
-                continue
+            below, dx = probe(x, newton=True)
+            if not (
+                j <= below <= j + 1
+                and math.isfinite(dx)
+                and lo[j] < x + dx < hi[j]
+                and abs(dx) <= 0.5 * last
+            ):
+                return False
             x += dx
             last = abs(dx)
-            if last <= 1e-8 * (1.0 + abs(x)):
+            if last <= 1e-6 * (1.0 + abs(x)):
                 # count either side of x, from within the certified width
                 # outward: log-det Newton can settle off the Sturm root by
                 # a roundoff floor larger than that width
@@ -246,10 +252,39 @@ def eigenvalues_lowest(
                         probe(x + sign * t)
                         t *= 2.0
                 break
+        return True
+
+    # the lowest eigenvalues of a discretized second-order operator are
+    # spaced about (Gershgorin width) / n^2 apart
+    reach = (hi0 - lo0) / (n * n)
+    out = []
+    for j in range(count):
+        if not (j < len(starts) and lo[j] < starts[j] < hi[j] and newton(j, starts[j])):
+            while hi[-1] == hi0 and lo0 + reach < hi0:
+                probe(lo0 + reach)
+                reach *= 2.0
+            # bisect until the bracket holds eigenvalue j alone, then
+            # Newton from its midpoint, again from the midpoint whenever
+            # the safeguard trips
+            while (below_lo[j] != j or below_hi[j] != j + 1) and not _settled(lo[j], hi[j]):
+                probe(0.5 * (lo[j] + hi[j]))
+            while not newton(j, 0.5 * (lo[j] + hi[j])):
+                pass
         while not _settled(lo[j], hi[j]):
             probe(0.5 * (lo[j] + hi[j]))
         out.append(0.5 * (lo[j] + hi[j]))
     return out
+
+
+def _read_starts(starts) -> list[float]:
+    """starts read once, as floats; a scalar, a str or bytes, or an
+    entry that is not a real number is a ValueError."""
+    values = None
+    if isinstance(starts, Iterable) and not isinstance(starts, (str, bytes)):
+        values = list(starts)
+    if values is None or not all(isinstance(s, numbers.Real) for s in values):
+        raise ValueError(f"starts must be an iterable of real numbers, got {starts!r}")
+    return [float(s) for s in values]
 
 
 def _settled(lo: float, hi: float) -> bool:
@@ -304,6 +339,13 @@ def _pivot_sweep(diag, offsq, pivmin: float, lam: float):
     return below, (-1.0 / total if total else math.inf)
 
 
+# Nested iteration for the FD oracle: the even block at N points starts
+# Newton from the levels of the same solve at N // _COARSE_RATIO points,
+# recursively while that grid has at least _COARSE_FLOOR points.
+_COARSE_RATIO = 8
+_COARSE_FLOOR = 128
+
+
 def delta_eigenvalues_fd(
     params: ModelParams,
     kind: str,
@@ -324,32 +366,51 @@ def delta_eigenvalues_fd(
     because where the grid cannot resolve the state an even and an odd
     eigenvalue agree to rounding and may come out in either order.
 
-    The even levels give the odd block its Newton starts (_odd_starts):
-    the continuum levels n(n+2k) are quadratic in n.
+    Every Newton start comes from the operator itself, never from a
+    closed form (eigenvalues_lowest's start-first path):
+    - the even block takes the even-indexed levels of the same solve on
+      a grid 8 times coarser, itself solved this way while it has at
+      least 128 points and at least count (nested iteration, Brandt,
+      Math. Comp. 31 (1977) 333): 16384 points start from 2048 and
+      those from 256, 4096 from 512, and 1024 from 128;
+    - the Richardson solve at 2*n_points starts from the levels at
+      n_points instead;
+    - the odd block starts from the even levels (_odd_starts): the
+      continuum levels n(n+2k) are quadratic in n.
 
     Central differences converge at O(h^2); combining grids with step
     ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).
+    richardson must be a bool.
     """
     count = _check_int(count, "count", positive=True)
-
-    def lowest(n: int) -> list[float]:
-        op = discretize_delta(params, kind, n)
-        if count > op.size:
-            raise ValueError("count must be in 1..n_points")
-        even, odd = _parity_blocks(op)
-        lams = eigenvalues_lowest(even, (count + 1) // 2)
-        if count > 1:
-            lams += eigenvalues_lowest(odd, count // 2, starts=_odd_starts(lams, count))
-        return sorted(lams)
-
-    lam1 = lowest(n_points)
+    richardson = _check_bool(richardson, "richardson")
+    lam1 = _fd_levels(params, kind, count, n_points)
     if not richardson:
         return lam1
     n2 = 2 * n_points
-    lam2 = lowest(n2)
+    lam2 = _fd_levels(params, kind, count, n2, coarse=lam1)
     r = (n2 + 1) / (n_points + 1)  # h1/h2
     r2 = r * r
     return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(lam1, lam2)]
+
+
+def _fd_levels(
+    params: ModelParams, kind: str, count: int, n_points: int, coarse: list[float] | None = None
+) -> list[float]:
+    """Sorted count lowest levels of discretize_delta(params, kind,
+    n_points); the even block starts from coarse[0::2], by default the
+    levels at n_points // _COARSE_RATIO while that grid is fine enough."""
+    op = discretize_delta(params, kind, n_points)
+    if count > op.size:
+        raise ValueError("count must be in 1..n_points")
+    if coarse is None:
+        m = n_points // _COARSE_RATIO
+        coarse = _fd_levels(params, kind, count, m) if m >= max(_COARSE_FLOOR, count) else []
+    even, odd = _parity_blocks(op)
+    lams = eigenvalues_lowest(even, (count + 1) // 2, starts=coarse[0::2])
+    if count > 1:
+        lams += eigenvalues_lowest(odd, count // 2, starts=_odd_starts(lams, count))
+    return sorted(lams)
 
 
 def _odd_starts(even: list[float], count: int) -> list[float]:

@@ -367,9 +367,7 @@ def run_all(
     if model._check_int(grid_n, "grid_n", positive=True) < 16:  # discretize_delta's bound
         raise ValueError(f"grid_n must be at least 16, got {grid_n!r}")
     grid_n = int(grid_n)
-    if not isinstance(richardson, (bool, np.bool_)):
-        raise ValueError(f"richardson must be a bool, got {richardson!r}")
-    richardson = bool(richardson)
+    richardson = model._check_bool(richardson, "richardson")
     run = _Run(n_max, grid_n, richardson, k_corruption)
     selected = _select_suites(suites)
 

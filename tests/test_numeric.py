@@ -252,6 +252,19 @@ class TestEigenvaluesLowest:
             assert abs(b - exact) <= 1e-6 * (1.0 + exact)
             assert abs(b - exact) < abs(a - exact) or a == b
 
+    @pytest.mark.parametrize("richardson", ["no", math.nan, 0, 1, None, "false"])
+    def test_rejects_non_bool_richardson(self, richardson):
+        # "no" and nan used to run Richardson, 0 and None the plain solve
+        with pytest.raises(ValueError, match="richardson must be a bool"):
+            delta_eigenvalues_fd(ModelParams(1.0, 1.0, 2.0), "minus", 3, 256, richardson=richardson)
+
+    def test_numpy_bool_richardson(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        for flag in (True, False):
+            assert delta_eigenvalues_fd(p, "minus", 3, 256, richardson=np.bool_(flag)) == (
+                delta_eigenvalues_fd(p, "minus", 3, 256, richardson=flag)
+            )
+
     def test_count_validation(self):
         op = TridiagonalOperator(np.array([2.0, 2.0]), np.array([-1.0]))
         with pytest.raises(ValueError):
@@ -500,6 +513,22 @@ def _bad_starts(op, count):
     ]
 
 
+def _count_rows(monkeypatch):
+    """Rows walked by the Newton and the counting pivot loops from here
+    on, by kind."""
+    rows = {"newton": 0, "count": 0}
+
+    def counted(kind, fn):
+        def wrapper(diag, *args):
+            rows[kind] += len(diag)
+            return fn(diag, *args)
+        return wrapper
+
+    monkeypatch.setattr(numeric, "_pivot_sweep", counted("newton", _pivot_sweep))
+    monkeypatch.setattr(numeric, "_pivot_count", counted("count", _pivot_count))
+    return rows
+
+
 class TestWarmStarts:
     """eigenvalues_lowest(op, count, starts=...) stays certified whatever
     the starts, and ignored starts leave the probe sequence unchanged."""
@@ -549,35 +578,113 @@ class TestWarmStarts:
     @pytest.mark.parametrize("n_points", [1024, 4097])
     @pytest.mark.parametrize("kind", ["minus", "plus"])
     def test_fd_blocks(self, kind, n_points):
-        # the even block is solved without starts, to the bit; the odd
-        # block from the even levels, within the certified width
+        # the even block starts from the even levels of the same solve on
+        # the grid 8 times coarser (128 and 512 points, themselves solved
+        # without a coarser grid), the odd block from the even levels;
+        # both to the bit, and within the certified width of plain solves
         for k in (1.25, 3.7, 10.0):
             p = ModelParams(1.0, 1.0, k)
             even, odd = _parity_blocks(discretize_delta(p, kind, n_points))
             lams = delta_eigenvalues_fd(p, kind, 5, n_points)
-            evens = eigenvalues_lowest(even, 3)
+            coarse = delta_eigenvalues_fd(p, kind, 5, n_points // 8)
+            evens = eigenvalues_lowest(even, 3, starts=coarse[0::2])
             assert lams[0::2] == evens
             assert lams[1::2] == eigenvalues_lowest(odd, 2, starts=_odd_starts(evens, 5))
-            for lam, ref in zip(lams[1::2], eigenvalues_lowest(odd, 2)):
+            plain = eigenvalues_lowest(even, 3) + eigenvalues_lowest(odd, 2)
+            for lam, ref in zip(lams[0::2] + lams[1::2], plain):
                 assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
 
     def test_cross_check_sweep_counts(self, monkeypatch):
-        # a default numeric_cross_check run took 100 Newton sweeps and 80
-        # counting sweeps from bracket midpoints alone
-        sweeps = {"newton": 0, "count": 0}
-
-        def counted(kind, fn):
-            def wrapper(*args):
-                sweeps[kind] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(numeric, "_pivot_sweep", counted("newton", _pivot_sweep))
-        monkeypatch.setattr(numeric, "_pivot_count", counted("count", _pivot_count))
+        # rows swept by a default numeric_cross_check run: 204800 Newton
+        # and 163840 counting rows from bracket midpoints alone, 155648
+        # and 159744 with the odd block started from the even levels,
+        # 83712 and 125952 with the even block started from the coarse
+        # grid; the bounds allow 10% over the last pair
+        rows = _count_rows(monkeypatch)
         report = verify.run_all(suites=["numeric_cross_check"])
         assert report.all_passed
-        assert 0 < sweeps["newton"] <= 80
-        assert 0 < sweeps["count"] <= 80
+        assert 0 < rows["newton"] <= 92160
+        assert 0 < rows["count"] <= 139264
+
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    @pytest.mark.parametrize("k", [1.25, 3.7, 100.0])
+    def test_start_on_a_neighbour_falls_back(self, monkeypatch, k, kind):
+        # a start on eigenvalue j + 1 draws Newton to it; the iterate's
+        # count trips the safeguard, so the level falls back at once
+        # (1.0-1.7 times the sweeps without starts) instead of counting
+        # outward from the wrong root, about 35 probes per level
+        op = discretize_delta(ModelParams(1.0, 1.0, k), kind, 1024)
+        ref = eigenvalues_lowest(op, 6)
+        rows = _count_rows(monkeypatch)
+        plain = eigenvalues_lowest(op, 5)
+        without = rows["newton"] + rows["count"]
+        got = eigenvalues_lowest(op, 5, starts=ref[1:])
+        assert rows["newton"] + rows["count"] - without <= 2 * without
+        _assert_certified(op, got)
+        for lam, exact in zip(got, plain):
+            assert abs(lam - exact) <= 1e-10 * (1.0 + abs(exact))
+
+    def test_starts_read_once_from_any_iterable(self):
+        op = discretize_delta(ModelParams(1.0, 1.0, 3.7), "minus", 1024)
+        starts = eigenvalues_lowest(op, 5)
+        ref = eigenvalues_lowest(op, 5, starts=starts)
+        assert eigenvalues_lowest(op, 5, starts=iter(starts)) == ref
+        assert eigenvalues_lowest(op, 5, starts=(s for s in starts)) == ref
+        assert eigenvalues_lowest(op, 5, starts=np.array(starts)) == ref
+
+    @pytest.mark.parametrize(
+        "starts", [3.0, math.nan, 2, "12", b"12", [1.0, "2"], [None], [1.0, 2j], [np.array([1.0])]]
+    )
+    def test_rejects_scalar_or_non_numeric_starts(self, starts):
+        # a scalar raised TypeError from len(), a string entry from '<'
+        op = discretize_delta(ModelParams(1.0, 1.0, 3.7), "minus", 64)
+        with pytest.raises(ValueError, match="starts"):
+            eigenvalues_lowest(op, 2, starts=starts)
+
+
+# oracle-fd census inputs of the benchmark (n_points, richardson, k, kind)
+# at 5 levels: both ends of the k range for each narrowed grid
+FD_CENSUS = [
+    (n_points, richardson, k, kind)
+    for n_points, richardson in ((1024, False), (1024, True), (4096, True))
+    for k in (1.25, 100.0)
+    for kind in ("minus", "plus")
+]
+
+
+class TestStartFirst:
+    """Every level delta_eigenvalues_fd returns comes from solves whose
+    Newton phase starts at coarse-grid or even-block levels; each stays
+    certified on the full operator and agrees with eigenvalues_lowest on
+    that operator without starts."""
+
+    @staticmethod
+    def _check(p, kind, count, n_points, lams):
+        op = discretize_delta(p, kind, n_points)
+        _assert_certified(op, lams)
+        for lam, ref in zip(lams, eigenvalues_lowest(op, count)):
+            assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("n_points, richardson, k, kind", FD_CENSUS)
+    def test_fd_census(self, n_points, richardson, k, kind):
+        p = ModelParams(1.0, 1.0, k)
+        lam1 = delta_eigenvalues_fd(p, kind, 5, n_points)
+        self._check(p, kind, 5, n_points, lam1)
+        if richardson:
+            # the solve at 2 n_points starts from the levels at n_points
+            lam2 = numeric._fd_levels(p, kind, 5, 2 * n_points, coarse=lam1)
+            self._check(p, kind, 5, 2 * n_points, lam2)
+            r2 = ((2 * n_points + 1) / (n_points + 1)) ** 2
+            extrapolated = [(r2 * b - a) / (r2 - 1.0) for a, b in zip(lam1, lam2)]
+            assert delta_eigenvalues_fd(p, kind, 5, n_points, richardson=True) == extrapolated
+
+    @pytest.mark.parametrize("count", [1, 5, 12])
+    @pytest.mark.parametrize("n_points", [1024, 4097])
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    def test_top_of_k_range(self, kind, n_points, count):
+        # unresolved: even and odd levels agree to rounding on these grids
+        p = ModelParams(1.0, 1.0, 1e8 - 1.0)
+        self._check(p, kind, count, n_points, delta_eigenvalues_fd(p, kind, count, n_points))
 
 
 def test_fd_oracle_does_not_import_scipy():
