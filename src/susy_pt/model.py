@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,12 +207,14 @@ def superpotential(params: ModelParams, x):
 
 
 def _check_int(value, name: str, positive: bool = False) -> int:
-    """The one integer rule: an integral value (2.0 passes as 2) that is
-    nonnegative, or positive if asked, comes back as an int; anything
-    else, NaN, the infinities and the booleans included, raises
-    ValueError."""
+    """The one integer rule: an integral real number (2.0 passes as 2)
+    that is nonnegative, or positive if asked, comes back as an int;
+    anything else, NaN, the infinities, the booleans and values that are
+    not real numbers ("3", None, 1+2j) included, raises ValueError."""
     if isinstance(value, (bool, np.bool_)) or not (
-        value >= (1 if positive else 0) and float(value).is_integer()
+        isinstance(value, numbers.Real)
+        and value >= (1 if positive else 0)
+        and float(value).is_integer()
     ):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")

@@ -91,10 +91,10 @@ def discretize_delta(params: ModelParams, kind: str, n_points: int) -> Tridiagon
     odd n_points) and mirroring it, since the grid -d + h*i is symmetric
     only to an ulp.
     """
+    n_points = _check_int(n_points, "n_points", positive=True)
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     grid = interior_grid(params, n_points)
-    n_points = grid.n_points
     if kind == "minus":
         pot = v_minus
     elif kind == "plus":
@@ -339,11 +339,13 @@ def _pivot_sweep(diag, offsq, pivmin: float, lam: float):
     return below, (-1.0 / total if total else math.inf)
 
 
-# Nested iteration for the FD oracle: the even block at N points starts
-# Newton from the levels of the same solve at N // _COARSE_RATIO points,
-# recursively while that grid has at least _COARSE_FLOOR points.
+# Nested iteration for the FD oracle (delta_eigenvalues_fd): coarse grids
+# step down by _COARSE_RATIO while they keep _COARSE_FLOOR points, and two
+# coarse levels are extrapolated only where they agree to
+# _COARSE_RESOLVED (1 + |lam|).
 _COARSE_RATIO = 8
-_COARSE_FLOOR = 128
+_COARSE_FLOOR = 64
+_COARSE_RESOLVED = 0.1
 
 
 def delta_eigenvalues_fd(
@@ -368,13 +370,18 @@ def delta_eigenvalues_fd(
 
     Every Newton start comes from the operator itself, never from a
     closed form (eigenvalues_lowest's start-first path):
-    - the even block takes the even-indexed levels of the same solve on
-      a grid 8 times coarser, itself solved this way while it has at
-      least 128 points and at least count (nested iteration, Brandt,
-      Math. Comp. 31 (1977) 333): 16384 points start from 2048 and
-      those from 256, 4096 from 512, and 1024 from 128;
-    - the Richardson solve at 2*n_points starts from the levels at
-      n_points instead;
+    - the even block starts from the even-block levels of the same
+      solve on the grids 8 and 64 times coarser, extrapolated to this
+      grid through their O(h^2) error (nested iteration, Brandt, Math.
+      Comp. 31 (1977) 333, with Richardson's deferred approach to the
+      limit); a coarse grid is solved, even block only, while it has at
+      least 64 points and at least count: 16384 points start from 2048
+      and 256, 4096 from 512 and 64, and 1024 from 128 alone.  Where
+      the two coarse levels differ by more than 0.1 (1 + |lam|), the
+      grids do not resolve the level and it starts from the finer one
+      unextrapolated, as it does when only one coarse grid exists;
+    - the Richardson solve at 2*n_points starts by the same rule from
+      the levels at n_points and n_points // 8;
     - the odd block starts from the even levels (_odd_starts): the
       continuum levels n(n+2k) are quadratic in n.
 
@@ -383,34 +390,73 @@ def delta_eigenvalues_fd(
     richardson must be a bool.
     """
     count = _check_int(count, "count", positive=True)
+    n_points = _check_int(n_points, "n_points", positive=True)
     richardson = _check_bool(richardson, "richardson")
-    lam1 = _fd_levels(params, kind, count, n_points)
+    ladder = _coarse_ladder(params, kind, count, n_points)
+    even, odd = _fd_levels(params, kind, count, n_points, ladder)
+    lam1 = sorted(even + odd)
     if not richardson:
         return lam1
     n2 = 2 * n_points
-    lam2 = _fd_levels(params, kind, count, n2, coarse=lam1)
+    even2, odd2 = _fd_levels(params, kind, count, n2, [(n_points, even)] + ladder)
+    lam2 = sorted(even2 + odd2)
     r = (n2 + 1) / (n_points + 1)  # h1/h2
     r2 = r * r
     return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(lam1, lam2)]
 
 
 def _fd_levels(
-    params: ModelParams, kind: str, count: int, n_points: int, coarse: list[float] | None = None
-) -> list[float]:
-    """Sorted count lowest levels of discretize_delta(params, kind,
-    n_points); the even block starts from coarse[0::2], by default the
-    levels at n_points // _COARSE_RATIO while that grid is fine enough."""
+    params: ModelParams,
+    kind: str,
+    count: int,
+    n_points: int,
+    ladder: list[tuple[int, list[float]]],
+    odd: bool = True,
+) -> tuple[list[float], list[float]]:
+    """(even, odd) block levels of the count lowest of
+    discretize_delta(params, kind, n_points), each ascending; the even
+    block starts from _even_starts(params, n_points, ladder), the odd
+    block from _odd_starts, and odd=False skips the odd block."""
     op = discretize_delta(params, kind, n_points)
     if count > op.size:
         raise ValueError("count must be in 1..n_points")
-    if coarse is None:
-        m = n_points // _COARSE_RATIO
-        coarse = _fd_levels(params, kind, count, m) if m >= max(_COARSE_FLOOR, count) else []
-    even, odd = _parity_blocks(op)
-    lams = eigenvalues_lowest(even, (count + 1) // 2, starts=coarse[0::2])
-    if count > 1:
-        lams += eigenvalues_lowest(odd, count // 2, starts=_odd_starts(lams, count))
-    return sorted(lams)
+    even_op, odd_op = _parity_blocks(op)
+    even = eigenvalues_lowest(even_op, (count + 1) // 2, starts=_even_starts(params, n_points, ladder))
+    if not odd or count == 1:
+        return even, []
+    return even, eigenvalues_lowest(odd_op, count // 2, starts=_odd_starts(even, count))
+
+
+def _coarse_ladder(
+    params: ModelParams, kind: str, count: int, n_points: int
+) -> list[tuple[int, list[float]]]:
+    """(points, even-block levels) of the same solve at n_points // 8,
+    // 64, ..., finest first, while the grid has at least _COARSE_FLOOR
+    points and at least count; each starts from the grids below it."""
+    m = n_points // _COARSE_RATIO
+    if m < max(_COARSE_FLOOR, count):
+        return []
+    below = _coarse_ladder(params, kind, count, m)
+    return [(m, _fd_levels(params, kind, count, m, below, odd=False)[0])] + below
+
+
+def _even_starts(
+    params: ModelParams, n_points: int, ladder: list[tuple[int, list[float]]]
+) -> list[float]:
+    """Even-block starts at n_points from the two finest grids a, b of
+    the ladder: la + (la - lb) (h^2 - ha^2) / (ha^2 - hb^2), which
+    removes the h^2 term of the error, with h = 2 d / (N + 1) as in
+    interior_grid; la alone where the two differ by more than
+    _COARSE_RESOLVED (1 + |la|) or only one grid exists."""
+    if len(ladder) < 2:
+        return ladder[0][1] if ladder else []
+    (na, la), (nb, lb) = ladder[:2]
+    h2 = [(2.0 * params.half_width / (n + 1)) ** 2 for n in (n_points, na, nb)]
+    w = (h2[0] - h2[1]) / (h2[1] - h2[2])
+    return [
+        a if abs(a - b) > _COARSE_RESOLVED * (1.0 + abs(a)) else a + (a - b) * w
+        for a, b in zip(la, lb)
+    ]
 
 
 def _odd_starts(even: list[float], count: int) -> list[float]:

@@ -176,6 +176,16 @@ class TestSpectrumFormulas:
         with pytest.raises(ValueError, match="^n_points must be a positive integer"):
             interior_grid(p, n)
 
+    @pytest.mark.parametrize("n", ["3", None, 1 + 2j, [3], b"3"], ids=["str", "None", "complex", "list", "bytes"])
+    def test_rejects_non_numeric_level(self, n):
+        # these leaked TypeError from the comparison with 0
+        p = ModelParams(1.0, 1.0, 2.0)
+        for fn in (energy_squared, delta_eigenvalue, spectrum):
+            with pytest.raises(ValueError, match="^level index n must be a nonnegative integer"):
+                fn(p, n)
+        with pytest.raises(ValueError, match="^n_points must be a positive integer"):
+            interior_grid(p, n)
+
     @pytest.mark.parametrize(
         "omega,epsilon,k",
         # hat_omega ** 2 overflows; the product overflows; epsilon ** 2

@@ -117,11 +117,18 @@ class TestGridAndOperator:
         assert -d < g.points[0] and g.points[-1] < d
         assert np.allclose(np.diff(g.points), g.spacing, rtol=1e-12)
 
-    @pytest.mark.parametrize("n_points", [0, -3, 2.5, 1.5, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n_points", [0, -3, 2.5, 1.5, 0.5, math.nan, math.inf, "4096", True, None])
     def test_grid_rejects_bad_point_count(self, n_points):
+        # one integer rule before discretize_delta's bound: "4096" raised
+        # TypeError from the bound and True got "must be at least 16"
         p = ModelParams(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="n_points"):
-            interior_grid(p, n_points)
+        for solve in (
+            lambda: interior_grid(p, n_points),
+            lambda: discretize_delta(p, "minus", n_points),
+            lambda: delta_eigenvalues_fd(p, "minus", 1, n_points),
+        ):
+            with pytest.raises(ValueError, match="^n_points must be a positive integer"):
+                solve()
 
     def test_grid_integral_float_count(self):
         p = ModelParams(1.0, 1.0, 2.0)
@@ -578,33 +585,69 @@ class TestWarmStarts:
     @pytest.mark.parametrize("n_points", [1024, 4097])
     @pytest.mark.parametrize("kind", ["minus", "plus"])
     def test_fd_blocks(self, kind, n_points):
-        # the even block starts from the even levels of the same solve on
-        # the grid 8 times coarser (128 and 512 points, themselves solved
-        # without a coarser grid), the odd block from the even levels;
-        # both to the bit, and within the certified width of plain solves
-        for k in (1.25, 3.7, 10.0):
+        # the even block starts from the even-block levels of the same
+        # solve on the grids 8 and 64 times coarser (128 alone for 1024;
+        # 512 and 64 for 4097, 512 itself from 64), extrapolated through
+        # their h^2 term where they agree to 0.1 (1 + |lam|); the odd block
+        # from the even levels; both to the bit, and within the certified
+        # width of plain solves
+        for k in (1.25, 3.7, 10.0, 1e6):
             p = ModelParams(1.0, 1.0, k)
             even, odd = _parity_blocks(discretize_delta(p, kind, n_points))
             lams = delta_eigenvalues_fd(p, kind, 5, n_points)
-            coarse = delta_eigenvalues_fd(p, kind, 5, n_points // 8)
-            evens = eigenvalues_lowest(even, 3, starts=coarse[0::2])
-            assert lams[0::2] == evens
-            assert lams[1::2] == eigenvalues_lowest(odd, 2, starts=_odd_starts(evens, 5))
+            na, nb = n_points // 8, n_points // 64
+            even_a = _parity_blocks(discretize_delta(p, kind, na))[0]
+            if nb >= 64:
+                lb = eigenvalues_lowest(_parity_blocks(discretize_delta(p, kind, nb))[0], 3)
+                la = eigenvalues_lowest(even_a, 3, starts=lb)
+                h2 = [(2.0 * p.half_width / (n + 1)) ** 2 for n in (n_points, na, nb)]
+                w = (h2[0] - h2[1]) / (h2[1] - h2[2])
+                starts = [a if abs(a - b) > 0.1 * (1.0 + abs(a)) else a + (a - b) * w for a, b in zip(la, lb)]
+            else:
+                starts = eigenvalues_lowest(even_a, 3)
+            evens = eigenvalues_lowest(even, 3, starts=starts)
+            odds = eigenvalues_lowest(odd, 2, starts=_odd_starts(evens, 5))
+            assert lams == sorted(evens + odds)
+            if k < 1e6:
+                # resolved: the parities alternate
+                assert (lams[0::2], lams[1::2]) == (evens, odds)
             plain = eigenvalues_lowest(even, 3) + eigenvalues_lowest(odd, 2)
-            for lam, ref in zip(lams[0::2] + lams[1::2], plain):
+            for lam, ref in zip(evens + odds, plain):
                 assert abs(lam - ref) <= 1e-10 * (1.0 + abs(ref))
 
     def test_cross_check_sweep_counts(self, monkeypatch):
         # rows swept by a default numeric_cross_check run: 204800 Newton
         # and 163840 counting rows from bracket midpoints alone, 155648
         # and 159744 with the odd block started from the even levels,
-        # 83712 and 125952 with the even block started from the coarse
-        # grid; the bounds allow 10% over the last pair
+        # 83712 and 125952 with the even block started from one grid 8
+        # times coarser, 57376 and 90688 with the starts extrapolated
+        # through two coarser grids; the bounds allow 10% over the last
+        # pair
         rows = _count_rows(monkeypatch)
         report = verify.run_all(suites=["numeric_cross_check"])
         assert report.all_passed
-        assert 0 < rows["newton"] <= 92160
-        assert 0 < rows["count"] <= 139264
+        assert 0 < rows["newton"] <= 63113
+        assert 0 < rows["count"] <= 99756
+
+    def test_one_odd_block_solve(self, monkeypatch):
+        # a 16384-point solve runs its odd block once, at 8192 rows; the
+        # coarse solves at 2048 and 256 points stop after their even block
+        p = ModelParams(1.0, 1.0, 3.7)
+        blocks = {n: _parity_blocks(discretize_delta(p, "minus", n)) for n in (16384, 2048, 256)}
+        calls = []
+
+        def recorded(op, count, **kwargs):
+            calls.append((op, count))
+            return eigenvalues_lowest(op, count, **kwargs)
+
+        monkeypatch.setattr(numeric, "eigenvalues_lowest", recorded)
+        delta_eigenvalues_fd(p, "minus", 5, 16384)
+        same = lambda a, b: a.diag.tobytes() == b.diag.tobytes() and a.offdiag.tobytes() == b.offdiag.tobytes()
+        odd = [(op.size, count) for op, count in calls if same(op, blocks[16384][1])]
+        assert odd == [(8192, 2)]
+        assert sorted((op.size, count) for op, count in calls) == [(128, 3), (1024, 3), (8192, 2), (8192, 3)]
+        for op, count in calls:
+            assert any(same(op, b) for b in (blocks[16384][0], blocks[16384][1], blocks[2048][0], blocks[256][0]))
 
     @pytest.mark.parametrize("kind", ["minus", "plus"])
     @pytest.mark.parametrize("k", [1.25, 3.7, 100.0])
@@ -652,6 +695,26 @@ FD_CENSUS = [
 ]
 
 
+# rows (Newton + counting) that each TestStartFirst input swept when its
+# even block started from the unextrapolated levels of one grid 8 times
+# coarser, with the coarse odd blocks solved too and no grid below 128
+# points; the extrapolated starts must stay within 10% of these, above
+# all on unresolved inputs, where the coarse levels are not extrapolated
+FD_CENSUS_ROWS = {
+    (1024, False, 1.25, "minus"): 11840, (1024, False, 1.25, "plus"): 11136,
+    (1024, False, 100.0, "minus"): 13568, (1024, False, 100.0, "plus"): 13568,
+    (1024, True, 1.25, "minus"): 30272, (1024, True, 1.25, "plus"): 27520,
+    (1024, True, 100.0, "minus"): 32000, (1024, True, 100.0, "plus"): 32000,
+    (4096, True, 1.25, "minus"): 157952, (4096, True, 1.25, "plus"): 112128,
+    (4096, True, 100.0, "minus"): 152832, (4096, True, 100.0, "plus"): 117760,
+}
+# k = 1e8 - 1, by (n_points, count); the same for both kinds
+TOP_OF_K_ROWS = {
+    (1024, 1): 8640, (1024, 5): 24960, (1024, 12): 52288,
+    (4097, 1): 28683, (4097, 5): 86805, (4097, 12): 242738,
+}
+
+
 class TestStartFirst:
     """Every level delta_eigenvalues_fd returns comes from solves whose
     Newton phase starts at coarse-grid or even-block levels; each stays
@@ -672,7 +735,12 @@ class TestStartFirst:
         self._check(p, kind, 5, n_points, lam1)
         if richardson:
             # the solve at 2 n_points starts from the levels at n_points
-            lam2 = numeric._fd_levels(p, kind, 5, 2 * n_points, coarse=lam1)
+            # the solve at 2 n_points starts from the even levels at
+            # n_points and n_points // 8, its own coarse grids
+            ladder = numeric._coarse_ladder(p, kind, 5, n_points)
+            even, _ = numeric._fd_levels(p, kind, 5, n_points, ladder)
+            even2, odd2 = numeric._fd_levels(p, kind, 5, 2 * n_points, [(n_points, even)] + ladder)
+            lam2 = sorted(even2 + odd2)
             self._check(p, kind, 5, 2 * n_points, lam2)
             r2 = ((2 * n_points + 1) / (n_points + 1)) ** 2
             extrapolated = [(r2 * b - a) / (r2 - 1.0) for a, b in zip(lam1, lam2)]
@@ -685,6 +753,47 @@ class TestStartFirst:
         # unresolved: even and odd levels agree to rounding on these grids
         p = ModelParams(1.0, 1.0, 1e8 - 1.0)
         self._check(p, kind, count, n_points, delta_eigenvalues_fd(p, kind, count, n_points))
+
+    @pytest.mark.parametrize(
+        "n_points, richardson, k, kind, count",
+        [key + (5,) for key in FD_CENSUS_ROWS]
+        + [(n_points, False, 1e8 - 1.0, kind, count) for n_points, count in TOP_OF_K_ROWS for kind in ("minus", "plus")],
+    )
+    def test_rows_within_budget(self, monkeypatch, n_points, richardson, k, kind, count):
+        if k == 1e8 - 1.0:
+            budget = TOP_OF_K_ROWS[n_points, count]
+        else:
+            budget = FD_CENSUS_ROWS[n_points, richardson, k, kind]
+        rows = _count_rows(monkeypatch)
+        delta_eigenvalues_fd(ModelParams(1.0, 1.0, k), kind, count, n_points, richardson=richardson)
+        assert 0 < rows["newton"] + rows["count"] <= 1.1 * budget
+
+    def test_no_start_from_the_closed_forms(self, monkeypatch):
+        # the oracle must not read n(n+2k): every closed-form spectrum
+        # function raises, in susy_pt.model and wherever it is bound
+        ref = {
+            (kind, richardson): delta_eigenvalues_fd(ModelParams(1.0, 1.0, 3.7), kind, 5, 4096, richardson=richardson)
+            for kind in ("minus", "plus")
+            for richardson in (False, True)
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the FD oracle called a closed form")
+
+        names = ("energy_squared", "energy", "delta_eigenvalue", "spectrum")
+        closed = {name: getattr(susy_pt.model, name) for name in names}
+        patched = 0
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "susy_pt" or mod_name.startswith("susy_pt."):
+                for name in names:
+                    if getattr(mod, name, None) is closed[name]:
+                        monkeypatch.setattr(mod, name, forbidden)
+                        patched += 1
+        assert patched >= 8  # model, the package and verify at least
+        with pytest.raises(AssertionError, match="closed form"):
+            susy_pt.model.spectrum(ModelParams(1.0, 1.0, 3.7), 4)
+        for (kind, richardson), lams in ref.items():
+            assert delta_eigenvalues_fd(ModelParams(1.0, 1.0, 3.7), kind, 5, 4096, richardson=richardson) == lams
 
 
 def test_fd_oracle_does_not_import_scipy():

@@ -256,6 +256,15 @@ class TestRunAll:
         with pytest.raises(ValueError, match="level index n must be a nonnegative integer"):
             run_all(n_max=n_max, suites=["equidistance"])
 
+    @pytest.mark.parametrize("value", ["16", None, 1 + 2j, [16]])
+    def test_rejects_non_numeric_n_max_and_grid_n(self, value, monkeypatch):
+        # "16" leaked TypeError from the comparison with 0
+        _forbid_suites_and_tables(monkeypatch)
+        with pytest.raises(ValueError, match="level index n must be a nonnegative integer"):
+            run_all(n_max=value)
+        with pytest.raises(ValueError, match="grid_n must be a positive integer"):
+            run_all(grid_n=value)
+
     @pytest.mark.parametrize(
         "k_corruption,match",
         [
