@@ -78,6 +78,9 @@ class TridiagonalOperator:
         return self.diag.shape[0]
 
 
+_MIN_POINTS = 16  # the fewest interior points discretize_delta accepts
+
+
 def discretize_delta(params: ModelParams, kind: str, n_points: int) -> TridiagonalOperator:
     """Finite-difference image of -(1/w^2) d^2/dx^2 + V on the interior grid.
 
@@ -92,8 +95,8 @@ def discretize_delta(params: ModelParams, kind: str, n_points: int) -> Tridiagon
     only to an ulp.
     """
     n_points = _check_int(n_points, "n_points", positive=True)
-    if n_points < 16:
-        raise ValueError("n_points must be at least 16")
+    if n_points < _MIN_POINTS:
+        raise ValueError(f"n_points must be at least {_MIN_POINTS}")
     grid = interior_grid(params, n_points)
     if kind == "minus":
         pot = v_minus
@@ -339,10 +342,8 @@ def _pivot_sweep(diag, offsq, pivmin: float, lam: float):
     return below, (-1.0 / total if total else math.inf)
 
 
-# Nested iteration for the FD oracle (delta_eigenvalues_fd): coarse grids
-# step down by _COARSE_RATIO while they keep _COARSE_FLOOR points, and two
-# coarse levels are extrapolated only where they agree to
-# _COARSE_RESOLVED (1 + |lam|).
+# The FD oracle's grid chain (delta_eigenvalues_fd): step ratio, fewest
+# points of a coarse grid, and the agreement that allows extrapolation.
 _COARSE_RATIO = 8
 _COARSE_FLOOR = 64
 _COARSE_RESOLVED = 0.1
@@ -369,88 +370,59 @@ def delta_eigenvalues_fd(
     eigenvalue agree to rounding and may come out in either order.
 
     Every Newton start comes from the operator itself, never from a
-    closed form (eigenvalues_lowest's start-first path):
-    - the even block starts from the even-block levels of the same
-      solve on the grids 8 and 64 times coarser, extrapolated to this
-      grid through their O(h^2) error (nested iteration, Brandt, Math.
-      Comp. 31 (1977) 333, with Richardson's deferred approach to the
-      limit); a coarse grid is solved, even block only, while it has at
-      least 64 points and at least count: 16384 points start from 2048
-      and 256, 4096 from 512 and 64, and 1024 from 128 alone.  Where
-      the two coarse levels differ by more than 0.1 (1 + |lam|), the
-      grids do not resolve the level and it starts from the finer one
-      unextrapolated, as it does when only one coarse grid exists;
-    - the Richardson solve at 2*n_points starts by the same rule from
-      the levels at n_points and n_points // 8;
-    - the odd block starts from the even levels (_odd_starts): the
-      continuum levels n(n+2k) are quadratic in n.
+    closed form (eigenvalues_lowest's start-first path).  The grids form
+    one ascending chain (nested iteration, Brandt, Math. Comp. 31 (1977)
+    333): n_points // 8, // 64, ... while a grid has at least 64 points
+    and at least count, then n_points, then 2*n_points if richardson.
+    Each grid's even block starts from the even levels of the two grids
+    solved below it, extrapolated through their O(h^2) error, or from
+    the finer one alone where only one lies below or the two differ by
+    more than 0.1 (1 + |lam|) (unresolved); so 2*n_points starts from
+    n_points and n_points // 8.  Only n_points and 2*n_points solve
+    their odd block, from their even levels (_odd_starts): the
+    continuum levels n(n+2k) are quadratic in n.
 
     Central differences converge at O(h^2); combining grids with step
-    ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).
-    richardson must be a bool.
+    ratio r eliminates the h^2 term, (r^2 L2 - L1)/(r^2 - 1).  It leaves
+    the wall term h^(2k-1) of eigenfunctions that vanish like cos^k,
+    which dominates for k < 1.5: `susy-pt verify --k 1.01 --richardson`
+    fails, 1.394e-06 against 1e-6.  richardson must be a bool.
     """
     count = _check_int(count, "count", positive=True)
     n_points = _check_int(n_points, "n_points", positive=True)
     richardson = _check_bool(richardson, "richardson")
-    ladder = _coarse_ladder(params, kind, count, n_points)
-    even, odd = _fd_levels(params, kind, count, n_points, ladder)
-    lam1 = sorted(even + odd)
-    if not richardson:
-        return lam1
-    n2 = 2 * n_points
-    even2, odd2 = _fd_levels(params, kind, count, n2, [(n_points, even)] + ladder)
-    lam2 = sorted(even2 + odd2)
-    r = (n2 + 1) / (n_points + 1)  # h1/h2
-    r2 = r * r
-    return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(lam1, lam2)]
-
-
-def _fd_levels(
-    params: ModelParams,
-    kind: str,
-    count: int,
-    n_points: int,
-    ladder: list[tuple[int, list[float]]],
-    odd: bool = True,
-) -> tuple[list[float], list[float]]:
-    """(even, odd) block levels of the count lowest of
-    discretize_delta(params, kind, n_points), each ascending; the even
-    block starts from _even_starts(params, n_points, ladder), the odd
-    block from _odd_starts, and odd=False skips the odd block."""
-    op = discretize_delta(params, kind, n_points)
-    if count > op.size:
+    if count > n_points:
         raise ValueError("count must be in 1..n_points")
-    even_op, odd_op = _parity_blocks(op)
-    even = eigenvalues_lowest(even_op, (count + 1) // 2, starts=_even_starts(params, n_points, ladder))
-    if not odd or count == 1:
-        return even, []
-    return even, eigenvalues_lowest(odd_op, count // 2, starts=_odd_starts(even, count))
+    grids = [n_points]
+    while grids[0] // _COARSE_RATIO >= max(_COARSE_FLOOR, count):
+        grids.insert(0, grids[0] // _COARSE_RATIO)
+    if richardson:
+        grids.append(2 * n_points)
+    solved, lams = [], []
+    for n in grids:
+        even_op, odd_op = _parity_blocks(discretize_delta(params, kind, n))
+        even = eigenvalues_lowest(even_op, (count + 1) // 2, starts=_even_starts(params, n, solved[-2:]))
+        solved.append((n, even))
+        if n >= n_points:
+            odd = eigenvalues_lowest(odd_op, count // 2, starts=_odd_starts(even, count)) if count > 1 else []
+            lams.append(sorted(even + odd))
+    if not richardson:
+        return lams[0]
+    r = (2 * n_points + 1) / (n_points + 1)  # h1/h2
+    r2 = r * r
+    return [(r2 * l2 - l1) / (r2 - 1.0) for l1, l2 in zip(*lams)]
 
 
-def _coarse_ladder(
-    params: ModelParams, kind: str, count: int, n_points: int
-) -> list[tuple[int, list[float]]]:
-    """(points, even-block levels) of the same solve at n_points // 8,
-    // 64, ..., finest first, while the grid has at least _COARSE_FLOOR
-    points and at least count; each starts from the grids below it."""
-    m = n_points // _COARSE_RATIO
-    if m < max(_COARSE_FLOOR, count):
-        return []
-    below = _coarse_ladder(params, kind, count, m)
-    return [(m, _fd_levels(params, kind, count, m, below, odd=False)[0])] + below
-
-
-def _even_starts(
-    params: ModelParams, n_points: int, ladder: list[tuple[int, list[float]]]
-) -> list[float]:
-    """Even-block starts at n_points from the two finest grids a, b of
-    the ladder: la + (la - lb) (h^2 - ha^2) / (ha^2 - hb^2), which
-    removes the h^2 term of the error, with h = 2 d / (N + 1) as in
-    interior_grid; la alone where the two differ by more than
-    _COARSE_RESOLVED (1 + |la|) or only one grid exists."""
-    if len(ladder) < 2:
-        return ladder[0][1] if ladder else []
-    (na, la), (nb, lb) = ladder[:2]
+def _even_starts(params: ModelParams, n_points: int, below: list[tuple[int, list[float]]]) -> list[float]:
+    """Even-block starts at n_points from the (points, even-block levels)
+    of at most two grids below it, ascending, b then a:
+    la + (la - lb) (h^2 - ha^2) / (ha^2 - hb^2), which removes the h^2
+    term of the error, with h = 2 d / (N + 1) as in interior_grid; la
+    alone where the two differ by more than _COARSE_RESOLVED (1 + |la|)
+    or only one grid lies below."""
+    if len(below) < 2:
+        return below[0][1] if below else []
+    (nb, lb), (na, la) = below
     h2 = [(2.0 * params.half_width / (n + 1)) ** 2 for n in (n_points, na, nb)]
     w = (h2[0] - h2[1]) / (h2[1] - h2[2])
     return [

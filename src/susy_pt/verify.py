@@ -35,7 +35,7 @@ from .ladder import (
     apply_delta,
 )
 from .model import ModelParams, delta_eigenvalue, energy, mass_from_k, v_minus, v_plus
-from .numeric import _GL_WEIGHTS, _gl_panels, delta_eigenvalues_fd, interior_grid
+from .numeric import _GL_WEIGHTS, _MIN_POINTS, _gl_panels, delta_eigenvalues_fd, interior_grid
 from .wavefun import Wavefunction, _panels, build_eigenfunction, evaluate, samples
 
 __all__ = [
@@ -345,11 +345,11 @@ def run_all(
     is a test hook: it shifts k inside the expected ladder factors so a
     deliberate error makes the ladder suite fail.  Each suite's worst
     residual is its largest, 0 if it yields none.  A failing suite is
-    recorded, not raised.  A model whose partner level k+1 exceeds K_MAX,
-    a k_corruption that is not finite or takes some model's k outside
-    (1, K_MAX], a grid_n that is not an integer of at least 16 and a
-    richardson that is not a bool are rejected with a ValueError before
-    any suite runs.
+    recorded, not raised.  A battery entry that is not a ModelParams, a
+    model whose partner level k+1 exceeds K_MAX, a k_corruption that is
+    not finite or takes some model's k outside (1, K_MAX], a grid_n that
+    is not an integer of at least 16 and a richardson that is not a bool
+    are rejected with a ValueError before any suite runs.
     """
     battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
     if not battery:
@@ -357,6 +357,8 @@ def run_all(
     if not math.isfinite(k_corruption):
         raise ValueError(f"k_corruption must be finite, got {k_corruption!r}")
     for p in battery:  # the partner, ladder and shape-invariance suites build level k+1
+        if not isinstance(p, ModelParams):
+            raise ValueError(f"params_set entries must be ModelParams, got {p!r}")
         if p.k + 1.0 > model.K_MAX:
             raise ValueError(f"partner level k+1 = {p.k + 1.0!r} exceeds K_MAX = {model.K_MAX:g}")
         if not 1.0 < p.k + k_corruption <= model.K_MAX:  # the ladder suite's expected level
@@ -364,11 +366,11 @@ def run_all(
                 f"k + k_corruption = {p.k + k_corruption!r} lies outside (1, K_MAX = {model.K_MAX:g}]"
             )
     n_max = model._check_level(n_max, VERIFIED_LEVEL)
-    if model._check_int(grid_n, "grid_n", positive=True) < 16:  # discretize_delta's bound
-        raise ValueError(f"grid_n must be at least 16, got {grid_n!r}")
-    grid_n = int(grid_n)
+    grid = model._check_int(grid_n, "grid_n", positive=True)
+    if grid < _MIN_POINTS:  # discretize_delta's bound
+        raise ValueError(f"grid_n must be at least {_MIN_POINTS}, got {grid_n!r}")
     richardson = model._check_bool(richardson, "richardson")
-    run = _Run(n_max, grid_n, richardson, k_corruption)
+    run = _Run(n_max, grid, richardson, k_corruption)
     selected = _select_suites(suites)
 
     worst = dict.fromkeys(name for name, *_ in selected)
@@ -390,7 +392,7 @@ def run_all(
     meta = {
         "params_set": [{"omega": p.omega, "epsilon": p.epsilon, "k": p.k} for p in battery],
         "n_max": n_max,
-        "grid_n": grid_n,
+        "grid_n": grid,
         "richardson": richardson,
     }
     return VerificationReport(tuple(results), meta)

@@ -14,6 +14,7 @@ from susy_pt.numeric import (
     delta_eigenvalues_fd,
     discretize_delta,
     eigenvalues_lowest,
+    _even_starts,
     _odd_starts,
     _parity_blocks,
     _pivot_count,
@@ -649,6 +650,26 @@ class TestWarmStarts:
         for op, count in calls:
             assert any(same(op, b) for b in (blocks[16384][0], blocks[16384][1], blocks[2048][0], blocks[256][0]))
 
+    @pytest.mark.parametrize(
+        "n_points, sequence",
+        [
+            (4096, [(32, 3), (256, 3), (2048, 3), (2048, 2), (4096, 3), (4096, 2)]),
+            (1024, [(64, 3), (512, 3), (512, 2), (1024, 3), (1024, 2)]),
+        ],
+    )
+    def test_richardson_solve_sequence(self, monkeypatch, n_points, sequence):
+        # (block rows, count) in call order: the coarse even blocks from
+        # the bottom up, then even and odd at n_points and at 2 n_points
+        calls = []
+
+        def recorded(op, count, **kwargs):
+            calls.append((op.size, count))
+            return eigenvalues_lowest(op, count, **kwargs)
+
+        monkeypatch.setattr(numeric, "eigenvalues_lowest", recorded)
+        delta_eigenvalues_fd(ModelParams(1.0, 1.0, 3.7), "minus", 5, n_points, richardson=True)
+        assert calls == sequence
+
     @pytest.mark.parametrize("kind", ["minus", "plus"])
     @pytest.mark.parametrize("k", [1.25, 3.7, 100.0])
     def test_start_on_a_neighbour_falls_back(self, monkeypatch, k, kind):
@@ -734,13 +755,17 @@ class TestStartFirst:
         lam1 = delta_eigenvalues_fd(p, kind, 5, n_points)
         self._check(p, kind, 5, n_points, lam1)
         if richardson:
-            # the solve at 2 n_points starts from the levels at n_points
-            # the solve at 2 n_points starts from the even levels at
-            # n_points and n_points // 8, its own coarse grids
-            ladder = numeric._coarse_ladder(p, kind, 5, n_points)
-            even, _ = numeric._fd_levels(p, kind, 5, n_points, ladder)
-            even2, odd2 = numeric._fd_levels(p, kind, 5, 2 * n_points, [(n_points, even)] + ladder)
-            lam2 = sorted(even2 + odd2)
+            # the solve at 2 n_points tops the chain of grids: each even
+            # block starts from the two grids below it, so 2 n_points from
+            # n_points // 8 and n_points, and its odd block from its even
+            # levels
+            solved = []
+            for n in {1024: [128, 1024, 2048], 4096: [64, 512, 4096, 8192]}[n_points]:
+                even_op, odd_op = _parity_blocks(discretize_delta(p, kind, n))
+                solved.append((n, eigenvalues_lowest(even_op, 3, starts=_even_starts(p, n, solved[-2:]))))
+            assert lam1[0::2] == solved[-2][1]
+            even2 = solved[-1][1]
+            lam2 = sorted(even2 + eigenvalues_lowest(odd_op, 2, starts=_odd_starts(even2, 5)))
             self._check(p, kind, 5, 2 * n_points, lam2)
             r2 = ((2 * n_points + 1) / (n_points + 1)) ** 2
             extrapolated = [(r2 * b - a) / (r2 - 1.0) for a, b in zip(lam1, lam2)]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ class TestRunAll:
         assert ladder.status == "fail"
         assert not report.all_passed
 
+    @pytest.mark.parametrize("richardson, delta", [(False, 3e-3), (True, 3e-6)])
+    def test_perturbed_eigenvalue_fails_numeric_cross_check(self, monkeypatch, richardson, delta):
+        # n(n+2k) scaled by 1 + delta must fail the default cross-check:
+        # it reads 2.96e-3 against 1e-3, and with richardson 2.97e-6
+        # against 1e-6; unperturbed, 3.94e-6 and 1.81e-8 pass
+        (clean,) = run_all(suites=["numeric_cross_check"], richardson=richardson).suites
+        assert clean.status == "pass"
+        exact = verify_mod.delta_eigenvalue
+        monkeypatch.setattr(verify_mod, "delta_eigenvalue", lambda q, n: exact(q, n) * (1.0 + delta))
+        report = run_all(suites=["numeric_cross_check"], richardson=richardson)
+        (mutated,) = report.suites
+        assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
+        assert not report.all_passed
+
     def test_suite_subset_selection(self):
         report = run_all(suites=["equidistance"], **SMALL)
         assert [s.name for s in report.suites] == ["equidistance"]
@@ -96,6 +111,14 @@ class TestRunAll:
         _forbid_suites_and_tables(monkeypatch)
         with pytest.raises(ValueError, match=rf"partner level k\+1 = {k + 1.0!r} exceeds K_MAX"):
             run_all(params_set=[DEFAULT_BATTERY[0], ModelParams(1.0, 1.0, k)], **SMALL)
+
+    @pytest.mark.parametrize("battery", [[1, 2], [DEFAULT_BATTERY[0], None], [DEFAULT_BATTERY[0], (1.0, 1.0, 2.0)]])
+    def test_rejects_battery_entry_that_is_not_model_params(self, battery, monkeypatch):
+        # run_all([1, 2]) leaked AttributeError from the partner-level check
+        _forbid_suites_and_tables(monkeypatch)
+        bad = next(p for p in battery if not isinstance(p, ModelParams))
+        with pytest.raises(ValueError, match=f"^params_set entries must be ModelParams, got {re.escape(repr(bad))}$"):
+            run_all(battery, **SMALL)
 
     @pytest.mark.parametrize("grid_n", [0, 15, 15.5, True, math.nan, math.inf])
     def test_rejects_bad_grid_n_before_any_suite(self, grid_n, monkeypatch):
