@@ -59,32 +59,38 @@ __all__ = [
 
 
 def _der(p: np.ndarray) -> np.ndarray:
-    """Coefficients of P' for ascending coefficients p (empty for size 0 or 1)."""
-    return p[1:] * np.arange(1.0, p.size)
+    """Coefficients of P' for ascending coefficients p along the first
+    axis (empty there for size 0 or 1)."""
+    return (p[1:].T * np.arange(1.0, len(p))).T
 
 
 def _first_order(a: float, p: np.ndarray, sign: float) -> np.ndarray:
-    """Coefficients of a s P + sign (1 - s^2) P' for a trimmed 1-D p,
-    empty for the zero function; sign is +1 or -1.  The result is
-    trimmed down to one coefficient, so the zero function gives [0.0],
-    which Wavefunction trims back to the zero function.
+    """Coefficients of a s P + sign (1 - s^2) P' for a trimmed 1-D p
+    (empty for the zero function), or for each column of a 2-D stack p
+    whose columns are coefficient arrays; sign is +1 or -1.  The result
+    is trimmed down to one coefficient, a row of the stack only where
+    every column ends in zero, so the zero function gives [0.0], which
+    Wavefunction trims back to the zero function.
 
     Bit-identical to the numpy.polynomial composition except for a = 0
     with sign -1, which no operator here forms (the raising rules have
     a = k + kappa > 0): there numpy trims a s P to one coefficient and
-    leaves -0.0 where this gives +0.0.
+    leaves -0.0 where this gives +0.0.  A column padded with zeros gives
+    the bits of its trimmed form followed by +0.0, so the columns of a
+    stack are those of its columns raised one at a time.
     """
-    m = p.size + 1
-    shifted = np.zeros(m)
+    m = len(p) + 1
+    shape = (m,) + p.shape[1:]
+    shifted = np.zeros(shape)
     shifted[1:] = a * p
     shifted += 0.0
     dp = _der(p)
-    t = np.zeros(m)
+    t = np.zeros(shape)
     t[: m - 2] += dp
     t[2:] -= dp
     out = shifted + t if sign > 0 else shifted - t
-    if out[-1] == 0.0:
-        nz = np.flatnonzero(out)
+    if not np.count_nonzero(out[-1]):
+        nz = np.flatnonzero(out.reshape(m, -1).any(axis=1))
         out = out[: nz[-1] + 1] if nz.size else out[:1]
     return out
 
@@ -134,7 +140,26 @@ def _check_envelope(wf: Wavefunction, expected: float, op: str):
 def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x of
     wf's domain (an array or its Samples record), with V = V_-(k_pot)
-    ("minus") or V_+(k_pot) ("plus").
+    ("minus") or V_+(k_pot) ("plus"): the Horner rows of P, P' and P''
+    put through _delta_rows.
+    """
+    rec = _as_samples(wf.params, x)
+    _require_interior(rec.interior)
+    rows = None
+    if not wf.is_zero:
+        p = wf.coeffs
+        dp = _der(p) if p.size > 1 else np.zeros(1)
+        ddp = _der(dp) if p.size > 2 else np.zeros(1)
+        rows = tuple(_horner(rec.s, c) for c in (p, dp, ddp))
+    return _delta_rows(kind, k_pot, wf.kappa, rec, rows)
+
+
+def _delta_rows(kind: str, k_pot: float, kappa: float, rec, rows) -> np.ndarray:
+    """(-(1/w^2) d^2/dx^2 + V) U for U = cos^kappa(wx) P(sin wx) on the
+    interior record rec, in its shape, from rows = (P, P', P'') sampled
+    at its s, flat; rows None is the zero function.  V = V_-(k_pot)
+    ("minus") or V_+(k_pot) ("plus").  The one Delta formula: apply_delta
+    gives it Horner rows, the verify level table the recurrence rows.
 
     The second derivative is taken analytically on the representation.
     Collecting powers of cos, with P evaluated at s = sin(wx):
@@ -149,31 +174,24 @@ def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     """
     if kind == "minus":
         lead = k_pot * (k_pot - 1.0)
-        mid = wf.kappa - k_pot
+        mid = kappa - k_pot
     elif kind == "plus":
         lead = k_pot * (k_pot + 1.0)
-        mid = wf.kappa + k_pot
+        mid = kappa + k_pot
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
-
-    rec = _as_samples(wf.params, x)
-    _require_interior(rec.interior)
-    if wf.is_zero:
+    if rows is None:
         return np.zeros(rec.shape)
 
-    kappa = wf.kappa
-    p = wf.coeffs
-    dp = _der(p) if p.size > 1 else np.zeros(1)
-    ddp = _der(dp) if p.size > 2 else np.zeros(1)
+    pv, dpv, ddpv = rows
     s, c = rec.s, rec.c  # inside D the record's max(cos, 0) is cos itself
     c2 = c * c
     c_kappa = rec.power(kappa)
-    pv = _horner(s, p)
     out = (
         (lead - kappa * (kappa - 1.0)) * rec.power(kappa - 2.0) * s * s * pv
         + mid * c_kappa * pv
-        + (2.0 * kappa + 1.0) * s * c_kappa * _horner(s, dp)
-        - c_kappa * c2 * _horner(s, ddp)
+        + (2.0 * kappa + 1.0) * s * c_kappa * dpv
+        - c_kappa * c2 * ddpv
     )
     return out.reshape(rec.shape)
 
@@ -245,28 +263,47 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     The chain levels are built by repeated +1.0 from k, so each raising
     step finds exactly the envelope exponent the previous one produced
     (fl(fl(k+j)+1) and fl(k+j+1) can differ by one ulp).  Result matches
-    build_eigenfunction up to rounding.
-
-    Each step is raise_'s rule on the bare coefficients, and the result
-    is wrapped in a Wavefunction once, so the bits are those of the chain
-    of raise_ calls; a step that overflows stops the chain where raise_
-    would, with Wavefunction's error and no numpy warning.
+    build_eigenfunction up to rounding.  The bits are those of the chain
+    of raise_ calls (_raising_chains); a step that overflows stops the
+    chain where raise_ would, with Wavefunction's error and no numpy
+    warning.
     """
-    n = _check_level(n, MAX_LEVEL)
+    (wf,) = _raising_chains(params, [_check_level(n, MAX_LEVEL)])
+    return wf
+
+
+def _raising_chains(params: ModelParams, ns) -> list:
+    """build_from_ground(params, n) for each level n of ns (checked
+    levels), raised together: one stack of coefficient columns steps
+    down the levels k+top-1, ..., k+1, k, and the chain of level n
+    joins it, as the closed-form ground state at level k+n, just before
+    the step at level k+n-1; while one chain is in it, the stack is that
+    chain's 1-D array.  Each step is raise_'s rule on the bare
+    coefficients, and a result is wrapped in a Wavefunction once, so
+    each chain keeps the bits of its own chain of raise_ calls (see
+    _first_order).  The first step at which some coefficient is not
+    finite raises Wavefunction's error, with no numpy warning.
+    """
     k = params.k
+    top = max(ns)
     levels = [k]
-    for _ in range(n):
+    for _ in range(top):
         levels.append(levels[-1] + 1.0)
-    # the top level may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
-    c = np.array([_scale(params.hat_omega, levels[-1], 0)])
+    stack, joined = None, []
     with np.errstate(over="ignore"):  # an overflow is the ValueError below
-        for k_j in reversed(levels[:-1]):
-            c = _first_order(2.0 * k_j + 1.0, c, -1.0)
-            if not np.isfinite(c).all():
-                raise ValueError("coefficients must be finite")
-    if n:
-        c = c * chain_prefactor(k, n)
-    return Wavefunction(params, k, c)
+        for i in range(top, -1, -1):
+            if i in ns:
+                # the top level may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
+                ground = np.zeros(1 if stack is None else len(stack))
+                ground[0] = _scale(params.hat_omega, levels[i], 0)
+                stack = ground if stack is None else np.column_stack((stack, ground))
+                joined.append(i)
+            if i:
+                stack = _first_order(2.0 * levels[i - 1] + 1.0, stack, -1.0)
+                if not np.isfinite(stack).all():
+                    raise ValueError("coefficients must be finite")
+    chains = dict(zip(joined, stack.reshape(len(stack), -1).T))
+    return [Wavefunction(params, k, chains[n] * chain_prefactor(k, n) if n else chains[n]) for n in ns]
 
 
 def chain_prefactor(k: float, n: int) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +28,16 @@ import numpy as np
 from . import model
 from .ladder import (
     LadderContext,
-    build_from_ground,
+    _delta_rows,
+    _raising_chains,
     commutator_check,
     factorization_residual,
     lower,
     raise_,
-    apply_delta,
 )
 from .model import ModelParams, delta_eigenvalue, energy, mass_from_k, v_minus, v_plus
 from .numeric import _GL_WEIGHTS, _MIN_POINTS, _gl_panels, delta_eigenvalues_fd, interior_grid
-from .wavefun import Wavefunction, _panels, build_eigenfunction, evaluate, samples
+from .wavefun import Wavefunction, _panels, _recurrence, build_eigenfunction, evaluate, samples
 
 __all__ = [
     "DEFAULT_BATTERY",
@@ -125,15 +126,32 @@ class _Run:
 
 class _Levels:
     """One model's level table, the one place its suites get states and
-    their values: the pointwise grid record x, the states U_{k,n}
-    and the partner states U_{k+1,m}, and their values on that record.
-    Each is formed on first use (a state by the module's
-    build_eigenfunction, values by evaluate) and is the same object
-    after that.  run_all fills one table per model and drops it before
-    the next model's table fills, so nothing in it outlives the model."""
+    rows: the pointwise grid record x, the states U_{k,n} and the
+    partner states U_{k+1,m}, and for each level its values and its
+    Delta image on that record.
 
-    def __init__(self, p):
+    The states are the public monomial states of build_eigenfunction;
+    orthonormality reads them, and so does ladder, through the public
+    lower and raise_.  The rows come from wavefun's three-term
+    recurrence instead: one ascending pass for levels 0..n_max of
+    U_{k,n} and one for levels 0..n_max-1 of U_{k+1,m} yields each
+    level's values cos^kappa P_n and, from P_n, P'_n and P''_n through
+    ladder's one Delta formula, Delta_- U_{k,n} (Delta_+ U_{k+1,m} for
+    the partner).  eigen_residual and partner_eigen_residual read both
+    rows as the pass yields them, ladder and build_up the values the
+    pass keeps.  The recurrence shares no hypergeometric coefficient
+    with the states, only level 0's norm, so a suite that compares a
+    state with a row compares two independent representations.  Only
+    the value rows are kept: a Delta row lives while its suite reads
+    it, and the derivative rows only inside the pass.
+
+    Each item is formed on first use and is the same object after that.
+    run_all fills one table per model and drops it before the next
+    model's table fills, so nothing in it outlives the model."""
+
+    def __init__(self, p, n_max):
         self.params = p
+        self.n_max = n_max
         self._partner = p.with_k(p.k + 1.0)
         self._states = {}
         self._values = {}
@@ -154,13 +172,31 @@ class _Levels:
         return wf
 
     def values(self, n, partner=False):
-        """The state's values on the grid record x, read-only."""
-        key = (partner, n)
-        vals = self._values.get(key)
-        if vals is None:
-            vals = self._values[key] = evaluate(self.state(n, partner), self.x)
-            vals.setflags(write=False)
-        return vals
+        """The recurrence values of U_{k,n} (U_{k+1,n} if partner) on
+        the grid record x, read-only; the first read runs the pass."""
+        if partner not in self._values:
+            for _ in self.rows(partner):
+                pass
+        return self._values[partner][n]
+
+    def rows(self, partner=False):
+        """Yield (values, Delta) of each level of one set, ascending, from
+        one recurrence pass: Delta_- U_{k,n} for n <= n_max, or Delta_+
+        U_{k+1,m} for m < n_max if partner, both read-only.  The first
+        completed pass keeps its value rows for values(); no Delta row
+        is kept."""
+        kappa = self._partner.k if partner else self.params.k
+        kind, top = ("plus", self.n_max - 1) if partner else ("minus", self.n_max)
+        rec = self.x
+        envelope = rec.power(kappa)
+        kept = []
+        for level in _recurrence(rec, kappa, top):
+            pair = (envelope * level[0], _delta_rows(kind, self.params.k, kappa, rec, level))
+            for row in pair:
+                row.setflags(write=False)
+            kept.append(pair[0])
+            yield pair
+        self._values.setdefault(partner, kept)
 
 
 def _suite_orthonormality(p, table, run):
@@ -175,28 +211,31 @@ def _suite_orthonormality(p, table, run):
     yield from np.abs(gram - np.eye(8))[np.triu_indices(8)]
 
 
-def _eigen_residual(p, kind, lam, table, n, partner=False):
-    vals = apply_delta(kind, p.k, table.state(n, partner), table.x)
-    return float(np.max(np.abs(vals - lam * table.values(n, partner)))) / (1.0 + lam)
+def _eigen_residual(lam, values, delta):
+    return float(np.max(np.abs(delta - lam * values))) / (1.0 + lam)
 
 
 def _suite_eigen_residual(p, table, run):
-    """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max."""
-    for n in range(run.n_max + 1):
-        yield _eigen_residual(p, "minus", delta_eigenvalue(p, n), table, n)
+    """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max, on
+    the table's recurrence rows (values and Delta image)."""
+    for n, (values, delta) in enumerate(table.rows()):
+        yield _eigen_residual(delta_eigenvalue(p, n), values, delta)
 
 
 def _suite_partner_eigen_residual(p, table, run):
     """Per model: Delta_+ U_{k+1,n-1} = n(n+2k) U_{k+1,n-1} for
-    1 <= n <= n_max."""
-    for n in range(1, run.n_max + 1):
-        yield _eigen_residual(p, "plus", delta_eigenvalue(p, n), table, n - 1, partner=True)
+    1 <= n <= n_max, on the table's partner recurrence rows."""
+    for n, (values, delta) in enumerate(table.rows(partner=True), start=1):
+        yield _eigen_residual(delta_eigenvalue(p, n), values, delta)
 
 
 def _suite_ladder(p, table, run):
     """Per model: A_k U_{k,n} = f U_{k+1,n-1} and A_k^+ U_{k+1,n-1} =
-    f U_{k,n} with f = sqrt(n(n+2k)), through the public lower and
-    raise_; the k inside f is shifted by the k_corruption hook."""
+    f U_{k,n} with f = sqrt(n(n+2k)): the public lower and raise_ act on
+    the table's monomial states, and their images are compared with the
+    recurrence rows of the other level, never with an index shift of
+    the same representation; the k inside f is shifted by the
+    k_corruption hook."""
     ctx = LadderContext(p, p.k)
     expected = p.with_k(p.k + run.k_corruption)
     x = table.x
@@ -266,11 +305,11 @@ def _suite_commutator(p, table, run):
 
 
 def _suite_build_up(p, table, run):
-    """Per model: the raising chain build_from_ground(p, n) against the
-    closed form U_{k,n} for n <= n_max."""
-    for n in range(run.n_max + 1):
-        res = np.abs(evaluate(build_from_ground(p, n), table.x) - table.values(n))
-        yield float(np.max(res))
+    """Per model: the raising chains of build_from_ground(p, n) for
+    n <= n_max, raised together in one lock-step pass, against the
+    recurrence rows of U_{k,n}."""
+    for n, wf in enumerate(_raising_chains(p, range(run.n_max + 1))):
+        yield float(np.max(np.abs(evaluate(wf, table.x) - table.values(n))))
 
 
 def _suite_numeric_cross_check(p, table, run):
@@ -345,13 +384,19 @@ def run_all(
     is a test hook: it shifts k inside the expected ladder factors so a
     deliberate error makes the ladder suite fail.  Each suite's worst
     residual is its largest, 0 if it yields none.  A failing suite is
-    recorded, not raised.  A battery entry that is not a ModelParams, a
+    recorded, not raised.  A params_set that is one ModelParams or not
+    iterable, a battery entry that is not a ModelParams, a
     model whose partner level k+1 exceeds K_MAX, a k_corruption that is
     not finite or takes some model's k outside (1, K_MAX], a grid_n that
     is not an integer of at least 16 and a richardson that is not a bool
     are rejected with a ValueError before any suite runs.
     """
-    battery = tuple(params_set) if params_set is not None else DEFAULT_BATTERY
+    if params_set is None:
+        battery = DEFAULT_BATTERY
+    elif not isinstance(params_set, Iterable):  # one ModelParams too
+        raise ValueError(f"params_set must be an iterable of ModelParams, got {params_set!r}")
+    else:
+        battery = tuple(params_set)
     if not battery:
         raise ValueError("params_set must not be empty")
     if not math.isfinite(k_corruption):
@@ -376,7 +421,7 @@ def run_all(
     worst = dict.fromkeys(name for name, *_ in selected)
     seen = set()
     for p in battery:
-        table = _Levels(p)
+        table = _Levels(p, n_max)
         for name, scope, suite, _ in selected:
             key = (name, scope(p))
             if key not in seen:

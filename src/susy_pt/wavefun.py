@@ -255,6 +255,45 @@ def _envelope(rec: Samples, kappa: float, p: np.ndarray) -> np.ndarray:
     return (rec.power(kappa) * _horner(rec.s, p)).reshape(rec.shape)
 
 
+def _recurrence(rec: Samples, k: float, n_max: int):
+    """Yield, for n = 0..n_max, the flat rows P_n, P'_n and P''_n on the
+    record's s (derivatives in s), where U_{k,n} = rec.power(k) * P_n.
+
+    P_n is the orthonormal Gegenbauer polynomial of the weight
+    (1 - s^2)^(k - 1/2), from its three-term recurrence (DLMF 18.9.1
+    with the norms of Table 18.3.1) and that recurrence differentiated
+    once and twice:
+
+        s P_j       = a_{j+1} P_{j+1}   + a_j P_{j-1}
+        a_{j+1} P'_{j+1}  = P_j   + s P'_j  - a_j P'_{j-1}
+        a_{j+1} P''_{j+1} = 2 P'_j + s P''_j - a_j P''_{j-1}
+
+    with a_j = sqrt(j (j + 2k - 1) / ((j + k)(j + k - 1))) / 2, P_{-1} = 0
+    and P_0 the level-0 constant _scale(w, k, 0).  No hypergeometric
+    coefficient enters, so the rows are an independent reference for
+    the monomial states of build_eigenfunction, which share only level
+    0's norm with them.  Only the rows of levels j - 1 and j are held
+    at a time.
+    """
+    s = rec.s
+    zero = np.zeros(s.shape)
+    rows = (np.full(s.shape, _scale(rec.hat_omega, k, 0)), zero, zero)
+    prev, a_j = (zero, zero, zero), 0.0
+    for j in range(n_max + 1):
+        yield rows
+        if j == n_max:
+            return
+        a_next = 0.5 * math.sqrt((j + 1) * (j + 2.0 * k) / ((j + 1 + k) * (j + k)))
+        p, dp, ddp = rows
+        nxt = [s * p, s * dp, s * ddp]
+        nxt[1] += p
+        nxt[2] += 2.0 * dp
+        for row, below in zip(nxt, prev):
+            row -= a_j * below
+            row /= a_next
+        prev, rows, a_j = rows, nxt, a_next
+
+
 def _coeff_array(coeffs) -> np.ndarray:
     """Coefficients as a 1-D float array (a scalar is a constant); the
     polynomial calculus reads them by slices, so nothing else is admitted."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from susy_pt.ladder import (
     LadderContext,
     _der,
     _first_order,
+    _raising_chains,
     apply_delta,
     build_from_ground,
     chain_prefactor,
@@ -23,6 +25,7 @@ from susy_pt.verify import DEFAULT_BATTERY
 from susy_pt.wavefun import (
     MAX_LEVEL,
     Wavefunction,
+    _scale,
     build_eigenfunction,
     evaluate,
     inner_product,
@@ -509,6 +512,56 @@ class TestBuildFromGround:
                 got = build_from_ground(p, n)
                 assert got.kappa == wf.kappa == p.k
                 assert got.coeffs.tobytes() == wf.coeffs.tobytes(), (p, n)
+
+    CHAIN_KS = (1.01, 1.5, 3.7, 10.0, 1.0e3, 1.0e5, 1.0e6, 1.0e8 - 1.0)
+    CHAIN_NS = tuple(range(17)) + (24, 36, 37, 48, 49, 57, 58, 64)
+    # the first level whose unnormalized chain overflows, per k
+    FIRST_OVERFLOW = {1.0e5: 58, 1.0e6: 49, 1.0e8 - 1.0: 37}
+
+    @staticmethod
+    def _raise_chain_hex(p, n):
+        """float.hex of n public raise_ calls from the closed-form ground
+        state at level k + n (levels by repeated +1.0), times
+        chain_prefactor; None where a step overflows."""
+        levels = [p.k]
+        for _ in range(n):
+            levels.append(levels[-1] + 1.0)
+        # the top level may exceed K_MAX, where with_k refuses it
+        wf = Wavefunction(p, levels[-1], [_scale(p.hat_omega, levels[-1], 0)])
+        with np.errstate(over="ignore"):
+            try:
+                for k_j in reversed(levels[:-1]):
+                    wf = raise_(LadderContext(p, k_j), wf)
+            except ValueError as err:
+                assert str(err) == "coefficients must be finite"
+                return None
+        c = wf.coeffs * chain_prefactor(p.k, n) if n else wf.coeffs
+        return [float(v).hex() for v in c]
+
+    @pytest.mark.parametrize("k", CHAIN_KS)
+    def test_chain_routine_keeps_the_bits_of_the_raise_chain(self, k):
+        # build_from_ground alone and the lock-step chains of every level
+        # together must both give the raise_ chain's bits, and where that
+        # chain overflows the same ValueError with no numpy warning
+        p = ModelParams(1.0, 1.0, k)
+        first = self.FIRST_OVERFLOW.get(k, MAX_LEVEL + 1)
+        fits = [n for n in self.CHAIN_NS if n < first]
+        together = _raising_chains(p, fits)
+        for n in self.CHAIN_NS:
+            want = self._raise_chain_hex(p, n)
+            assert (want is None) == (n >= first), (k, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if want is None:
+                    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                        build_from_ground(p, n)
+                    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                        _raising_chains(p, fits + [n])
+                    continue
+                got = build_from_ground(p, n)
+            assert got.kappa == p.k
+            assert [float(v).hex() for v in got.coeffs] == want, (k, n)
+            assert [float(v).hex() for v in together[fits.index(n)].coeffs] == want, (k, n)
 
     def test_overflowing_chain_stops_with_wavefunction_error(self):
         # at k = 1e6 the unnormalized chain overflows before level 64; it

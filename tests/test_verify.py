@@ -8,7 +8,7 @@ import pytest
 from susy_pt import ModelParams, delta_eigenvalue, delta_eigenvalues_fd, energy_squared, mass_from_k
 from susy_pt import commutator_check, evaluate, factorization_residual, interior_grid, v_minus, v_plus
 from susy_pt import verify as verify_mod
-from susy_pt import Wavefunction, wavefun
+from susy_pt import Wavefunction, ladder, wavefun
 from susy_pt.model import K_MAX
 from susy_pt.verify import (
     DEFAULT_BATTERY,
@@ -78,6 +78,18 @@ class TestRunAll:
         assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
         assert not report.all_passed
 
+    @pytest.mark.parametrize("name", ["eigen_residual", "partner_eigen_residual"])
+    def test_perturbed_eigenvalue_fails_eigen_residual_suites(self, monkeypatch, name):
+        # the recurrence rows are a live check: n(n+2k) scaled by
+        # 1 + 1e-7 must fail against 1e-8 (unperturbed, both read < 1e-14)
+        (clean,) = run_all(suites=[name]).suites
+        assert clean.status == "pass"
+        exact = verify_mod.delta_eigenvalue
+        monkeypatch.setattr(verify_mod, "delta_eigenvalue", lambda q, n: exact(q, n) * (1.0 + 1e-7))
+        (mutated,) = run_all(suites=[name]).suites
+        assert mutated.tolerance == 1e-8
+        assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
+
     def test_suite_subset_selection(self):
         report = run_all(suites=["equidistance"], **SMALL)
         assert [s.name for s in report.suites] == ["equidistance"]
@@ -119,6 +131,13 @@ class TestRunAll:
         bad = next(p for p in battery if not isinstance(p, ModelParams))
         with pytest.raises(ValueError, match=f"^params_set entries must be ModelParams, got {re.escape(repr(bad))}$"):
             run_all(battery, **SMALL)
+
+    @pytest.mark.parametrize("params_set", [ModelParams(1.0, 1.0, 2.0), 3, 2.5, object()])
+    def test_rejects_params_set_that_is_not_a_battery(self, params_set, monkeypatch):
+        # one model, or anything not iterable, leaked TypeError from tuple(params_set)
+        _forbid_suites_and_tables(monkeypatch)
+        with pytest.raises(ValueError, match="^params_set must be an iterable of ModelParams, got "):
+            run_all(params_set, **SMALL)
 
     @pytest.mark.parametrize("grid_n", [0, 15, 15.5, True, math.nan, math.inf])
     def test_rejects_bad_grid_n_before_any_suite(self, grid_n, monkeypatch):
@@ -222,6 +241,39 @@ class TestRunAll:
             "delta_eigenvalues_fd": 4,
             "run_nonrel_limit": 1,
         }
+
+    def test_level_rows_work_counts(self, monkeypatch):
+        # one recurrence pass per level set, two per model (24); the
+        # eigen-residual suites read Delta from the rows, so the only
+        # apply_delta calls are factorization_residual's 160 (556 with
+        # the 396 the suites made); build_up raises each model's 17
+        # chains together, 16 lock-step steps (1632 steps when each chain
+        # ran alone, 2304 _first_order calls in all); 1724 Horner passes
+        # (3308 when every table row and Delta term had its own)
+        calls = dict.fromkeys(("_recurrence", "apply_delta", "_first_order", "_horner"), 0)
+        build_up_steps = []
+        holders = {"_recurrence": [verify_mod], "apply_delta": [ladder], "_first_order": [ladder],
+                   "_horner": [wavefun, ladder]}
+        for attr, mods in holders.items():
+            def wrapper(*args, attr=attr, real=getattr(mods[0], attr), **kwargs):
+                calls[attr] += 1
+                return real(*args, **kwargs)
+
+            for mod in mods:
+                monkeypatch.setattr(mod, attr, wrapper)
+        real_chains = verify_mod._raising_chains
+
+        def counting_chains(p, ns):
+            before = calls["_first_order"]
+            out = real_chains(p, ns)
+            build_up_steps.append(calls["_first_order"] - before)
+            return out
+
+        monkeypatch.setattr(verify_mod, "_raising_chains", counting_chains)
+        assert "apply_delta" not in vars(verify_mod)
+        assert run_all().all_passed
+        assert calls == {"_recurrence": 24, "apply_delta": 160, "_first_order": 864, "_horner": 1724}
+        assert build_up_steps == [16] * len(DEFAULT_BATTERY)
 
     def test_each_suite_runs_on_the_first_model_of_each_scope_key(self, monkeypatch):
         # per model, per distinct k or once per run; a repeated model runs

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from susy_pt import ModelParams
+from susy_pt.ladder import _der
 from susy_pt.model import K_MAX
 from susy_pt.numeric import interior_grid, quadrature
 from susy_pt.wavefun import (
@@ -14,6 +15,7 @@ from susy_pt.wavefun import (
     Wavefunction,
     _envelope,
     _horner,
+    _recurrence,
     build_eigenfunction,
     evaluate,
     hypergeometric_coefficients,
@@ -321,6 +323,58 @@ class TestClosedFormNormalization:
         for n in self.LEVELS:
             ratio = self._scale(p, n) / self._scale(p, 0)
             assert abs(ratio / (self._reference(p, n) / ref_0) - 1) <= 1e-14, n
+
+
+class TestRecurrence:
+    """The recurrence rows P_n, P'_n, P''_n (U_{k,n} = cos^k P_n) against
+    Horner on the monomial states and their derivative coefficients, and
+    against mpmath beyond the levels where the monomial form holds."""
+
+    # the monomial states' own error at n = 16 reaches 1.5e-11 of
+    # max|U| (k = 1.01), where the rows read 6e-15 against mpmath; the
+    # derivative rows meet their Horner rows to 6.2e-13 of max|row|
+    VALUES_TOL = 5e-11
+    DERIVATIVE_TOL = 2e-12
+
+    @pytest.mark.parametrize(
+        "p", list(BATTERY) + [ModelParams(1.0, 1.0, 1.01), ModelParams(1.3, 0.7, 300.0)], ids=repr
+    )
+    def test_rows_match_horner_on_the_monomial_states(self, p):
+        rec = samples(p, interior_grid(p, 2001).points)
+        levels = list(_recurrence(rec, p.k, 16))
+        assert len(levels) == 17
+        for n, (pv, dpv, ddpv) in enumerate(levels):
+            c = build_eigenfunction(p, n).coeffs
+            u = evaluate(build_eigenfunction(p, n), rec)
+            assert np.max(np.abs(rec.power(p.k) * pv - u)) <= self.VALUES_TOL * max(1.0, np.max(np.abs(u))), n
+            for row, d in ((dpv, _der(c)), (ddpv, _der(_der(c)))):
+                want = _horner(rec.s, d) if d.size else np.zeros(rec.size)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(row - want)) <= self.DERIVATIVE_TOL * scale, n
+
+    def test_no_levels_below_zero(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        assert list(_recurrence(samples(p, [0.1]), p.k, -1)) == []
+
+    def test_high_levels_match_mpmath(self):
+        # the accuracy the value rows carry where the monomial states
+        # drift (3e-6 of max|U| at n = 32, 1e6 at n = 64): at most
+        # 2.7e-14 of max(1, max|U|) on 81 points through n = 64
+        mp = pytest.importorskip("mpmath")
+        p = ModelParams(1.0, 1.0, 2.5)
+        x = interior_grid(p, 81).points
+        rec = samples(p, x)
+        levels = list(_recurrence(rec, p.k, 64))
+        with mp.workdps(40):
+            k, w = mp.mpf(p.k), mp.mpf(p.hat_omega)
+            for n in (16, 32, 48, 64):
+                h = mp.pi * mp.power(2, 1 - 2 * k) * mp.gamma(n + 2 * k) / ((n + k) * mp.gamma(k) ** 2 * mp.factorial(n))
+                want = np.array([
+                    float(mp.sqrt(w / h) * mp.gegenbauer(n, k, mp.sin(w * xi)) * mp.cos(w * xi) ** k)
+                    for xi in map(mp.mpf, x)
+                ])
+                got = rec.power(p.k) * levels[n][0]
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), n
 
 
 class TestEvaluate:
