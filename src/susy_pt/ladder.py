@@ -277,8 +277,7 @@ def _raising_chains(params: ModelParams, ns) -> list:
     levels), raised together: one stack of coefficient columns steps
     down the levels k+top-1, ..., k+1, k, and the chain of level n
     joins it, as the closed-form ground state at level k+n, just before
-    the step at level k+n-1; while one chain is in it, the stack is that
-    chain's 1-D array.  Each step is raise_'s rule on the bare
+    the step at level k+n-1.  Each step is raise_'s rule on the bare
     coefficients, and a result is wrapped in a Wavefunction once, so
     each chain keeps the bits of its own chain of raise_ calls (see
     _first_order).  The first step at which some coefficient is not
@@ -289,20 +288,20 @@ def _raising_chains(params: ModelParams, ns) -> list:
     levels = [k]
     for _ in range(top):
         levels.append(levels[-1] + 1.0)
-    stack, joined = None, []
+    stack, joined = np.zeros((1, 0)), []
     with np.errstate(over="ignore"):  # an overflow is the ValueError below
         for i in range(top, -1, -1):
             if i in ns:
                 # the top level may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
-                ground = np.zeros(1 if stack is None else len(stack))
+                ground = np.zeros((len(stack), 1))
                 ground[0] = _scale(params.hat_omega, levels[i], 0)
-                stack = ground if stack is None else np.column_stack((stack, ground))
+                stack = np.hstack((stack, ground))
                 joined.append(i)
             if i:
                 stack = _first_order(2.0 * levels[i - 1] + 1.0, stack, -1.0)
                 if not np.isfinite(stack).all():
                     raise ValueError("coefficients must be finite")
-    chains = dict(zip(joined, stack.reshape(len(stack), -1).T))
+    chains = dict(zip(joined, stack.T))
     return [Wavefunction(params, k, chains[n] * chain_prefactor(k, n) if n else chains[n]) for n in ns]
 
 

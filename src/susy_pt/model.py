@@ -103,19 +103,24 @@ class Spectrum:
 def k_from_mass(m: float, omega: float, epsilon: float) -> float:
     """Envelope exponent k = (1 + sqrt(1 + 4 m^2/(eps^2 w^2)))/2.
 
-    The positive root of k(k-1) = m^2/(eps^2 w^2); always > 1 for m > 0.
-    m <= 0 is rejected because k would degenerate to 1.
+    The positive root of k(k-1) = m^2/(eps^2 w^2), always > 1: m, omega
+    and epsilon must be positive and finite (k degenerates to 1 as
+    m -> 0), and a ValueError naming the mass is raised where k is not
+    a finite float > 1 (m/(eps^2 w) underflows, overflows or divides
+    by an eps^2 w that underflows to 0).
     """
-    if not m > 0.0:
-        raise ValueError("mass must be positive (k degenerates to 1 as m -> 0)")
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    for name, value in (("mass", m), ("omega", omega), ("epsilon", epsilon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     hat_omega = epsilon * omega
-    ratio = m / (epsilon * hat_omega)
-    # hypot keeps full precision in sqrt(1 + 4*ratio^2)
-    return 0.5 * (1.0 + math.hypot(1.0, 2.0 * ratio))
+    scale = epsilon * hat_omega
+    # hypot keeps full precision in sqrt(1 + 4 (m/scale)^2)
+    k = 0.5 * (1.0 + math.hypot(1.0, 2.0 * (m / scale))) if scale else math.inf
+    if not 1.0 < k < math.inf:
+        raise ValueError(
+            f"mass {m!r} gives k = {k!r} at omega = {omega!r}, epsilon = {epsilon!r}: not a finite float > 1"
+        )
+    return k
 
 
 def mass_from_k(params: ModelParams) -> float:

@@ -134,16 +134,16 @@ class _Levels:
     orthonormality reads them, and so does ladder, through the public
     lower and raise_.  The rows come from wavefun's three-term
     recurrence instead: one ascending pass for levels 0..n_max of
-    U_{k,n} and one for levels 0..n_max-1 of U_{k+1,m} yields each
+    U_{k,n} and one for levels 0..n_max-1 of U_{k+1,m} forms each
     level's values cos^kappa P_n and, from P_n, P'_n and P''_n through
     ladder's one Delta formula, Delta_- U_{k,n} (Delta_+ U_{k+1,m} for
-    the partner).  eigen_residual and partner_eigen_residual read both
-    rows as the pass yields them, ladder and build_up the values the
-    pass keeps.  The recurrence shares no hypergeometric coefficient
-    with the states, only level 0's norm, so a suite that compares a
-    state with a row compares two independent representations.  Only
-    the value rows are kept: a Delta row lives while its suite reads
-    it, and the derivative rows only inside the pass.
+    the partner).  rows(partner) keeps both as two lists indexed by
+    level: eigen_residual and partner_eigen_residual read the pairs,
+    ladder and build_up the values.  The recurrence shares no
+    hypergeometric coefficient with the states, only level 0's norm,
+    so a suite that compares a state with a row compares two
+    independent representations.  The derivative rows live only inside
+    the pass.
 
     Each item is formed on first use and is the same object after that.
     run_all fills one table per model and drops it before the next
@@ -154,7 +154,7 @@ class _Levels:
         self.n_max = n_max
         self._partner = p.with_k(p.k + 1.0)
         self._states = {}
-        self._values = {}
+        self._rows = {}
 
     @functools.cached_property
     def x(self):
@@ -171,32 +171,24 @@ class _Levels:
             wf = self._states[key] = build_eigenfunction(self._partner if partner else self.params, n)
         return wf
 
-    def values(self, n, partner=False):
-        """The recurrence values of U_{k,n} (U_{k+1,n} if partner) on
-        the grid record x, read-only; the first read runs the pass."""
-        if partner not in self._values:
-            for _ in self.rows(partner):
-                pass
-        return self._values[partner][n]
-
     def rows(self, partner=False):
-        """Yield (values, Delta) of each level of one set, ascending, from
-        one recurrence pass: Delta_- U_{k,n} for n <= n_max, or Delta_+
-        U_{k+1,m} for m < n_max if partner, both read-only.  The first
-        completed pass keeps its value rows for values(); no Delta row
-        is kept."""
-        kappa = self._partner.k if partner else self.params.k
-        kind, top = ("plus", self.n_max - 1) if partner else ("minus", self.n_max)
-        rec = self.x
-        envelope = rec.power(kappa)
-        kept = []
-        for level in _recurrence(rec, kappa, top):
-            pair = (envelope * level[0], _delta_rows(kind, self.params.k, kappa, rec, level))
-            for row in pair:
+        """(values, Delta) of one set on the grid record x: two lists of
+        read-only rows indexed by level, Delta_- U_{k,n} for n <= n_max,
+        or Delta_+ U_{k+1,m} for m < n_max if partner, from one
+        recurrence pass on the first call."""
+        pair = self._rows.get(partner)
+        if pair is None:
+            kappa = self._partner.k if partner else self.params.k
+            kind, top = ("plus", self.n_max - 1) if partner else ("minus", self.n_max)
+            rec = self.x
+            envelope = rec.power(kappa)
+            pair = values, delta = self._rows[partner] = ([], [])
+            for level in _recurrence(rec, kappa, top):
+                values.append(envelope * level[0])
+                delta.append(_delta_rows(kind, self.params.k, kappa, rec, level))
+            for row in values + delta:
                 row.setflags(write=False)
-            kept.append(pair[0])
-            yield pair
-        self._values.setdefault(partner, kept)
+        return pair
 
 
 def _suite_orthonormality(p, table, run):
@@ -211,22 +203,14 @@ def _suite_orthonormality(p, table, run):
     yield from np.abs(gram - np.eye(8))[np.triu_indices(8)]
 
 
-def _eigen_residual(lam, values, delta):
-    return float(np.max(np.abs(delta - lam * values))) / (1.0 + lam)
-
-
-def _suite_eigen_residual(p, table, run):
-    """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max, on
-    the table's recurrence rows (values and Delta image)."""
-    for n, (values, delta) in enumerate(table.rows()):
-        yield _eigen_residual(delta_eigenvalue(p, n), values, delta)
-
-
-def _suite_partner_eigen_residual(p, table, run):
-    """Per model: Delta_+ U_{k+1,n-1} = n(n+2k) U_{k+1,n-1} for
-    1 <= n <= n_max, on the table's partner recurrence rows."""
-    for n, (values, delta) in enumerate(table.rows(partner=True), start=1):
-        yield _eigen_residual(delta_eigenvalue(p, n), values, delta)
+def _suite_eigen_residual(p, table, run, partner=False):
+    """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max, or
+    if partner Delta_+ U_{k+1,n-1} = n(n+2k) U_{k+1,n-1} for
+    1 <= n <= n_max, on the table's recurrence rows of the set."""
+    values, delta = table.rows(partner)
+    for n, (u, delta_u) in enumerate(zip(values, delta), start=int(partner)):
+        lam = delta_eigenvalue(p, n)
+        yield float(np.max(np.abs(delta_u - lam * u))) / (1.0 + lam)
 
 
 def _suite_ladder(p, table, run):
@@ -239,13 +223,14 @@ def _suite_ladder(p, table, run):
     ctx = LadderContext(p, p.k)
     expected = p.with_k(p.k + run.k_corruption)
     x = table.x
+    values, partner_values = table.rows()[0], table.rows(partner=True)[0]
     for n in range(1, run.n_max + 1):
         factor = math.sqrt(delta_eigenvalue(expected, n))
         lowered = lower(ctx, table.state(n))
-        res = np.abs(evaluate(lowered, x) - factor * table.values(n - 1, partner=True))
+        res = np.abs(evaluate(lowered, x) - factor * partner_values[n - 1])
         yield float(np.max(res))
         raised = raise_(ctx, table.state(n - 1, partner=True))
-        res = np.abs(evaluate(raised, x) - factor * table.values(n))
+        res = np.abs(evaluate(raised, x) - factor * values[n])
         yield float(np.max(res))
 
 
@@ -262,15 +247,16 @@ def _suite_shape_invariance(p, table, run):
 
 
 @functools.cache
-def _random_test_fns(count=20, max_degree=8):
-    """The coefficient arrays of the factorization and commutator suites:
-    built once per process, read-only, the same for every model and run.
-    Built on first use, not at import: numpy.random adds about 6 MB to
-    every process that imports the package."""
+def _random_test_fns():
+    """The coefficient arrays of the factorization and commutator suites,
+    20 polynomials of degree 1..8: built once per process, read-only, the
+    same for every model and run.  Built on first use, not at import:
+    numpy.random adds about 6 MB to every process that imports the
+    package."""
     rng = np.random.default_rng(_TEST_FN_SEED)
     fns = []
-    for _ in range(count):
-        deg = int(rng.integers(1, max_degree + 1))
+    for _ in range(20):
+        deg = int(rng.integers(1, 9))
         coeffs = rng.uniform(-1.0, 1.0, deg + 1)
         coeffs[-1] = coeffs[-1] or 1.0
         coeffs.setflags(write=False)
@@ -308,8 +294,9 @@ def _suite_build_up(p, table, run):
     """Per model: the raising chains of build_from_ground(p, n) for
     n <= n_max, raised together in one lock-step pass, against the
     recurrence rows of U_{k,n}."""
+    values = table.rows()[0]
     for n, wf in enumerate(_raising_chains(p, range(run.n_max + 1))):
-        yield float(np.max(np.abs(evaluate(wf, table.x) - table.values(n))))
+        yield float(np.max(np.abs(evaluate(wf, table.x) - values[n])))
 
 
 def _suite_numeric_cross_check(p, table, run):
@@ -350,7 +337,7 @@ _MODEL, _PER_K, _ONCE = (lambda p: p), (lambda p: p.k), (lambda p: None)
 _SUITES = (
     ("orthonormality", _MODEL, _suite_orthonormality, 1e-8),
     ("eigen_residual", _MODEL, _suite_eigen_residual, 1e-8),
-    ("partner_eigen_residual", _MODEL, _suite_partner_eigen_residual, 1e-8),
+    ("partner_eigen_residual", _MODEL, functools.partial(_suite_eigen_residual, partner=True), 1e-8),
     ("ladder", _MODEL, _suite_ladder, 1e-8),
     ("shape_invariance", _PER_K, _suite_shape_invariance, 1e-10),
     ("factorization", _PER_K, _suite_factorization, 1e-8),

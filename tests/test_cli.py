@@ -50,6 +50,12 @@ class TestSpectrumCommand:
         assert code == 2
         assert "k must exceed 1" in err
 
+    def test_mass_without_finite_k_usage_error(self, capsys):
+        # eps^2 w underflows to 0: k would be infinite, not a traceback
+        code, out, err = run_cli(capsys, "spectrum", "--mass", "1", "--epsilon", "1e-200")
+        assert (code, out) == (2, "")
+        assert err.startswith("mass 1.0 ") and err.count("\n") == 1
+
     def test_k_and_mass_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--k", "2", "--mass", "1.0")
         assert code == 2

@@ -59,16 +59,33 @@ class TestMassConversions:
         hat_omega = 2.0
         assert k * (k - 1.0) == pytest.approx(m**2 / (2.0**2 * hat_omega**2), rel=1e-12)
 
-    @pytest.mark.parametrize("m", [0.0, -1.0])
-    def test_k_from_mass_rejects_nonpositive(self, m):
-        with pytest.raises(ValueError):
-            k_from_mass(m, 1.0, 1.0)
+    @pytest.mark.parametrize(
+        "m, omega, epsilon",
+        [
+            (0.0, 1.0, 1.0),
+            (-1.0, 1.0, 1.0),
+            (math.inf, 1.0, 1.0),
+            (math.nan, 1.0, 1.0),
+            # k rounds to 1: a tiny mass, or eps^2 w huge against it
+            (1e-300, 1.0, 1.0),
+            (1.0, 1e300, 1e300),
+            # eps^2 w underflows to 0, or m/(eps^2 w) overflows
+            (1.0, 1.0, 1e-200),
+            (1e300, 1e-300, 1e-300),
+        ],
+    )
+    def test_k_from_mass_rejects_nonpositive(self, m, omega, epsilon):
+        # k must be a finite float > 1, and the error names the mass
+        with pytest.raises(ValueError, match="mass"):
+            k_from_mass(m, omega, epsilon)
 
     def test_k_from_mass_rejects_bad_frequency(self):
         with pytest.raises(ValueError):
             k_from_mass(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             k_from_mass(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="omega"):
+            k_from_mass(1.0, math.inf, 1.0)
 
     def test_mass_from_k_direct(self):
         assert mass_from_k(ModelParams(1.0, 1.0, 2.0)) ** 2 == pytest.approx(2.0, rel=1e-14)

@@ -821,14 +821,22 @@ class TestStartFirst:
             assert delta_eigenvalues_fd(ModelParams(1.0, 1.0, 3.7), kind, 5, 4096, richardson=richardson) == lams
 
 
-def test_fd_oracle_does_not_import_scipy():
-    # scipy is a benchmark reference only, never a dependency of the oracle
+def test_import_footprint_of_cli_queries_and_fd_oracle():
+    # scipy and mpmath are benchmark and test references only, never
+    # dependencies; numpy.random (about 6 MB) loads only with verify's
+    # test polynomials, so no query path or FD solve may pull it in
     code = (
         "import sys\n"
-        "from susy_pt import ModelParams\n"
+        "import susy_pt\n"
+        "from susy_pt import ModelParams, cli\n"
         "from susy_pt.numeric import delta_eigenvalues_fd\n"
+        "for argv in (['spectrum', '--k', '2'], ['eigenfunction', '--k', '3', '--n', '2'],\n"
+        "             ['hierarchy', '--k', '2']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
         "delta_eigenvalues_fd(ModelParams(1.0, 1.0, 2.0), 'minus', 3, 256, richardson=True)\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] in ('scipy', 'mpmath') or m.startswith('numpy.random'))\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(susy_pt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

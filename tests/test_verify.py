@@ -90,6 +90,25 @@ class TestRunAll:
         assert mutated.tolerance == 1e-8
         assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
 
+    @pytest.mark.parametrize(
+        "holder, attr, name",
+        [("verify", "delta_eigenvalue", "ladder"), ("ladder", "_scale", "build_up"),
+         ("wavefun", "_scale", "orthonormality")],
+    )
+    def test_perturbed_reference_fails_its_suite(self, monkeypatch, holder, attr, name):
+        # each suite compares two independent representations: n(n+2k) in
+        # ladder's factors, the chains' ground norms or the states' norms
+        # scaled by 1 + 1e-7 must fail against 1e-8; they read 1.8e-6,
+        # 1.9e-7 and 2.0e-7 (unperturbed 2.0e-10, 1.7e-11 and 3.7e-15)
+        (clean,) = run_all(suites=[name]).suites
+        assert clean.status == "pass"
+        mod = {"verify": verify_mod, "ladder": ladder, "wavefun": wavefun}[holder]
+        exact = getattr(mod, attr)
+        monkeypatch.setattr(mod, attr, lambda *args: exact(*args) * (1.0 + 1e-7))
+        (mutated,) = run_all(suites=[name]).suites
+        assert mutated.tolerance == 1e-8
+        assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
+
     def test_suite_subset_selection(self):
         report = run_all(suites=["equidistance"], **SMALL)
         assert [s.name for s in report.suites] == ["equidistance"]
@@ -241,6 +260,19 @@ class TestRunAll:
             "delta_eigenvalues_fd": 4,
             "run_nonrel_limit": 1,
         }
+
+    def test_level_rows_formed_once_as_read_only_lists(self, monkeypatch):
+        # one recurrence pass per set; a later call returns the same lists
+        passes = []
+        real = verify_mod._recurrence
+        monkeypatch.setattr(verify_mod, "_recurrence", lambda *args: passes.append(args) or real(*args))
+        table = verify_mod._Levels(ModelParams(1.0, 1.0, 2.0), 4)
+        for partner, levels in ((False, 5), (True, 4)):
+            values, delta = pair = table.rows(partner)
+            assert table.rows(partner) is pair
+            assert type(values) is type(delta) is list and len(values) == len(delta) == levels
+            assert not any(row.flags.writeable for row in values + delta)
+        assert len(passes) == 2
 
     def test_level_rows_work_counts(self, monkeypatch):
         # one recurrence pass per level set, two per model (24); the
