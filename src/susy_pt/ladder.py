@@ -33,6 +33,14 @@ results are bit-identical to polyder/polymul/polyadd/polysub:
   must turn -0.0 into +0.0 too, or zero coefficients change sign.
 - Trailing zeros are trimmed as numpy's trimseq trims them, down to one
   coefficient.
+
+The second-order operator Delta has one formula in two steps:
+_delta_factors forms its factor rows from kappa and the grid alone,
+_delta_rows applies them to the rows of P, P' and P''.  apply_delta runs
+both per call; the verify level table forms the factors once per level
+set.  The wall term is skipped only where its coefficient is exactly
+0.0 (the matched envelope); the other products and sums keep their
+order, so only a zero's sign can differ from the written-out formula.
 """
 
 from __future__ import annotations
@@ -141,25 +149,26 @@ def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x of
     wf's domain (an array or its Samples record), with V = V_-(k_pot)
     ("minus") or V_+(k_pot) ("plus"): the Horner rows of P, P' and P''
-    put through _delta_rows.
+    put through _delta_rows with the factor rows of _delta_factors.
     """
     rec = _as_samples(wf.params, x)
     _require_interior(rec.interior)
-    rows = None
-    if not wf.is_zero:
-        p = wf.coeffs
-        dp = _der(p) if p.size > 1 else np.zeros(1)
-        ddp = _der(dp) if p.size > 2 else np.zeros(1)
-        rows = tuple(_horner(rec.s, c) for c in (p, dp, ddp))
-    return _delta_rows(kind, k_pot, wf.kappa, rec, rows)
+    factors = _delta_factors(kind, k_pot, wf.kappa, rec)
+    if wf.is_zero:
+        return np.zeros(rec.shape)
+    p = wf.coeffs
+    dp = _der(p) if p.size > 1 else np.zeros(1)
+    ddp = _der(dp) if p.size > 2 else np.zeros(1)
+    rows = tuple(_horner(rec.s, c) for c in (p, dp, ddp))
+    return _delta_rows(factors, rows).reshape(rec.shape)
 
 
-def _delta_rows(kind: str, k_pot: float, kappa: float, rec, rows) -> np.ndarray:
-    """(-(1/w^2) d^2/dx^2 + V) U for U = cos^kappa(wx) P(sin wx) on the
-    interior record rec, in its shape, from rows = (P, P', P'') sampled
-    at its s, flat; rows None is the zero function.  V = V_-(k_pot)
-    ("minus") or V_+(k_pot) ("plus").  The one Delta formula: apply_delta
-    gives it Horner rows, the verify level table the recurrence rows.
+def _delta_factors(kind: str, k_pot: float, kappa: float, rec) -> tuple:
+    """The factor rows (wall, f1, f2, f3), flat, of the one Delta
+    formula (-(1/w^2) d^2/dx^2 + V) U for U = cos^kappa(wx) P(sin wx)
+    on the interior record rec, V = V_-(k_pot) ("minus") or V_+(k_pot)
+    ("plus"): the step that does not depend on P (_delta_rows is the
+    other).
 
     The second derivative is taken analytically on the representation.
     Collecting powers of cos, with P evaluated at s = sin(wx):
@@ -168,9 +177,12 @@ def _delta_rows(kind: str, k_pot: float, kappa: float, rec, rows) -> np.ndarray:
         + (kappa -+ kp) cos^kappa P
         + (2 kappa + 1) s cos^kappa P' - cos^(kappa+2) P''
 
-    (upper signs for "minus", lower for "plus").  The leading bracket
-    vanishes identically for the matched envelope, which avoids the
-    near-boundary cancellation of the raw -U''/w^2 + V U form.
+    (upper signs for "minus", lower for "plus"), so wall = [..]
+    cos^(kappa-2) s^2, f1 = (kappa -+ kp) cos^kappa, f2 = (2 kappa + 1)
+    s cos^kappa and f3 = cos^(kappa+2).  The bracket vanishes
+    identically for the matched envelope, which avoids the
+    near-boundary cancellation of the raw -U''/w^2 + V U form; where it
+    is exactly 0.0 the wall row is None and cos^(kappa-2) is not formed.
     """
     if kind == "minus":
         lead = k_pot * (k_pot - 1.0)
@@ -180,20 +192,30 @@ def _delta_rows(kind: str, k_pot: float, kappa: float, rec, rows) -> np.ndarray:
         mid = kappa + k_pot
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
-    if rows is None:
-        return np.zeros(rec.shape)
-
-    pv, dpv, ddpv = rows
     s, c = rec.s, rec.c  # inside D the record's max(cos, 0) is cos itself
-    c2 = c * c
     c_kappa = rec.power(kappa)
-    out = (
-        (lead - kappa * (kappa - 1.0)) * rec.power(kappa - 2.0) * s * s * pv
-        + mid * c_kappa * pv
-        + (2.0 * kappa + 1.0) * s * c_kappa * dpv
-        - c_kappa * c2 * ddpv
-    )
-    return out.reshape(rec.shape)
+    bracket = lead - kappa * (kappa - 1.0)
+    wall = bracket * rec.power(kappa - 2.0) * s * s if bracket != 0.0 else None
+    return wall, mid * c_kappa, (2.0 * kappa + 1.0) * s * c_kappa, c_kappa * (c * c)
+
+
+def _delta_rows(factors, rows) -> np.ndarray:
+    """The step of the one Delta formula that reads P: ((wall P + f1 P)
+    + f2 P') - f3 P'', flat, in that order, from the factor rows of
+    _delta_factors and rows = (P, P', P'') at the record's s (Horner
+    rows from apply_delta, recurrence rows from the verify level table).
+    A skipped wall term adds no +-0.0, so where f1 P is -0.0 the sum
+    can stay -0.0 where the written-out formula gives +0.0.
+    """
+    wall, f1, f2, f3 = factors
+    pv, dpv, ddpv = rows
+    out = f1 * pv
+    tmp = np.empty_like(out)
+    if wall is not None:
+        out += np.multiply(wall, pv, out=tmp)
+    out += np.multiply(f2, dpv, out=tmp)
+    out -= np.multiply(f3, ddpv, out=tmp)
+    return out
 
 
 def factorization_residual(k: float, wf: Wavefunction, x) -> float:
@@ -239,7 +261,7 @@ def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     up_down = _general_lower(k, *_general_raise(k, kappa, p))
     down_up = _general_raise(k, *_general_lower(k, kappa, p))
     lhs = _envelope(rec, *up_down) - _envelope(rec, *down_up)
-    t = np.tan(params.hat_omega * rec.x).reshape(rec.shape)
+    t = rec.tan.reshape(rec.shape)
     rhs = 2.0 * k * (1.0 + t * t) * _envelope(rec, kappa, p)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), initial=0.0))
 

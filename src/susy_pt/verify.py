@@ -28,6 +28,7 @@ import numpy as np
 from . import model
 from .ladder import (
     LadderContext,
+    _delta_factors,
     _delta_rows,
     _raising_chains,
     commutator_check,
@@ -137,9 +138,12 @@ class _Levels:
     U_{k,n} and one for levels 0..n_max-1 of U_{k+1,m} forms each
     level's values cos^kappa P_n and, from P_n, P'_n and P''_n through
     ladder's one Delta formula, Delta_- U_{k,n} (Delta_+ U_{k+1,m} for
-    the partner).  rows(partner) keeps both as two lists indexed by
-    level: eigen_residual and partner_eigen_residual read the pairs,
-    ladder and build_up the values.  The recurrence shares no
+    the partner): the formula's factor rows are formed once per set and
+    applied to each level's rows.  rows(partner) keeps both as two lists
+    indexed by level: eigen_residual and partner_eigen_residual read the
+    pairs, ladder and build_up the values.  A table made with delta
+    False (run_all's choice when neither eigen-residual suite runs)
+    forms and keeps no Delta rows.  The recurrence shares no
     hypergeometric coefficient with the states, only level 0's norm,
     so a suite that compares a state with a row compares two
     independent representations.  The derivative rows live only inside
@@ -149,9 +153,10 @@ class _Levels:
     run_all fills one table per model and drops it before the next
     model's table fills, so nothing in it outlives the model."""
 
-    def __init__(self, p, n_max):
+    def __init__(self, p, n_max, delta):
         self.params = p
         self.n_max = n_max
+        self.delta = delta
         self._partner = p.with_k(p.k + 1.0)
         self._states = {}
         self._rows = {}
@@ -175,19 +180,23 @@ class _Levels:
         """(values, Delta) of one set on the grid record x: two lists of
         read-only rows indexed by level, Delta_- U_{k,n} for n <= n_max,
         or Delta_+ U_{k+1,m} for m < n_max if partner, from one
-        recurrence pass on the first call."""
+        recurrence pass on the first call; Delta is None if the table
+        keeps no Delta rows."""
         pair = self._rows.get(partner)
         if pair is None:
             kappa = self._partner.k if partner else self.params.k
             kind, top = ("plus", self.n_max - 1) if partner else ("minus", self.n_max)
             rec = self.x
             envelope = rec.power(kappa)
-            pair = values, delta = self._rows[partner] = ([], [])
+            factors = _delta_factors(kind, self.params.k, kappa, rec) if self.delta else None
+            values, delta = [], [] if self.delta else None
             for level in _recurrence(rec, kappa, top):
                 values.append(envelope * level[0])
-                delta.append(_delta_rows(kind, self.params.k, kappa, rec, level))
-            for row in values + delta:
+                if self.delta:
+                    delta.append(_delta_rows(factors, level))
+            for row in values + (delta or []):
                 row.setflags(write=False)
+            pair = self._rows[partner] = (values, delta)
         return pair
 
 
@@ -350,6 +359,10 @@ _SUITES = (
 
 SUITE_NAMES = tuple(name for name, *_ in _SUITES)
 
+# The suites that read the level table's Delta rows; a run without them
+# forms none.
+_DELTA_SUITES = frozenset({"eigen_residual", "partner_eigen_residual"})
+
 
 # ----------------------------------------------------------------------
 # orchestration
@@ -404,11 +417,12 @@ def run_all(
     richardson = model._check_bool(richardson, "richardson")
     run = _Run(n_max, grid, richardson, k_corruption)
     selected = _select_suites(suites)
+    delta = any(name in _DELTA_SUITES for name, *_ in selected)
 
     worst = dict.fromkeys(name for name, *_ in selected)
     seen = set()
     for p in battery:
-        table = _Levels(p, n_max)
+        table = _Levels(p, n_max, delta)
         for name, scope, suite, _ in selected:
             key = (name, scope(p))
             if key not in seen:

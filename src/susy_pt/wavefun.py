@@ -22,6 +22,7 @@ factors along the whole hierarchy, so ladder identities are sign-free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,13 +64,15 @@ class Wavefunction:
     def __post_init__(self):
         if not 1.0 < self.kappa < math.inf:
             raise ValueError(f"kappa must exceed 1 and be finite, got {self.kappa!r}")
-        c = _coeff_array(self.coeffs)
+        # owned (np.array copies): the caller may go on writing to its array
+        c = np.array(self.coeffs, dtype=float, ndmin=1)
+        if c.ndim != 1:  # the polynomial calculus reads coefficients by slices
+            raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         if c.size and c[-1] == 0.0:
             nz = np.flatnonzero(c)
             c = c[: nz[-1] + 1] if nz.size else np.empty(0)
-        c = c.copy()  # owned: the caller may go on writing to its array
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -171,7 +174,8 @@ class Samples:
     formed: power(kappa) memoizes them, so states and operator terms
     that share an exponent on one grid pay for it once.  The memo lives
     exactly as long as the record; the calls on one record mostly differ
-    in the polynomial alone, so nearly every read finds its power."""
+    in the polynomial alone, so nearly every read finds its power.  tan
+    is kept the same way, for the operator checks that read tan(wx)."""
 
     hat_omega: float
     shape: tuple
@@ -197,6 +201,14 @@ class Samples:
             out.setflags(write=False)
             if kappa == kappa:
                 self._powers[kappa] = out
+        return out
+
+    @functools.cached_property
+    def tan(self) -> np.ndarray:
+        """tan(wx), flat and read-only: formed on first use, the same
+        array after that."""
+        out = np.tan(self.hat_omega * self.x)
+        out.setflags(write=False)
         return out
 
 
@@ -294,25 +306,24 @@ def _recurrence(rec: Samples, k: float, n_max: int):
         prev, rows, a_j = rows, nxt, a_next
 
 
-def _coeff_array(coeffs) -> np.ndarray:
-    """Coefficients as a 1-D float array (a scalar is a constant); the
-    polynomial calculus reads them by slices, so nothing else is admitted."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.ndim != 1:
-        raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
-    return c
-
-
 def _horner(s, c: np.ndarray):
-    """P(s) for ascending 1-D coefficients c (size >= 1): numpy's polyval
-    loop without its wrappers, same products in the same order.
+    """P(s) for ascending 1-D coefficients c (size >= 1) at finite s:
+    numpy's polyval loop without its wrappers, same products in the same
+    order.
 
     The loop runs in place on one accumulator, acc *= s; acc += c_j,
     where polyval forms c_j + acc * s in new arrays.  The product is the
     same, and IEEE addition is exactly commutative, signed zeros
-    included, so the bits are polyval's."""
-    acc = c[-1] + s * 0
-    for c_j in c[-2::-1]:
+    included, so the bits are polyval's.  polyval starts from
+    c_d + s * 0, which is c_d itself for a nonzero c_d, so the first
+    product is formed as c_d * s directly; a trimmed leading coefficient
+    is nonzero, and a constant keeps polyval's start, which gives the
+    row its shape."""
+    if c.size == 1:
+        return c[-1] + s * 0
+    acc = c[-1] * s
+    acc += c[-2]
+    for c_j in c[-3::-1]:
         acc *= s
         acc += c_j
     return acc

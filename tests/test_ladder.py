@@ -259,6 +259,46 @@ class TestApplyDelta:
             got = apply_delta(kind, p.k, wf, x)
             assert np.max(np.abs(got - fd)) <= 1e-6
 
+    @staticmethod
+    def _one_expression(kind, k_pot, wf, x):
+        """The Delta formula as one expression with every term written
+        out, on numpy.polynomial rows of P, P' and P''."""
+        rec = samples(wf.params, x)
+        kappa, coeffs = wf.kappa, wf.coeffs
+        if kind == "minus":
+            lead, mid = k_pot * (k_pot - 1.0), kappa - k_pot
+        else:
+            lead, mid = k_pot * (k_pot + 1.0), kappa + k_pot
+        s, c = rec.s, rec.c
+        pv, dpv, ddpv = (npoly.polyval(s, npoly.polyder(coeffs, m)) for m in (0, 1, 2))
+        c_kappa = c ** kappa
+        return (
+            (lead - kappa * (kappa - 1.0)) * c ** (kappa - 2.0) * s * s * pv
+            + mid * c_kappa * pv
+            + (2.0 * kappa + 1.0) * s * c_kappa * dpv
+            - c_kappa * (c * c) * ddpv
+        )
+
+    @pytest.mark.parametrize("k", [1.01, 1.5, 3.7, 10.0, 300.0])
+    def test_two_steps_keep_the_bits_of_the_one_expression(self, build_cached, k):
+        # skipping the wall term (bracket exactly 0.0) may only leave -0.0
+        # where the written-out formula gives +0.0, so bytes are compared
+        # after "+ 0.0"; where the bracket is nonzero every term is formed
+        # and the bytes are equal as they are
+        p = ModelParams(1.0, 2.0, k)
+        inner = np.nextafter(p.half_width, 0.0)
+        x = np.concatenate([interior_grid(p, 2001).points, [-inner, -0.0, 0.0, inner]])
+        for n in range(17):
+            for kappa, matched in ((p.k, "minus"), (p.k + 1.0, "plus")):
+                wf = build_cached(p.with_k(kappa), n)
+                for kind in ("minus", "plus"):
+                    for env in (wf, Wavefunction(p, kappa + 0.5, wf.coeffs)):
+                        got = apply_delta(kind, p.k, env, x)
+                        want = self._one_expression(kind, p.k, env, x)
+                        assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (n, kind, env.kappa)
+                        if kind != matched or env is not wf:
+                            assert got.tobytes() == want.tobytes(), (n, kind, env.kappa)
+
     def test_rejects_boundary_points(self, build_cached):
         wf = build_cached(P_REF, 1)
         with pytest.raises(ValueError):
@@ -366,12 +406,12 @@ class TestSamplesRecord:
         k = p.k
         rec = samples(p, interior_grid(p, 2001).points)
         apply_delta("minus", k, build_cached(p, 4), rec)
-        assert set(rec._powers) == {k, k - 2.0}
+        assert set(rec._powers) == {k}  # the matched wall term is skipped: no cos^(k-2)
         c_k = rec.power(k)
         commutator_check(k, Wavefunction(p, k, [0.3, -1.0, 0.5]), rec)
         assert set(rec._powers) == {k, k - 2.0} and rec.power(k) is c_k
         factorization_residual(k, Wavefunction(p, k + 1.0, [0.3, -1.0, 0.5]), rec)
-        assert set(rec._powers) == {k - 2.0, k - 1.0, k, k + 1.0}
+        assert set(rec._powers) == {k - 2.0, k, k + 1.0}  # nor the matched "plus" one's
 
     def test_rejects_record_of_another_domain(self, build_cached):
         rec = samples(ModelParams(1.0, 2.0, 2.0), np.array([0.0, 0.3]))

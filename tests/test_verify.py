@@ -109,6 +109,29 @@ class TestRunAll:
         assert mutated.tolerance == 1e-8
         assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
 
+    @pytest.mark.parametrize("name", ["factorization", "commutator"])
+    def test_perturbed_operator_term_fails_its_suite(self, monkeypatch, name):
+        # the operator suites check the kernels they run through: the
+        # cos^(kappa+2) factor row of the Delta formula, or tan(wx) on the
+        # record, scaled by 1 + 1e-7 must fail against 1e-8; they read
+        # 3.4e-7 and 2.0e-7 (unperturbed 5.9e-15 and 3.8e-14)
+        (clean,) = run_all(suites=[name]).suites
+        assert clean.status == "pass"
+        if name == "factorization":
+            exact = ladder._delta_factors
+
+            def mutated(*args):
+                wall, f1, f2, f3 = exact(*args)
+                return wall, f1, f2, f3 * (1.0 + 1e-7)
+
+            monkeypatch.setattr(ladder, "_delta_factors", mutated)
+        else:
+            exact = wavefun.Samples.tan.func
+            monkeypatch.setattr(wavefun.Samples, "tan", property(lambda rec: exact(rec) * (1.0 + 1e-7)))
+        (mutated,) = run_all(suites=[name]).suites
+        assert mutated.tolerance == 1e-8
+        assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
+
     def test_suite_subset_selection(self):
         report = run_all(suites=["equidistance"], **SMALL)
         assert [s.name for s in report.suites] == ["equidistance"]
@@ -266,7 +289,7 @@ class TestRunAll:
         passes = []
         real = verify_mod._recurrence
         monkeypatch.setattr(verify_mod, "_recurrence", lambda *args: passes.append(args) or real(*args))
-        table = verify_mod._Levels(ModelParams(1.0, 1.0, 2.0), 4)
+        table = verify_mod._Levels(ModelParams(1.0, 1.0, 2.0), 4, delta=True)
         for partner, levels in ((False, 5), (True, 4)):
             values, delta = pair = table.rows(partner)
             assert table.rows(partner) is pair
@@ -281,11 +304,14 @@ class TestRunAll:
         # the 396 the suites made); build_up raises each model's 17
         # chains together, 16 lock-step steps (1632 steps when each chain
         # ran alone, 2304 _first_order calls in all); 1724 Horner passes
-        # (3308 when every table row and Delta term had its own)
-        calls = dict.fromkeys(("_recurrence", "apply_delta", "_first_order", "_horner"), 0)
+        # (3308 when every table row and Delta term had its own); Delta's
+        # factor rows once per level set and once per apply_delta call,
+        # 24 + 160 (one set per level, 396 + 160, when every table row
+        # formed its own)
+        calls = dict.fromkeys(("_recurrence", "apply_delta", "_delta_factors", "_first_order", "_horner"), 0)
         build_up_steps = []
-        holders = {"_recurrence": [verify_mod], "apply_delta": [ladder], "_first_order": [ladder],
-                   "_horner": [wavefun, ladder]}
+        holders = {"_recurrence": [verify_mod], "apply_delta": [ladder], "_delta_factors": [verify_mod, ladder],
+                   "_first_order": [ladder], "_horner": [wavefun, ladder]}
         for attr, mods in holders.items():
             def wrapper(*args, attr=attr, real=getattr(mods[0], attr), **kwargs):
                 calls[attr] += 1
@@ -304,8 +330,28 @@ class TestRunAll:
         monkeypatch.setattr(verify_mod, "_raising_chains", counting_chains)
         assert "apply_delta" not in vars(verify_mod)
         assert run_all().all_passed
-        assert calls == {"_recurrence": 24, "apply_delta": 160, "_first_order": 864, "_horner": 1724}
+        assert calls == {"_recurrence": 24, "apply_delta": 160, "_delta_factors": 184, "_first_order": 864,
+                         "_horner": 1724}
         assert build_up_steps == [16] * len(DEFAULT_BATTERY)
+
+    @pytest.mark.parametrize(
+        "suites, sets, rows",
+        [(["ladder"], 0, 0), (["build_up"], 0, 0), (["ladder", "build_up", "orthonormality"], 0, 0),
+         (["eigen_residual"], 12, 12 * 17), (["partner_eigen_residual"], 12, 12 * 16),
+         (["ladder", "eigen_residual"], 24, 12 * 33)],
+    )
+    def test_delta_rows_formed_only_for_the_eigen_suites(self, monkeypatch, suites, sets, rows):
+        # the level table forms Delta rows only when a suite reads them:
+        # ladder alone made 396 unread rows, build_up alone 204
+        calls = {"_delta_factors": 0, "_delta_rows": 0}
+        for attr in calls:
+            def wrapper(*args, attr=attr, real=getattr(verify_mod, attr)):
+                calls[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(verify_mod, attr, wrapper)
+        assert run_all(suites=suites).all_passed
+        assert calls == {"_delta_factors": sets, "_delta_rows": rows}
 
     def test_each_suite_runs_on_the_first_model_of_each_scope_key(self, monkeypatch):
         # per model, per distinct k or once per run; a repeated model runs

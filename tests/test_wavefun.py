@@ -499,6 +499,14 @@ class TestSamples:
         # an integral kappa and its float are one key with the same bits
         assert rec.power(2.0) is rec.power(2)
 
+    def test_tan_is_formed_once_read_only(self):
+        p = ModelParams(1.0, 2.0, 3.7)
+        rec = samples(p, interior_grid(p, 2001).points)
+        got = rec.tan
+        assert not got.flags.writeable
+        assert got.tobytes() == np.tan(p.hat_omega * rec.x).tobytes()
+        assert rec.tan is got
+
     def test_evaluate_bitwise_on_used_record(self, build_cached):
         # a record already used at other exponents gives a fresh record's bits
         for p in self.PARAMS:
