@@ -2,22 +2,27 @@
 Exact eigenfunctions: envelope times polynomial
 ===============================================
 
-Level n is U_{k,n}(x) = cos^k(wx) P_n(sin wx) with P_n a degree-n
-polynomial of parity (-1)^n, built from a terminating hypergeometric
-series and normalized by quadrature.
+Level n is U_{k,n}(x) = cos^k(wx) P_n(sin wx) with P_n the degree-n
+orthonormal Gegenbauer polynomial of parity (-1)^n, normalized in closed
+form.  An eigenstate holds no coefficients: P_n is read from the
+three-term recurrence rows on the positions it is evaluated at.
 """
 
 import numpy as np
 
-from susy_pt import ModelParams, build_eigenfunction, evaluate, inner_product
+from susy_pt import ModelParams, build_eigenfunction, evaluate, inner_product, samples
+from susy_pt.wavefun import _recurrence
 
 p = ModelParams(omega=1.0, epsilon=1.0, k=2.0)
 
-# --- a few levels and their polynomial coefficients --------------------
+# --- a few levels: the recurrence rows of P_n at a few values of s -----
+s_points = np.linspace(-1.0, 1.0, 5)
+rec = samples(p, np.arcsin(s_points) / p.hat_omega)
+rows = _recurrence(rec, p.k, 3)[0]
+print("s:      ", "  ".join(f"{v:+.6f}" for v in rec.s))
 for n in range(4):
     wf = build_eigenfunction(p, n)
-    coeffs = ", ".join(f"{c:+.6f}" for c in wf.coeffs)
-    print(f"n={n}: degree {wf.degree}, coefficients of P(s): [{coeffs}]")
+    print(f"P_{n}(s): ", "  ".join(f"{v:+.6f}" for v in rows[n]), f"  (degree {wf.degree})")
 
 # --- values: bell curve at n=0, node structure at higher n -------------
 x = np.linspace(-p.half_width, p.half_width, 9)

@@ -16,12 +16,23 @@ For the matched envelope kappa = k the lowering rule collapses to
 cos^(k+1) P', and for kappa = k+1 the raising rule gives
 cos^k [ (2k+1) s P - (1-s^2) P' ].  The public lower/raise_ operations
 implement those matched rules; the general forms back the commutator
-check.  Operators act on exact coefficients (polynomial calculus);
-finite differences exist only as a test oracle.
+check.  Operators act exactly on the polynomial part (polynomial
+calculus); finite differences exist only as a test oracle.
 
-The calculus works on coefficient slices and forms the same
-floating-point products in the same order as numpy.polynomial, so the
-results are bit-identical to polyder/polymul/polyadd/polysub:
+On an eigenstate (wavefun._State) the polynomial part is
+P = sum_d t_d P_n^(d), a combination of the derivative rows of one
+Gegenbauer level, and the rules act on the t_d: P' has the terms
+t_d' + t_(d-1), and a s P + sign (1 - s^2) P' the terms
+_first_order(a, t_d, sign) + sign (1 - s^2) t_(d-1) (_state_terms).  So
+lower(U_{k,n}) is cos^(k+1) P_n' and raise_(U_{k+1,m}) is
+cos^k [ (2k+1) s Q_m - (1-s^2) Q_m' ], read from the rows at the
+state's own parameter, never by an index shift to the neighbouring
+level.
+
+On coefficient polynomials the calculus works on coefficient slices and
+forms the same floating-point products in the same order as
+numpy.polynomial, so the results are bit-identical to
+polyder/polymul/polyadd/polysub:
 
 - P' is p[1:] * (1, 2, ..., d); P'' applies that twice, two roundings,
   as polyder(p, 2) does.
@@ -37,10 +48,11 @@ results are bit-identical to polyder/polymul/polyadd/polysub:
 The second-order operator Delta has one formula in two steps:
 _delta_factors forms its factor rows from kappa and the grid alone,
 _delta_rows applies them to the rows of P, P' and P''.  apply_delta runs
-both per call; the verify level table forms the factors once per level
-set.  The wall term is skipped only where its coefficient is exactly
-0.0 (the matched envelope); the other products and sums keep their
-order, so only a zero's sign can differ from the written-out formula.
+both per call; the verify eigen suites form the factors once per level
+set.  The wall term and the cos^kappa P term are skipped only where
+their coefficient is exactly 0.0 (the matched envelopes); the other
+products and sums keep their order, so only a zero's sign can differ
+from the written-out formula.
 """
 
 from __future__ import annotations
@@ -51,8 +63,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, _check_level, _require_interior
-from .numeric import log_gamma
-from .wavefun import MAX_LEVEL, Wavefunction, _as_samples, _envelope, _horner, _scale
+from .numeric import log_gamma, log_gamma_ratio
+from .wavefun import (
+    MAX_LEVEL,
+    Wavefunction,
+    _as_samples,
+    _envelope,
+    _form_row,
+    _ground_norm,
+    _horner,
+    _part,
+    _ONE,
+    _State,
+    _make_state,
+)
 
 __all__ = [
     "LadderContext",
@@ -123,7 +147,9 @@ def lower(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     eigenfunction the result is sqrt(n(n+2k)) * U_{k+1,n-1}.
     """
     _check_envelope(wf, ctx.k_level, "lower")
-    return Wavefunction(wf.params, ctx.k_level + 1.0, _der(wf.coeffs))
+    if wf.state is None:
+        return Wavefunction(wf.params, ctx.k_level + 1.0, _der(wf.coeffs))
+    return _wrap(wf.params, ctx.k_level + 1.0, _lowered(wf.state))
 
 
 def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
@@ -134,8 +160,55 @@ def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     normalized U_{k+1,n-1} the result is sqrt(n(n+2k)) * U_{k,n}.
     """
     _check_envelope(wf, ctx.k_level + 1.0, "raise_")
-    out = _first_order(2.0 * ctx.k_level + 1.0, wf.coeffs, -1.0)
-    return Wavefunction(wf.params, ctx.k_level, out)
+    a = 2.0 * ctx.k_level + 1.0
+    if wf.state is None:
+        return Wavefunction(wf.params, ctx.k_level, _first_order(a, wf.coeffs, -1.0))
+    return _wrap(wf.params, ctx.k_level, _first_order_part(a, wf.state, -1.0))
+
+
+_ONE_MINUS_S2 = np.array([1.0, 0.0, -1.0])
+
+
+def _wrap(params: ModelParams, kappa: float, state) -> Wavefunction:
+    """The eigenstate of a _State, or the zero function for None (a
+    state with no term left)."""
+    return Wavefunction(params, kappa, []) if state is None else Wavefunction(params, kappa, None, state)
+
+
+def _lowered(state):
+    """The _State of P' for an eigenstate's P: the terms t_d' + t_(d-1);
+    None for the zero function (None)."""
+    if state is None:
+        return None
+    return _make_state(state.k, state.n, _state_terms(state.terms, _der, _ONE))
+
+
+def _first_order_part(a: float, p, sign: float):
+    """The polynomial part a s P + sign (1 - s^2) P' of P (_part):
+    _first_order on coefficients; on an eigenstate, the terms
+    _first_order(a, t_d, sign) + sign (1 - s^2) t_(d-1), None for the
+    zero function."""
+    if p is None:
+        return None
+    if not isinstance(p, _State):
+        return _first_order(a, p, sign)
+    return _make_state(p.k, p.n, _state_terms(p.terms, lambda t: _first_order(a, t, sign), sign * _ONE_MINUS_S2))
+
+
+def _state_terms(terms, same, lift) -> list:
+    """The terms of an eigenstate's polynomial part after a first-order
+    rule: same(t_d) + lift * t_(d-1) for d up to one order above the
+    given terms, lift a coefficient array multiplying the next-order
+    row (1 for P').  Sums of padded arrays; trimming is _make_state's."""
+    out = [same(t) if t.size else t for t in terms] + [np.zeros(0)]
+    for d, t in enumerate(terms):
+        if t.size:
+            up = t if lift is _ONE else np.convolve(lift, t)
+            low = out[d + 1]
+            if low.size > up.size:
+                low, up = up, low
+            out[d + 1] = up if not low.size else np.concatenate((up[: low.size] + low, up[low.size :]))
+    return out
 
 
 def _check_envelope(wf: Wavefunction, expected: float, op: str):
@@ -148,18 +221,26 @@ def _check_envelope(wf: Wavefunction, expected: float, op: str):
 def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x of
     wf's domain (an array or its Samples record), with V = V_-(k_pot)
-    ("minus") or V_+(k_pot) ("plus"): the Horner rows of P, P' and P''
-    put through _delta_rows with the factor rows of _delta_factors.
+    ("minus") or V_+(k_pot) ("plus"): the rows of P, P' and P'' put
+    through _delta_rows with the factor rows of _delta_factors.  The
+    rows are Horner's on a coefficient polynomial, and on an eigenstate
+    the record's Gegenbauer rows (P_n, P_n' and P_n'' themselves for a
+    level-n state).
     """
     rec = _as_samples(wf.params, x)
     _require_interior(rec.interior)
     factors = _delta_factors(kind, k_pot, wf.kappa, rec)
     if wf.is_zero:
         return np.zeros(rec.shape)
-    p = wf.coeffs
-    dp = _der(p) if p.size > 1 else np.zeros(1)
-    ddp = _der(dp) if p.size > 2 else np.zeros(1)
-    rows = tuple(_horner(rec.s, c) for c in (p, dp, ddp))
+    p = _part(wf)
+    if isinstance(p, _State):
+        dp = _lowered(p)
+        ddp = _lowered(dp)
+        rows = tuple(_form_row(rec, q) if q else rec._zero for q in (p, dp, ddp))
+    else:
+        dp = _der(p) if p.size > 1 else np.zeros(1)
+        ddp = _der(dp) if p.size > 2 else np.zeros(1)
+        rows = tuple(_horner(rec.s, c) for c in (p, dp, ddp))
     return _delta_rows(factors, rows).reshape(rec.shape)
 
 
@@ -183,6 +264,8 @@ def _delta_factors(kind: str, k_pot: float, kappa: float, rec) -> tuple:
     identically for the matched envelope, which avoids the
     near-boundary cancellation of the raw -U''/w^2 + V U form; where it
     is exactly 0.0 the wall row is None and cos^(kappa-2) is not formed.
+    Likewise f1 is None where kappa -+ kp is exactly 0.0 (the matched
+    "minus" envelope).
     """
     if kind == "minus":
         lead = k_pot * (k_pot - 1.0)
@@ -196,24 +279,28 @@ def _delta_factors(kind: str, k_pot: float, kappa: float, rec) -> tuple:
     c_kappa = rec.power(kappa)
     bracket = lead - kappa * (kappa - 1.0)
     wall = bracket * rec.power(kappa - 2.0) * s * s if bracket != 0.0 else None
-    return wall, mid * c_kappa, (2.0 * kappa + 1.0) * s * c_kappa, c_kappa * (c * c)
+    f1 = mid * c_kappa if mid != 0.0 else None
+    return wall, f1, (2.0 * kappa + 1.0) * s * c_kappa, c_kappa * (c * c)
 
 
 def _delta_rows(factors, rows) -> np.ndarray:
     """The step of the one Delta formula that reads P: ((wall P + f1 P)
     + f2 P') - f3 P'', flat, in that order, from the factor rows of
     _delta_factors and rows = (P, P', P'') at the record's s (Horner
-    rows from apply_delta, recurrence rows from the verify level table).
-    A skipped wall term adds no +-0.0, so where f1 P is -0.0 the sum
-    can stay -0.0 where the written-out formula gives +0.0.
+    rows from apply_delta, the record's Gegenbauer rows for an
+    eigenstate).  A skipped term (None) adds no +-0.0, so where the
+    rest sums to -0.0 the result can stay -0.0 where the written-out
+    formula gives +0.0.
     """
     wall, f1, f2, f3 = factors
     pv, dpv, ddpv = rows
-    out = f1 * pv
+    out = f2 * dpv
     tmp = np.empty_like(out)
-    if wall is not None:
-        out += np.multiply(wall, pv, out=tmp)
-    out += np.multiply(f2, dpv, out=tmp)
+    if wall is not None or f1 is not None:
+        low = [np.multiply(f, pv) for f in (wall, f1) if f is not None]
+        if len(low) == 2:
+            low[0] += low[1]
+        out += low[0]
     out -= np.multiply(f3, ddpv, out=tmp)
     return out
 
@@ -238,7 +325,7 @@ def factorization_residual(k: float, wf: Wavefunction, x) -> float:
         direct = apply_delta("plus", k, wf, rec)
     else:
         raise ValueError("wf.kappa must equal k or k+1")
-    lhs = _envelope(rec, composed.kappa, composed.coeffs)
+    lhs = _envelope(rec, composed.kappa, _part(composed))
     return float(np.max(np.abs(lhs - direct), initial=0.0))
 
 
@@ -248,16 +335,16 @@ def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     A_k + A_k^+ multiplies by 2 W = 2k tan(wx), so the right side is
     multiplication by 2k (1 + tan^2 wx).  The left side is built from the
     general-envelope operator rules; intermediate exponents fall below
-    the bound-state range, so raw (kappa, coeffs) pairs are used.  x is
-    an array of interior positions of test_fn's domain or their Samples
-    record.
+    the bound-state range, so raw (kappa, part) pairs are used (_part:
+    coefficients or an eigenstate's _State).  x is an array of interior
+    positions of test_fn's domain or their Samples record.
     """
     params = test_fn.params
     rec = _as_samples(params, x)
     _require_interior(rec.interior)
-    kappa, p = test_fn.kappa, test_fn.coeffs
-    if p.size == 0:
+    if test_fn.is_zero:
         return 0.0
+    kappa, p = test_fn.kappa, _part(test_fn)
     up_down = _general_lower(k, *_general_raise(k, kappa, p))
     down_up = _general_raise(k, *_general_lower(k, kappa, p))
     lhs = _envelope(rec, *up_down) - _envelope(rec, *down_up)
@@ -266,19 +353,20 @@ def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), initial=0.0))
 
 
-def _general_lower(k: float, kappa: float, p: np.ndarray):
+def _general_lower(k: float, kappa: float, p):
     """A_k on cos^kappa P for arbitrary kappa: exponent drops by one."""
-    return kappa - 1.0, _first_order(k - kappa, p, 1.0)
+    return kappa - 1.0, _first_order_part(k - kappa, p, 1.0)
 
 
-def _general_raise(k: float, kappa: float, p: np.ndarray):
+def _general_raise(k: float, kappa: float, p):
     """A_k^+ on cos^kappa P for arbitrary kappa: exponent drops by one."""
-    return kappa - 1.0, _first_order(k + kappa, p, -1.0)
+    return kappa - 1.0, _first_order_part(k + kappa, p, -1.0)
 
 
 def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     """Level-n eigenfunction assembled by n raising steps from the
-    closed-form ground state at level k+n, where k = params.k:
+    closed-form ground state at level k+n, where k = params.k, as a
+    coefficient polynomial:
 
         U_{k,n} = chain_prefactor(k, n) A_k^+ A_{k+1}^+ ... A_{k+n-1}^+ U_{k+n,0}.
 
@@ -316,7 +404,7 @@ def _raising_chains(params: ModelParams, ns) -> list:
             if i in ns:
                 # the top level may exceed K_MAX, so not build_eigenfunction(params.with_k(top), 0)
                 ground = np.zeros((len(stack), 1))
-                ground[0] = _scale(params.hat_omega, levels[i], 0)
+                ground[0] = _ground_norm(params.hat_omega, levels[i])
                 stack = np.hstack((stack, ground))
                 joined.append(i)
             if i:
@@ -330,7 +418,6 @@ def _raising_chains(params: ModelParams, ns) -> list:
 def chain_prefactor(k: float, n: int) -> float:
     """(1/sqrt(n!)) sqrt(Gamma(n+2k)/Gamma(2n+2k)), the normalization of
     the n-step raising chain down to level k.  Evaluated in log space so
-    levels up to the supported maximum cannot overflow."""
-    return math.exp(
-        0.5 * (log_gamma(n + 2.0 * k) - log_gamma(2.0 * n + 2.0 * k) - log_gamma(n + 1.0))
-    )
+    levels up to the supported maximum cannot overflow, the gamma ratio
+    by log_gamma_ratio, which forms neither term."""
+    return math.exp(0.5 * (log_gamma_ratio(2.0 * k, n, 2.0 * n) - log_gamma(n + 1.0)))

@@ -126,46 +126,29 @@ class _Run:
 
 
 class _Levels:
-    """One model's level table, the one place its suites get states and
-    rows: the pointwise grid record x, the states U_{k,n} and the
-    partner states U_{k+1,m}, and for each level its values and its
-    Delta image on that record.
+    """One model's level table, the one place its suites get states: the
+    pointwise grid record x and the eigenstates U_{k,n} and partner
+    states U_{k+1,m}, each built once, on first use.
 
-    The states are the public monomial states of build_eigenfunction;
-    orthonormality reads them, and so does ladder, through the public
-    lower and raise_.  The rows come from wavefun's three-term
-    recurrence instead: one ascending pass for levels 0..n_max of
-    U_{k,n} and one for levels 0..n_max-1 of U_{k+1,m} forms each
-    level's values cos^kappa P_n and, from P_n, P'_n and P''_n through
-    ladder's one Delta formula, Delta_- U_{k,n} (Delta_+ U_{k+1,m} for
-    the partner): the formula's factor rows are formed once per set and
-    applied to each level's rows.  rows(partner) keeps both as two lists
-    indexed by level: eigen_residual and partner_eigen_residual read the
-    pairs, ladder and build_up the values.  A table made with delta
-    False (run_all's choice when neither eigen-residual suite runs)
-    forms and keeps no Delta rows.  The recurrence shares no
-    hypergeometric coefficient with the states, only level 0's norm,
-    so a suite that compares a state with a row compares two
-    independent representations.  The derivative rows live only inside
-    the pass.
+    The table is a thin view of its record: every value the suites read
+    of a state, and every derivative row, is the record's memo of the
+    Gegenbauer rows (wavefun._recurrence), formed once per set and
+    derivative order, and only to the order some suite asks for (values
+    for orthonormality and build_up, P' for ladder, P'' for the eigen
+    suites).  run_all fills one table per model and drops it before the
+    next model's table fills, so nothing in it outlives the model."""
 
-    Each item is formed on first use and is the same object after that.
-    run_all fills one table per model and drops it before the next
-    model's table fills, so nothing in it outlives the model."""
-
-    def __init__(self, p, n_max, delta):
+    def __init__(self, p, n_max):
         self.params = p
         self.n_max = n_max
-        self.delta = delta
         self._partner = p.with_k(p.k + 1.0)
         self._states = {}
-        self._rows = {}
 
     @functools.cached_property
     def x(self):
         """The model's pointwise grid record: a new Samples record of the
-        interior grid, held here so that its memo of envelope powers lives
-        exactly as long as the model's table."""
+        interior grid, held here so that its memo of envelope powers and
+        Gegenbauer rows lives exactly as long as the model's table."""
         return samples(self.params, interior_grid(self.params, _GRID_POINTS).points)
 
     def state(self, n, partner=False):
@@ -175,29 +158,6 @@ class _Levels:
         if wf is None:
             wf = self._states[key] = build_eigenfunction(self._partner if partner else self.params, n)
         return wf
-
-    def rows(self, partner=False):
-        """(values, Delta) of one set on the grid record x: two lists of
-        read-only rows indexed by level, Delta_- U_{k,n} for n <= n_max,
-        or Delta_+ U_{k+1,m} for m < n_max if partner, from one
-        recurrence pass on the first call; Delta is None if the table
-        keeps no Delta rows."""
-        pair = self._rows.get(partner)
-        if pair is None:
-            kappa = self._partner.k if partner else self.params.k
-            kind, top = ("plus", self.n_max - 1) if partner else ("minus", self.n_max)
-            rec = self.x
-            envelope = rec.power(kappa)
-            factors = _delta_factors(kind, self.params.k, kappa, rec) if self.delta else None
-            values, delta = [], [] if self.delta else None
-            for level in _recurrence(rec, kappa, top):
-                values.append(envelope * level[0])
-                if self.delta:
-                    delta.append(_delta_rows(factors, level))
-            for row in values + (delta or []):
-                row.setflags(write=False)
-            pair = self._rows[partner] = (values, delta)
-        return pair
 
 
 def _suite_orthonormality(p, table, run):
@@ -215,31 +175,38 @@ def _suite_orthonormality(p, table, run):
 def _suite_eigen_residual(p, table, run, partner=False):
     """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max, or
     if partner Delta_+ U_{k+1,n-1} = n(n+2k) U_{k+1,n-1} for
-    1 <= n <= n_max, on the table's recurrence rows of the set."""
-    values, delta = table.rows(partner)
-    for n, (u, delta_u) in enumerate(zip(values, delta), start=int(partner)):
+    1 <= n <= n_max, from the record's Gegenbauer rows P, P' and P'' of
+    the set through ladder's one Delta formula, whose factor rows are
+    formed once per set."""
+    kind, kappa = ("plus", p.k + 1.0) if partner else ("minus", p.k)
+    rec = table.x
+    rows = _recurrence(rec, kappa, run.n_max - int(partner), 2)
+    envelope = rec.power(kappa)
+    factors = _delta_factors(kind, p.k, kappa, rec)
+    for n in range(int(partner), run.n_max + 1):
+        level = [r[n - int(partner)] for r in rows]
         lam = delta_eigenvalue(p, n)
-        yield float(np.max(np.abs(delta_u - lam * u))) / (1.0 + lam)
+        u = envelope * level[0]
+        yield float(np.max(np.abs(_delta_rows(factors, level) - lam * u))) / (1.0 + lam)
 
 
 def _suite_ladder(p, table, run):
     """Per model: A_k U_{k,n} = f U_{k+1,n-1} and A_k^+ U_{k+1,n-1} =
     f U_{k,n} with f = sqrt(n(n+2k)): the public lower and raise_ act on
-    the table's monomial states, and their images are compared with the
-    recurrence rows of the other level, never with an index shift of
-    the same representation; the k inside f is shifted by the
-    k_corruption hook."""
+    the table's eigenstates, which read P_n' at parameter k (Q_m and Q_m'
+    at k+1), and their images are compared with the values of the other
+    level set, never with an index shift of the same rows; the k inside
+    f is shifted by the k_corruption hook."""
     ctx = LadderContext(p, p.k)
     expected = p.with_k(p.k + run.k_corruption)
     x = table.x
-    values, partner_values = table.rows()[0], table.rows(partner=True)[0]
     for n in range(1, run.n_max + 1):
         factor = math.sqrt(delta_eigenvalue(expected, n))
-        lowered = lower(ctx, table.state(n))
-        res = np.abs(evaluate(lowered, x) - factor * partner_values[n - 1])
+        down = table.state(n - 1, partner=True)
+        up = table.state(n)
+        res = np.abs(evaluate(lower(ctx, up), x) - factor * evaluate(down, x))
         yield float(np.max(res))
-        raised = raise_(ctx, table.state(n - 1, partner=True))
-        res = np.abs(evaluate(raised, x) - factor * values[n])
+        res = np.abs(evaluate(raise_(ctx, down), x) - factor * evaluate(up, x))
         yield float(np.max(res))
 
 
@@ -302,10 +269,11 @@ def _suite_commutator(p, table, run):
 def _suite_build_up(p, table, run):
     """Per model: the raising chains of build_from_ground(p, n) for
     n <= n_max, raised together in one lock-step pass, against the
-    recurrence rows of U_{k,n}."""
-    values = table.rows()[0]
+    table's eigenstates U_{k,n}, the coefficient side against the
+    Gegenbauer rows."""
+    x = table.x
     for n, wf in enumerate(_raising_chains(p, range(run.n_max + 1))):
-        yield float(np.max(np.abs(evaluate(wf, table.x) - values[n])))
+        yield float(np.max(np.abs(evaluate(wf, x) - evaluate(table.state(n), x))))
 
 
 def _suite_numeric_cross_check(p, table, run):
@@ -358,10 +326,6 @@ _SUITES = (
 )
 
 SUITE_NAMES = tuple(name for name, *_ in _SUITES)
-
-# The suites that read the level table's Delta rows; a run without them
-# forms none.
-_DELTA_SUITES = frozenset({"eigen_residual", "partner_eigen_residual"})
 
 
 # ----------------------------------------------------------------------
@@ -417,12 +381,11 @@ def run_all(
     richardson = model._check_bool(richardson, "richardson")
     run = _Run(n_max, grid, richardson, k_corruption)
     selected = _select_suites(suites)
-    delta = any(name in _DELTA_SUITES for name, *_ in selected)
 
     worst = dict.fromkeys(name for name, *_ in selected)
     seen = set()
     for p in battery:
-        table = _Levels(p, n_max, delta)
+        table = _Levels(p, n_max)
         for name, scope, suite, _ in selected:
             key = (name, scope(p))
             if key not in seen:

@@ -1,21 +1,32 @@
-"""Exact bound-state wavefunctions: envelope-times-polynomial form.
+"""Exact bound-state wavefunctions: envelope times polynomial.
 
 Every bound state of the family is
 
     U(x) = cos^kappa(wx) * P(sin wx),
 
-with kappa > 1 and P a real polynomial of definite parity.  Level n
-(n = 2*n_s + s, s in {0,1}) has kappa = k and P of degree n obtained
-from the terminating Gauss series
+with kappa > 1 and P a real polynomial of definite parity.  Level n has
+kappa = k and P = P_n, the orthonormal Gegenbauer polynomial of degree
+n for the weight (1 - s^2)^(k - 1/2), up to the domain factor in the
+level-0 norm.  P_n is never expanded into monomials: its values, and
+those of its derivatives in s, come from the three-term recurrence
+(_recurrence), kept on the Samples record they are formed on.  In the
+paper's series form P_n is proportional to
 
-    sin^s(wx) * F(-n_s, k+s+n_s; s+1/2; sin^2 wx).
+    sin^s(wx) * F(-n_s, k+s+n_s; s+1/2; sin^2 wx),    n = 2*n_s + s,
 
-Coefficients are extracted exactly from the term recurrence (never by
-sampling and fitting); the normalization is closed-form, from the
-Gegenbauer norms (_scale).
+which hypergeometric_terminating and hypergeometric_coefficients sum
+and expand, as the test oracle of that form.
 
-Sign convention: the highest-order coefficient of P is positive.  The
-series itself fixes degree and parity but not the overall sign; this
+A Wavefunction is one of two kinds.  A coefficient polynomial holds the
+monomial coefficients of P (coeffs); the factorization and commutator
+test functions and build_from_ground's raising chain are of this kind.
+An eigenstate, what build_eigenfunction returns, holds no coefficients
+(coeffs is None) but a _State: the parameter k of its Gegenbauer rows,
+the level n, and the polynomials t_d of P = sum_d t_d(s) P_n^(d)(s).
+A level-n eigenstate is t = (1,); the ladder operators map an eigenstate
+to another state of this kind (ladder module).
+
+Sign convention: the highest-order coefficient of P_n is positive.  This
 choice makes the lowering/raising maps hold with positive square-root
 factors along the whole hierarchy, so ladder identities are sign-free.
 """
@@ -25,11 +36,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ModelParams, _check_int, _check_level, _domain_flags
-from .numeric import log_gamma, quadrature
+from .numeric import log_gamma_ratio, quadrature
 
 __all__ = [
     "MAX_LEVEL",
@@ -43,47 +55,101 @@ __all__ = [
     "inner_product",
 ]
 
-# Above this level the exact coefficients risk double-precision overflow;
-# rejected rather than silently degraded.
+# Highest admitted level.  The eigenstates hold at every level up to it;
+# the raising chain (build_from_ground) drifts from n of about 24 and
+# overflows from n = 37 at large k.
 MAX_LEVEL = 64
+
+
+def _coeff_array(coeffs) -> np.ndarray:
+    """coeffs as an owned, read-only, trimmed 1-D float array (empty for
+    the zero polynomial); a finite 1-D array or a ValueError."""
+    # owned (np.array copies): the caller may go on writing to its array
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    if c.ndim != 1:  # the polynomial calculus reads coefficients by slices
+        raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    if c.size and c[-1] == 0.0:
+        nz = np.flatnonzero(c)
+        c = c[: nz[-1] + 1] if nz.size else np.empty(0)
+    c.setflags(write=False)
+    return c
+
+
+_ONE = _coeff_array([1.0])
+
+
+class _State(NamedTuple):
+    """The polynomial part sum_d terms[d](s) P_n^(d)(s) of an eigenstate
+    kind Wavefunction: P_n^(d) is the d-th s-derivative of the level-n
+    row of _recurrence at parameter k, terms[d] ascending coefficients."""
+
+    k: float
+    n: int
+    terms: tuple
+
+
+def _make_state(k: float, n: int, terms):
+    """The _State of these terms, trimmed as coefficients are, with the
+    terms of derivative order above n dropped (P_n^(d) = 0 there) and
+    trailing empty ones too; None where no term is left (the zero
+    function).  Every term is read-only."""
+    out = []
+    for t in terms[: n + 1]:
+        t = np.asarray(t, dtype=float)
+        size = t.size
+        while size and t[size - 1] == 0.0:
+            size -= 1
+        t = t[:size]
+        t.setflags(write=False)
+        out.append(t)
+    while out and not out[-1].size:
+        out.pop()
+    return _State(k, n, tuple(out)) if out else None
 
 
 @dataclass(frozen=True)
 class Wavefunction:
-    """Immutable envelope-times-polynomial wavefunction.
+    """Immutable envelope-times-polynomial wavefunction, of one of two
+    kinds.
 
-    coeffs holds c_0..c_d of P(s) = sum c_j s^j ascending, s = sin(wx);
-    trailing zeros are trimmed so c_d != 0.  An empty coeffs array is the
-    zero function (the result of annihilating a ground state).
+    A coefficient polynomial: coeffs holds c_0..c_d of P(s) = sum c_j s^j
+    ascending, s = sin(wx); trailing zeros are trimmed so c_d != 0.  An
+    empty coeffs array is the zero function (the result of annihilating
+    a ground state).
+
+    An eigenstate: coeffs is None and state is a _State (_make_state),
+    whose P is read from the Gegenbauer rows of the record it is
+    evaluated on.
     """
 
     params: ModelParams
     kappa: float
-    coeffs: np.ndarray
+    coeffs: np.ndarray | None
+    state: _State | None = None
 
     def __post_init__(self):
         if not 1.0 < self.kappa < math.inf:
             raise ValueError(f"kappa must exceed 1 and be finite, got {self.kappa!r}")
-        # owned (np.array copies): the caller may go on writing to its array
-        c = np.array(self.coeffs, dtype=float, ndmin=1)
-        if c.ndim != 1:  # the polynomial calculus reads coefficients by slices
-            raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
-        if c.size and c[-1] == 0.0:
-            nz = np.flatnonzero(c)
-            c = c[: nz[-1] + 1] if nz.size else np.empty(0)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        if self.state is None:
+            object.__setattr__(self, "coeffs", _coeff_array(self.coeffs))
+        elif self.coeffs is not None or not isinstance(self.state, _State):
+            raise ValueError("an eigenstate holds a _State (from _make_state) and no coefficients")
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs.size == 0
+        return self.state is None and self.coeffs.size == 0
 
     @property
     def degree(self) -> int:
-        """Polynomial degree; -1 for the zero function."""
-        return self.coeffs.size - 1
+        """Polynomial degree; -1 for the zero function.  For an
+        eigenstate, the degree of its form, max over d of
+        deg t_d + n - d."""
+        if self.state is None:
+            return self.coeffs.size - 1
+        k, n, terms = self.state
+        return max(t.size - 1 + n - d for d, t in enumerate(terms) if t.size)
 
 
 def hypergeometric_terminating(n_s: int, b: float, c: float, z):
@@ -126,39 +192,19 @@ def _check_series_args(n_s, b: float, c: float) -> int:
 
 
 def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
-    """Normalized level-n eigenfunction U_{k,n} with kappa = params.k.
-
-    Parity s = n mod 2, series order n_s = (n - s)/2; the polynomial part
-    is sin^s * F(-n_s, k+s+n_s; s+1/2; sin^2), expanded exactly into
-    monomial coefficients and scaled by the closed-form _scale: unit L2
-    norm, highest-order coefficient positive.
-    """
+    """Normalized level-n eigenfunction U_{k,n} = cos^k P_n with kappa =
+    params.k: an eigenstate, whose P_n its evaluators read from the
+    Gegenbauer rows of _recurrence.  Unit L2 norm, highest-order
+    coefficient of P_n positive."""
     n = _check_level(n, MAX_LEVEL)
-    s = n % 2
-    n_s = (n - s) // 2
-    series = hypergeometric_coefficients(n_s, params.k + s + n_s, s + 0.5)
-    coeffs = np.zeros(n + 1)
-    coeffs[s::2] = series * _scale(params.hat_omega, params.k, n)
-    return Wavefunction(params, params.k, coeffs)
+    return Wavefunction(params, params.k, None, _make_state(params.k, n, (_ONE,)))
 
 
-def _scale(hat_omega: float, k: float, n: int) -> float:
-    """(-1)^n_s g0 sqrt(r_n), the closed-form factor that makes the raw
-    level-n series of build_eigenfunction unit-norm with its highest
-    coefficient positive.  g0 normalizes level 0 (gamma ratio in log
-    space); r_n, the raw squared norm of level 0 over that of level n,
-    steps up two levels at a time from r_0 = 1, r_1 = 2(k+1) by O(1)
-    ratios, so it neither under- nor overflows at large k.  The ratios
-    follow from the Gegenbauer Gauss series and the norms h_n of DLMF
-    Table 18.3.1."""
-    s = n % 2
-    r = 2.0 * (k + 1.0) if s else 1.0
-    for i in range(1, n // 2 + 1):
-        j = 2 * i + s
-        r *= (j + k) / (j - 2 + k) * (j * (j - 1)) / ((2.0 * k + j - 2) * (2.0 * k + j - 1))
-        r *= ((k + i + s - 1) / i) ** 2
-    g0 = (hat_omega ** 2 / math.pi) ** 0.25 * math.exp(0.5 * (log_gamma(k + 1.0) - log_gamma(k + 0.5)))
-    return (-1.0) ** (n // 2) * g0 * math.sqrt(r)
+def _ground_norm(hat_omega: float, k: float) -> float:
+    """The level-0 constant g0 = (w^2/pi)^(1/4) sqrt(Gamma(k+1)/Gamma(k+1/2))
+    that makes cos^k(wx) g0 unit-norm on the domain; the gamma ratio by
+    log_gamma_ratio, which forms neither term."""
+    return (hat_omega ** 2 / math.pi) ** 0.25 * math.exp(0.5 * log_gamma_ratio(k, 1.0, 0.5))
 
 
 @dataclass(frozen=True)
@@ -170,12 +216,13 @@ class Samples:
     record or an array, and turns an array into a record through that
     one constructor; shape is the shape of the positions given.
 
-    The record is also the one place envelope powers c ** kappa are
-    formed: power(kappa) memoizes them, so states and operator terms
-    that share an exponent on one grid pay for it once.  The memo lives
-    exactly as long as the record; the calls on one record mostly differ
-    in the polynomial alone, so nearly every read finds its power.  tan
-    is kept the same way, for the operator checks that read tan(wx)."""
+    The record is also the one place the rows that evaluation reads are
+    formed, each once, for as long as the record lives: the envelope
+    powers (power), tan(wx) (tan), the Gegenbauer rows of the
+    eigenstates (_recurrence, which keeps them in _rows) and the rows of
+    their term polynomials (polynomial).  The calls on
+    one record mostly differ in the polynomial alone, so nearly every
+    read finds its row."""
 
     hat_omega: float
     shape: tuple
@@ -185,22 +232,61 @@ class Samples:
     in_domain: bool  # every |x| <= half_width
     interior: bool  # every |x| < half_width
     _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _polynomials: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         """Number of positions (what np.size reports for a record)."""
         return self.x.size
 
+    @functools.cached_property
+    def log_c2(self) -> np.ndarray:
+        """ln cos^2(wx), flat and read-only, formed on first use: log1p(-s^2)
+        where s^2 <= 1/2, and 2 ln c nearer the wall, where 1 - s^2 has
+        lost the digits that c keeps.  -inf where c is 0 (the wall),
+        with no warning."""
+        ss = self.s * self.s
+        with np.errstate(divide="ignore"):
+            out = np.log(self.c)
+        out *= 2.0
+        np.log1p(-ss, out=out, where=ss <= 0.5)
+        out.setflags(write=False)
+        return out
+
     def power(self, kappa: float) -> np.ndarray:
-        """c ** kappa, flat and read-only: formed on first use, the same
-        array after that.  A NaN kappa is formed every time, since it
-        equals no key."""
+        """cos^kappa(wx) as exp((kappa/2) ln cos^2(wx)), flat and
+        read-only: formed on first use, the same array after that.  The
+        log form keeps its relative error at a few ulp times the
+        exponent, where c ** kappa multiplies c's own rounding by kappa
+        (2e-7 at k = 1e8); at the wall it is exactly 0.0 for kappa > 0.
+        A NaN kappa is formed every time, since it equals no key."""
         out = self._powers.get(kappa)
         if out is None:
-            out = self.c ** kappa
+            out = np.exp((0.5 * kappa) * self.log_c2)
             out.setflags(write=False)
             if kappa == kappa:
                 self._powers[kappa] = out
+        return out
+
+    def polynomial(self, t: np.ndarray) -> np.ndarray:
+        """t(s), flat and read-only, for the nonempty ascending
+        coefficients t of an eigenstate's term (a few small polynomials
+        per record, such as the (2k+1) s and -(1 - s^2) of a raised
+        state): Horner's row, formed on first use, the same array after
+        that."""
+        key = t.tobytes()
+        out = self._polynomials.get(key)
+        if out is None:
+            out = self._polynomials[key] = _horner(self.s, t)
+            out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def _zero(self) -> np.ndarray:
+        """A read-only row of zeros, the rows P^(d)_j for j < d share it."""
+        out = np.zeros(self.s.shape)
+        out.setflags(write=False)
         return out
 
     @functools.cached_property
@@ -240,8 +326,9 @@ def _as_samples(params: ModelParams, x) -> Samples:
 
 
 def evaluate(wf: Wavefunction, x):
-    """U(x) = cos^kappa(wx) * P(sin wx); Horner for P.  x is an array of
-    positions or their Samples record.
+    """U(x) = cos^kappa(wx) * P(sin wx), for either kind: Horner for a
+    coefficient polynomial, the record's Gegenbauer rows for an
+    eigenstate.  x is an array of positions or their Samples record.
 
     Defined on the closed domain: |x| <= half_width, exactly 0 at the
     endpoints (kappa > 1 beats the polynomial there).
@@ -249,61 +336,109 @@ def evaluate(wf: Wavefunction, x):
     rec = _as_samples(wf.params, x)
     if not rec.in_domain:
         raise ValueError("x must satisfy |x| <= half_width")
-    out = _envelope(rec, wf.kappa, wf.coeffs)
+    out = _envelope(rec, wf.kappa, _part(wf))
     return out if out.ndim else float(out)
 
 
-def _envelope(rec: Samples, kappa: float, p: np.ndarray) -> np.ndarray:
+def _part(wf: Wavefunction):
+    """The polynomial part of wf as the calculus reads it: the
+    coefficient array, or the eigenstate's _State."""
+    return wf.coeffs if wf.state is None else wf.state
+
+
+def _envelope(rec: Samples, kappa: float, p) -> np.ndarray:
     """cos^kappa(wx) * P(sin wx) on a record, in its shape, for any real
-    kappa and trimmed 1-D coefficients p (zeros when p is empty); no
-    domain or kappa checks.  The one place envelope values are formed:
-    evaluate and the operator residuals, whose intermediate terms carry
-    exponents below the bound-state range, all call it.  The power is
-    the record's (rec.power).  At a boundary point the envelope is
-    0.0 ** kappa (samples() sets c to exactly 0).
+    kappa and a polynomial part p (_part: trimmed 1-D coefficients, or a
+    _State; zeros when empty or None); no domain or kappa checks.  The one place
+    envelope values are formed: evaluate and the operator residuals,
+    whose intermediate terms carry exponents below the bound-state
+    range, all call it.  The power is the record's (rec.power), 0.0 at a
+    boundary point for kappa > 0.
     """
-    if p.size == 0:
+    if isinstance(p, _State):
+        return (rec.power(kappa) * _form_row(rec, p)).reshape(rec.shape)
+    if p is None or p.size == 0:
         return np.zeros(rec.shape)
     return (rec.power(kappa) * _horner(rec.s, p)).reshape(rec.shape)
 
 
-def _recurrence(rec: Samples, k: float, n_max: int):
-    """Yield, for n = 0..n_max, the flat rows P_n, P'_n and P''_n on the
-    record's s (derivatives in s), where U_{k,n} = rec.power(k) * P_n.
+def _form_row(rec: Samples, state: _State) -> np.ndarray:
+    """sum_d t_d(s) P_n^(d)(s), flat, from the record's Gegenbauer rows at
+    parameter k (state from _make_state, so its last term is nonzero): a
+    term t_d = 1 is the row itself (the memo's read-only array, for a
+    lone term), any other nonzero one is the record's row of t_d times
+    the row."""
+    k, n, terms = state
+    rows = _recurrence(rec, k, n, len(terms) - 1)
+    out = None
+    for d, t in enumerate(terms):
+        if not t.size:
+            continue
+        term = rows[d][n] if t.size == 1 and t[0] == 1.0 else rec.polynomial(t) * rows[d][n]
+        out = term if out is None else out + term
+    return out
+
+
+def _recurrence(rec: Samples, k: float, n_max: int, order: int = 0) -> list:
+    """The Gegenbauer rows of parameter k on the record: a list, by
+    derivative order d (for d <= order at least), of the lists of flat
+    read-only rows P_n^(d) (derivatives in s) for n = 0..n_max at least,
+    where U_{k,n} = rec.power(k) * P_n.
 
     P_n is the orthonormal Gegenbauer polynomial of the weight
     (1 - s^2)^(k - 1/2), from its three-term recurrence (DLMF 18.9.1
-    with the norms of Table 18.3.1) and that recurrence differentiated
-    once and twice:
+    with the norms of Table 18.3.1), and P_n^(d) from that recurrence
+    differentiated d times:
 
-        s P_j       = a_{j+1} P_{j+1}   + a_j P_{j-1}
-        a_{j+1} P'_{j+1}  = P_j   + s P'_j  - a_j P'_{j-1}
-        a_{j+1} P''_{j+1} = 2 P'_j + s P''_j - a_j P''_{j-1}
+        a_{j+1} P^(d)_{j+1} = d P^(d-1)_j + s P^(d)_j - a_j P^(d)_{j-1}
 
-    with a_j = sqrt(j (j + 2k - 1) / ((j + k)(j + k - 1))) / 2, P_{-1} = 0
-    and P_0 the level-0 constant _scale(w, k, 0).  No hypergeometric
-    coefficient enters, so the rows are an independent reference for
-    the monomial states of build_eigenfunction, which share only level
-    0's norm with them.  Only the rows of levels j - 1 and j are held
-    at a time.
+    with a_j = sqrt(j (j + 2k - 1) / ((j + k)(j + k - 1))) / 2,
+    P_{-1} = 0, P_0 the constant _ground_norm(w, k) and P^(d)_j = 0 for
+    j < d; the division by a_{j+1} is a product with its reciprocal,
+    formed as its own square root.  No hypergeometric coefficient
+    enters.
+
+    The rows live in the record's memo (rec._rows, per k), which a later
+    call extends: each order resumes from its last two levels, and an
+    order is formed only when asked for, so the record forms no row
+    twice and a values-only caller no derivative row.  The lists are
+    the memo's own; callers read them and never write.
     """
+    memo = rec._rows.get(k)
+    if memo is None:
+        memo = rec._rows[k] = ([0.0], [0.0], [])
+    a, inv, rows = memo
+    if len(rows) > order and len(rows[order]) > n_max:  # a lower order is never shorter
+        return rows
+    while len(a) <= n_max:
+        j = len(a) - 1
+        num, den = (j + 1) * (j + 2.0 * k), (j + 1 + k) * (j + k)
+        a.append(0.5 * math.sqrt(num / den))
+        inv.append(2.0 * math.sqrt(den / num))
     s = rec.s
-    zero = np.zeros(s.shape)
-    rows = (np.full(s.shape, _scale(rec.hat_omega, k, 0)), zero, zero)
-    prev, a_j = (zero, zero, zero), 0.0
-    for j in range(n_max + 1):
-        yield rows
-        if j == n_max:
-            return
-        a_next = 0.5 * math.sqrt((j + 1) * (j + 2.0 * k) / ((j + 1 + k) * (j + k)))
-        p, dp, ddp = rows
-        nxt = [s * p, s * dp, s * ddp]
-        nxt[1] += p
-        nxt[2] += 2.0 * dp
-        for row, below in zip(nxt, prev):
-            row -= a_j * below
-            row /= a_next
-        prev, rows, a_j = rows, nxt, a_next
+    tmp = np.empty(s.shape)
+    for d in range(len(rows), order + 1):
+        if d:
+            rows.append([rec._zero])
+        else:
+            first = np.full(s.shape, _ground_norm(rec.hat_omega, k))
+            first.setflags(write=False)
+            rows.append([first])
+    for d in range(order + 1):
+        level = rows[d]
+        for j in range(len(level) - 1, n_max):
+            if j + 1 < d:
+                level.append(rec._zero)
+                continue
+            nxt = s * level[j]
+            if d:
+                nxt += rows[d - 1][j] if d == 1 else np.multiply(d, rows[d - 1][j], out=tmp)
+            if j:
+                nxt -= np.multiply(a[j], level[j - 1], out=tmp)
+            nxt *= inv[j + 1]
+            nxt.setflags(write=False)
+            level.append(nxt)
+    return rows
 
 
 def _horner(s, c: np.ndarray):

@@ -25,9 +25,10 @@ from susy_pt.verify import DEFAULT_BATTERY
 from susy_pt.wavefun import (
     MAX_LEVEL,
     Wavefunction,
-    _scale,
+    _ground_norm,
     build_eigenfunction,
     evaluate,
+    hypergeometric_coefficients,
     inner_product,
     samples,
 )
@@ -262,7 +263,8 @@ class TestApplyDelta:
     @staticmethod
     def _one_expression(kind, k_pot, wf, x):
         """The Delta formula as one expression with every term written
-        out, on numpy.polynomial rows of P, P' and P''."""
+        out, on numpy.polynomial rows of P, P' and P'' and the record's
+        envelope powers."""
         rec = samples(wf.params, x)
         kappa, coeffs = wf.kappa, wf.coeffs
         if kind == "minus":
@@ -271,26 +273,31 @@ class TestApplyDelta:
             lead, mid = k_pot * (k_pot + 1.0), kappa + k_pot
         s, c = rec.s, rec.c
         pv, dpv, ddpv = (npoly.polyval(s, npoly.polyder(coeffs, m)) for m in (0, 1, 2))
-        c_kappa = c ** kappa
+        c_kappa = rec.power(kappa)
         return (
-            (lead - kappa * (kappa - 1.0)) * c ** (kappa - 2.0) * s * s * pv
+            (lead - kappa * (kappa - 1.0)) * rec.power(kappa - 2.0) * s * s * pv
             + mid * c_kappa * pv
             + (2.0 * kappa + 1.0) * s * c_kappa * dpv
             - c_kappa * (c * c) * ddpv
         )
 
     @pytest.mark.parametrize("k", [1.01, 1.5, 3.7, 10.0, 300.0])
-    def test_two_steps_keep_the_bits_of_the_one_expression(self, build_cached, k):
-        # skipping the wall term (bracket exactly 0.0) may only leave -0.0
-        # where the written-out formula gives +0.0, so bytes are compared
-        # after "+ 0.0"; where the bracket is nonzero every term is formed
-        # and the bytes are equal as they are
+    def test_two_steps_keep_the_bits_of_the_one_expression(self, k):
+        # on coefficient polynomials (the level-n series of the paper,
+        # unnormalized): skipping the wall term (bracket exactly 0.0) or
+        # f1 (kappa - k exactly 0.0) may only leave -0.0 where the
+        # written-out formula gives +0.0, so bytes are compared after
+        # "+ 0.0"; where neither is skipped every term is formed and the
+        # bytes are equal as they are
         p = ModelParams(1.0, 2.0, k)
         inner = np.nextafter(p.half_width, 0.0)
         x = np.concatenate([interior_grid(p, 2001).points, [-inner, -0.0, 0.0, inner]])
         for n in range(17):
             for kappa, matched in ((p.k, "minus"), (p.k + 1.0, "plus")):
-                wf = build_cached(p.with_k(kappa), n)
+                s = n % 2
+                coeffs = np.zeros(n + 1)
+                coeffs[s::2] = hypergeometric_coefficients((n - s) // 2, kappa + s + (n - s) // 2, s + 0.5)
+                wf = Wavefunction(p, kappa, coeffs)
                 for kind in ("minus", "plus"):
                     for env in (wf, Wavefunction(p, kappa + 0.5, wf.coeffs)):
                         got = apply_delta(kind, p.k, env, x)
@@ -510,10 +517,14 @@ class TestCommutator:
 
 class TestBuildFromGround:
     def test_level_zero_is_closed_form_ground(self):
+        # the constant coefficient is the eigenstate's level-0 row, so the
+        # values are the eigenstate's to the bit
         got = build_from_ground(P_REF, 0)
         want = build_eigenfunction(P_REF, 0)
         assert got.kappa == want.kappa
-        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.coeffs.tolist() == [_ground_norm(P_REF.hat_omega, P_REF.k)]
+        x = np.linspace(-P_REF.half_width, P_REF.half_width, 101)
+        assert evaluate(got, x).tobytes() == evaluate(want, x).tobytes()
 
     def test_level_one_norm(self):
         # (1/sqrt(5)) A_2^+ U_{3,0} has unit norm
@@ -538,13 +549,14 @@ class TestBuildFromGround:
     def test_bytes_of_the_public_raise_chain(self):
         # the chain steps on bare coefficients and wraps the result once;
         # its bytes must be those of n public raise_ calls from the
-        # closed-form ground state at level k + n
+        # closed-form ground state at level k + n, as a coefficient
+        # polynomial
         for p in DEFAULT_BATTERY:
             for n in range(MAX_LEVEL + 1):
                 levels = [p.k]
                 for _ in range(n):
                     levels.append(levels[-1] + 1.0)
-                wf = build_eigenfunction(p.with_k(levels[-1]), 0)
+                wf = Wavefunction(p, levels[-1], [_ground_norm(p.hat_omega, levels[-1])])
                 for k_j in reversed(levels[:-1]):
                     wf = raise_(LadderContext(p, k_j), wf)
                 if n:
@@ -567,7 +579,7 @@ class TestBuildFromGround:
         for _ in range(n):
             levels.append(levels[-1] + 1.0)
         # the top level may exceed K_MAX, where with_k refuses it
-        wf = Wavefunction(p, levels[-1], [_scale(p.hat_omega, levels[-1], 0)])
+        wf = Wavefunction(p, levels[-1], [_ground_norm(p.hat_omega, levels[-1])])
         with np.errstate(over="ignore"):
             try:
                 for k_j in reversed(levels[:-1]):

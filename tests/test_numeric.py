@@ -22,6 +22,7 @@ from susy_pt.numeric import (
     _pivot_sweep,
     interior_grid,
     log_gamma,
+    log_gamma_ratio,
     quadrature,
     sturm_count,
 )
@@ -60,6 +61,44 @@ class TestLogGamma:
         # log_gamma(inf) returned nan; math.lgamma gives inf
         with pytest.raises(ValueError, match="finite"):
             log_gamma(z)
+
+
+class TestLogGammaRatio:
+    """ln Gamma(z+a) - ln Gamma(z+b) without either term: the difference
+    of two log_gamma values carries their absolute error, about 1e-7 at
+    z = 1e8, where the ratio itself is near 9."""
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (16.0, 32.0), (64.0, 128.0), (1.0, 0.5)])
+    def test_matches_mpmath(self, a, b):
+        # worst measured 4.0e-16 of max(1, |ratio|) over the grid
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(50):
+            for z in np.geomspace(1.01, 2e8, 300):
+                z = float(z)
+                ref = mp.loggamma(mp.mpf(z) + a) - mp.loggamma(mp.mpf(z) + b)
+                err = abs(log_gamma_ratio(z, a, b) - ref) / max(1, abs(ref))
+                worst = max(worst, float(err))
+        assert worst <= 1e-15
+
+    def test_equal_shifts_give_zero(self):
+        for z in (1.01, 7.0, 1e8):
+            assert log_gamma_ratio(z, 3.0, 3.0) == 0.0
+
+    def test_steps_up_to_the_series(self):
+        # below z + min(a, b) = 10 the recurrence steps z up; the result
+        # must meet the one taken from there directly
+        for z in (0.25, 1.5, 9.75):
+            stepped = log_gamma_ratio(z, 1.0, 0.5)
+            direct = log_gamma_ratio(z + 20.0, 1.0, 0.5) - sum(
+                math.log((z + j + 1.0) / (z + j + 0.5)) for j in range(20))
+            assert stepped == pytest.approx(direct, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("z, a, b", [(0.5, -0.5, 1.0), (1.0, 1.0, -2.0), (math.nan, 1.0, 0.5),
+                                         (math.inf, 1.0, 0.5), (1.0, math.inf, 0.5)])
+    def test_rejects_nonpositive_or_non_finite_arguments(self, z, a, b):
+        with pytest.raises(ValueError, match="log_gamma_ratio requires finite"):
+            log_gamma_ratio(z, a, b)
 
 
 class TestQuadrature:

@@ -92,14 +92,14 @@ class TestRunAll:
 
     @pytest.mark.parametrize(
         "holder, attr, name",
-        [("verify", "delta_eigenvalue", "ladder"), ("ladder", "_scale", "build_up"),
-         ("wavefun", "_scale", "orthonormality")],
+        [("verify", "delta_eigenvalue", "ladder"), ("ladder", "_ground_norm", "build_up"),
+         ("wavefun", "_ground_norm", "orthonormality")],
     )
     def test_perturbed_reference_fails_its_suite(self, monkeypatch, holder, attr, name):
         # each suite compares two independent representations: n(n+2k) in
         # ladder's factors, the chains' ground norms or the states' norms
         # scaled by 1 + 1e-7 must fail against 1e-8; they read 1.8e-6,
-        # 1.9e-7 and 2.0e-7 (unperturbed 2.0e-10, 1.7e-11 and 3.7e-15)
+        # 1.9e-7 and 2.0e-7 (unperturbed 1.8e-13, 1.2e-11 and 6.7e-16)
         (clean,) = run_all(suites=[name]).suites
         assert clean.status == "pass"
         mod = {"verify": verify_mod, "ladder": ladder, "wavefun": wavefun}[holder]
@@ -107,6 +107,26 @@ class TestRunAll:
         monkeypatch.setattr(mod, attr, lambda *args: exact(*args) * (1.0 + 1e-7))
         (mutated,) = run_all(suites=[name]).suites
         assert mutated.tolerance == 1e-8
+        assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
+
+    @pytest.mark.parametrize(
+        "attr, name, delta",
+        [("v_plus", "shape_invariance", 1e-7), ("energy", "equidistance", 1e-7),
+         ("mass_from_k", "nonrel_limit", 1e-4)],
+    )
+    def test_perturbed_model_formula_fails_its_suite(self, monkeypatch, attr, name, delta):
+        # the model suites check the closed forms they read: V_+ or E_n
+        # scaled by 1 + 1e-7 must fail (they read 2.1e-6 against 1e-10 and
+        # 1.0e-7 against 1e-12; unperturbed 1.8e-15 and 8.9e-16).  The
+        # nonrelativistic limit reads the mass: a relative error of 1e-7
+        # moves E_n - m by 1e-7 of itself, under the suite's 1e-5 at
+        # k = 1e6 (its residual is 1.25e-7), so it takes 1e-4 there, which
+        # breaks the decrease in k (inf)
+        (clean,) = run_all(suites=[name]).suites
+        assert clean.status == "pass"
+        exact = getattr(verify_mod, attr)
+        monkeypatch.setattr(verify_mod, attr, lambda *args: exact(*args) * (1.0 + delta))
+        (mutated,) = run_all(suites=[name]).suites
         assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
 
     @pytest.mark.parametrize("name", ["factorization", "commutator"])
@@ -285,32 +305,40 @@ class TestRunAll:
         }
 
     def test_level_rows_formed_once_as_read_only_lists(self, monkeypatch):
-        # one recurrence pass per set; a later call returns the same lists
-        passes = []
-        real = verify_mod._recurrence
-        monkeypatch.setattr(verify_mod, "_recurrence", lambda *args: passes.append(args) or real(*args))
-        table = verify_mod._Levels(ModelParams(1.0, 1.0, 2.0), 4, delta=True)
-        for partner, levels in ((False, 5), (True, 4)):
-            values, delta = pair = table.rows(partner)
-            assert table.rows(partner) is pair
-            assert type(values) is type(delta) is list and len(values) == len(delta) == levels
-            assert not any(row.flags.writeable for row in values + delta)
-        assert len(passes) == 2
+        # every suite of a model reads the rows of its table's record: one
+        # level-0 row per set (a pass starts there) and, after all the
+        # suites, each set's read-only rows to the orders its suites read
+        p = ModelParams(1.0, 1.0, 2.0)
+        starts = []
+        real = wavefun._ground_norm
+        monkeypatch.setattr(wavefun, "_ground_norm", lambda w, k: starts.append(k) or real(w, k))
+        table = verify_mod._Levels(p, 4)
+        run = verify_mod._Run(4, 1024, False, 0.0)
+        for name in ("eigen_residual", "partner_eigen_residual", "ladder", "build_up"):
+            suite = next(fn for n, _, fn, _ in verify_mod._SUITES if n == name)
+            list(suite(p, table, run))
+        starts = [k for k in starts if k in (2.0, 3.0)][:2]  # build_up's chains take their own norms
+        assert starts == [2.0, 3.0]
+        for k, levels in ((2.0, 5), (3.0, 4)):
+            rows = table.x._rows[k][-1]
+            assert type(rows) is list and [len(level) for level in rows] == [levels] * 3
+            assert not any(row.flags.writeable for level in rows for row in level)
 
     def test_level_rows_work_counts(self, monkeypatch):
-        # one recurrence pass per level set, two per model (24); the
-        # eigen-residual suites read Delta from the rows, so the only
+        # the eigen-residual suites read Delta from the rows, so the only
         # apply_delta calls are factorization_residual's 160 (556 with
         # the 396 the suites made); build_up raises each model's 17
         # chains together, 16 lock-step steps (1632 steps when each chain
-        # ran alone, 2304 _first_order calls in all); 1724 Horner passes
-        # (3308 when every table row and Delta term had its own); Delta's
-        # factor rows once per level set and once per apply_delta call,
-        # 24 + 160 (one set per level, 396 + 160, when every table row
-        # formed its own)
-        calls = dict.fromkeys(("_recurrence", "apply_delta", "_delta_factors", "_first_order", "_horner"), 0)
+        # ran alone), and ladder's 192 raise_ calls each form one term
+        # (864 _first_order calls); 1268 Horner passes, none of them on an
+        # eigenstate's level (1724 with the 384 of ladder's monomial
+        # images and the monomial states' own, 3308 when every table row
+        # and Delta term had its own); Delta's factor rows once per level
+        # set and once per apply_delta call, 24 + 160; no hypergeometric
+        # coefficient at all
+        calls = dict.fromkeys(("apply_delta", "_delta_factors", "_first_order", "_horner"), 0)
         build_up_steps = []
-        holders = {"_recurrence": [verify_mod], "apply_delta": [ladder], "_delta_factors": [verify_mod, ladder],
+        holders = {"apply_delta": [ladder], "_delta_factors": [verify_mod, ladder],
                    "_first_order": [ladder], "_horner": [wavefun, ladder]}
         for attr, mods in holders.items():
             def wrapper(*args, attr=attr, real=getattr(mods[0], attr), **kwargs):
@@ -328,21 +356,27 @@ class TestRunAll:
             return out
 
         monkeypatch.setattr(verify_mod, "_raising_chains", counting_chains)
+
+        def no_series(*args):
+            raise AssertionError("a hypergeometric coefficient was formed")
+
+        monkeypatch.setattr(wavefun, "hypergeometric_coefficients", no_series)
         assert "apply_delta" not in vars(verify_mod)
         assert run_all().all_passed
-        assert calls == {"_recurrence": 24, "apply_delta": 160, "_delta_factors": 184, "_first_order": 864,
-                         "_horner": 1724}
+        assert calls == {"apply_delta": 160, "_delta_factors": 184, "_first_order": 864, "_horner": 1268}
         assert build_up_steps == [16] * len(DEFAULT_BATTERY)
 
     @pytest.mark.parametrize(
         "suites, sets, rows",
         [(["ladder"], 0, 0), (["build_up"], 0, 0), (["ladder", "build_up", "orthonormality"], 0, 0),
          (["eigen_residual"], 12, 12 * 17), (["partner_eigen_residual"], 12, 12 * 16),
-         (["ladder", "eigen_residual"], 24, 12 * 33)],
+         (["ladder", "eigen_residual"], 12, 12 * 17)],
     )
     def test_delta_rows_formed_only_for_the_eigen_suites(self, monkeypatch, suites, sets, rows):
-        # the level table forms Delta rows only when a suite reads them:
-        # ladder alone made 396 unread rows, build_up alone 204
+        # Delta rows are formed only by the suite that reads them, and only
+        # for its own set: ladder alone made 396 unread rows, build_up
+        # alone 204, and ladder with eigen_residual formed the partner's
+        # set too (24 sets, 12 * 33 rows)
         calls = {"_delta_factors": 0, "_delta_rows": 0}
         for attr in calls:
             def wrapper(*args, attr=attr, real=getattr(verify_mod, attr)):
@@ -352,6 +386,33 @@ class TestRunAll:
             monkeypatch.setattr(verify_mod, attr, wrapper)
         assert run_all(suites=suites).all_passed
         assert calls == {"_delta_factors": sets, "_delta_rows": rows}
+
+    @pytest.mark.parametrize(
+        "suites, orders",
+        [(["orthonormality"], {}), (["build_up"], {0: 1}), (["ladder"], {0: 2, 1: 2}),
+         (["eigen_residual"], {0: 3}), (["partner_eigen_residual"], {1: 3}),
+         (["build_up", "ladder", "eigen_residual"], {0: 3, 1: 2})],
+    )
+    def test_rows_formed_to_the_derivative_order_read(self, monkeypatch, suites, orders):
+        # values for build_up, P' for ladder, P'' for the eigen suites,
+        # on the grid record of set k (0) and of the partner set (1):
+        # the pass formed P' and P'' whatever the suites read
+        grids = []
+        real = wavefun.samples
+
+        def keeping(params, x):
+            rec = real(params, x)
+            if rec.size == verify_mod._GRID_POINTS:
+                grids.append((params, rec))
+            return rec
+
+        for mod in (wavefun, verify_mod):
+            monkeypatch.setattr(mod, "samples", keeping)
+        assert run_all(suites=suites).all_passed
+        assert len(grids) == (len(DEFAULT_BATTERY) if orders else 0)
+        for p, rec in grids:
+            got = {j: len(rec._rows[k][-1]) for j, k in ((0, p.k), (1, p.k + 1.0)) if k in rec._rows}
+            assert got == orders, (p, got)
 
     def test_each_suite_runs_on_the_first_model_of_each_scope_key(self, monkeypatch):
         # per model, per distinct k or once per run; a repeated model runs
@@ -457,9 +518,9 @@ class TestOrthonormalityGram:
 
     P = ModelParams(1.0, 1.0, 2.0)
 
-    def worst(self, monkeypatch, build):
-        real = verify_mod.build_eigenfunction
-        monkeypatch.setattr(verify_mod, "build_eigenfunction", lambda p, n: build(real, p, n))
+    def worst(self, monkeypatch, attr, replace):
+        real = getattr(verify_mod, attr)
+        monkeypatch.setattr(verify_mod, attr, lambda *args: replace(real, *args))
         (suite,) = run_all(params_set=[self.P], suites=["orthonormality"], **SMALL).suites
         assert suite.status == "fail"
         return suite.worst_residual
@@ -467,21 +528,24 @@ class TestOrthonormalityGram:
     def test_scaled_level_fails_on_the_diagonal(self, monkeypatch):
         def build(real, p, n):
             wf = real(p, n)
-            return Wavefunction(p, wf.kappa, (1.0 + 1e-6) * wf.coeffs) if n == 5 else wf
+            if n != 5:
+                return wf
+            return Wavefunction(p, wf.kappa, None, wavefun._make_state(p.k, n, [[1.0 + 1e-6]]))
 
         # <(1+e)U, (1+e)U> - 1 = 2e + e^2
-        assert self.worst(monkeypatch, build) == pytest.approx(2e-6 + 1e-12, abs=1e-13)
+        assert self.worst(monkeypatch, "build_eigenfunction", build) == pytest.approx(2e-6 + 1e-12, abs=1e-13)
 
     def test_mixed_levels_fail_off_the_diagonal(self, monkeypatch):
-        def build(real, p, n):
-            if n != 0:
-                return real(p, n)
-            coeffs = 1e-6 * real(p, 2).coeffs
-            coeffs[0] += real(p, 0).coeffs[0]
-            return Wavefunction(p, p.k, coeffs)
+        # U_0 + e U_2 is no one level's form, so its values are mixed where
+        # the suite reads them
+        def values(real, wf, x):
+            out = real(wf, x)
+            if wf.state.n == 0:
+                out = out + 1e-6 * real(wavefun.build_eigenfunction(wf.params, 2), x)
+            return out
 
         # <U_0 + e U_2, U_2> = e; the diagonal moves by e^2 alone
-        assert self.worst(monkeypatch, build) == pytest.approx(1e-6, abs=1e-13)
+        assert self.worst(monkeypatch, "evaluate", values) == pytest.approx(1e-6, abs=1e-13)
 
 
 class TestReportSerialization:
