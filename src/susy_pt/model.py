@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,9 +160,14 @@ def energy(params: ModelParams, n: int) -> float:
 
 
 def delta_eigenvalue(params: ModelParams, n: int) -> float:
-    """Eigenvalue n(n+2k) of the rescaled operator, = (E_n^2 - E_0^2)/w^2."""
+    """Eigenvalue n(n+2k) of the rescaled operator, = (E_n^2 - E_0^2)/w^2.
+
+    Raises ValueError where n(n+2k) overflows to inf."""
     n = _check_level(n)
-    return n * (n + 2.0 * params.k)
+    lam = n * (n + 2.0 * params.k)
+    if lam == math.inf:
+        raise ValueError(f"n(n+2k) at n={n} is inf: not a finite float")
+    return lam
 
 
 def spectrum(params: ModelParams, n_max: int) -> Spectrum:
@@ -213,13 +219,16 @@ def superpotential(params: ModelParams, x):
 
 def _check_int(value, name: str, positive: bool = False) -> int:
     """The one integer rule: an integral real number (2.0 passes as 2)
-    that is nonnegative, or positive if asked, comes back as an int;
-    anything else, NaN, the infinities, the booleans and values that are
-    not real numbers ("3", None, 1+2j) included, raises ValueError."""
+    that is nonnegative, or positive if asked, and no larger than the
+    largest float comes back as an int; anything else, NaN, the
+    infinities, the booleans and values that are not real numbers ("3",
+    None, 1+2j) included, raises ValueError.  The value is judged by
+    comparisons alone, never through float(value), which overflows from
+    2**1024."""
     if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, numbers.Real)
-        and value >= (1 if positive else 0)
-        and float(value).is_integer()
+        and (1 if positive else 0) <= value <= sys.float_info.max
+        and int(value) == value
     ):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")

@@ -1,18 +1,19 @@
 """Property suites tying the closed-form results to the numerical oracle,
 with a machine-readable report.
 
-Each suite is a generator fn(p, table, run) that yields its residuals
-for one model p and that model's level table (_Levels).  The one table
-_SUITES gives each suite its tolerance and its scope, and one rule
-places every suite: run_all makes one pass over the battery and runs a
-suite on the first model of each distinct value of its scope key.  The
-key is the model itself for orthonormality, eigen_residual,
-partner_eigen_residual, ladder, build_up and equidistance; its k for
-shape_invariance, factorization, commutator and numeric_cross_check;
-and a constant for nonrel_limit, so it runs once.  Each suite's
-residuals are reduced to the worst one, and a suite passes iff worst
-residual <= tolerance.  Suites are deterministic given their inputs
-(random test polynomials use a fixed seed).
+Each suite is a generator fn(p, record, run) that yields its residuals
+for one model p.  record() is the model's grid record, built on the
+first call and shared by every suite of the model; a suite builds each
+state where it reads it.  The one table _SUITES gives each suite its
+tolerance and its scope, and one rule places every suite: run_all makes
+one pass over the battery and runs a suite on the first model of each
+distinct value of its scope key.  The key is the model itself for
+orthonormality, eigen_residual, partner_eigen_residual, ladder, build_up
+and equidistance; its k for shape_invariance, factorization, commutator
+and numeric_cross_check; and a constant for nonrel_limit, so it runs
+once.  Each suite's residuals are reduced to the worst one, and a suite
+passes iff worst residual <= tolerance.  Suites are deterministic given
+their inputs (random test polynomials use a fixed seed).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,18 +86,7 @@ class VerificationReport:
         return all(s.status == "pass" for s in self.suites)
 
     def to_dict(self) -> dict:
-        return {
-            "suites": [
-                {
-                    "name": s.name,
-                    "status": s.status,
-                    "worst_residual": s.worst_residual,
-                    "tolerance": s.tolerance,
-                }
-                for s in self.suites
-            ],
-            "meta": self.meta,
-        }
+        return {"suites": [asdict(s) for s in self.suites], "meta": self.meta}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -125,61 +115,37 @@ class _Run:
     k_corruption: float
 
 
-class _Levels:
-    """One model's level table, the one place its suites get states: the
-    pointwise grid record x and the eigenstates U_{k,n} and partner
-    states U_{k+1,m}, each built once, on first use.
-
-    The table is a thin view of its record: every value the suites read
-    of a state, and every derivative row, is the record's memo of the
-    Gegenbauer rows (wavefun._recurrence), formed once per set and
-    derivative order, and only to the order some suite asks for (values
-    for orthonormality and build_up, P' for ladder, P'' for the eigen
-    suites).  run_all fills one table per model and drops it before the
-    next model's table fills, so nothing in it outlives the model."""
-
-    def __init__(self, p, n_max):
-        self.params = p
-        self.n_max = n_max
-        self._partner = p.with_k(p.k + 1.0)
-        self._states = {}
-
-    @functools.cached_property
-    def x(self):
-        """The model's pointwise grid record: a new Samples record of the
-        interior grid, held here so that its memo of envelope powers and
-        Gegenbauer rows lives exactly as long as the model's table."""
-        return samples(self.params, interior_grid(self.params, _GRID_POINTS).points)
-
-    def state(self, n, partner=False):
-        """U_{k,n}, or U_{k+1,n} if partner."""
-        key = (partner, n)
-        wf = self._states.get(key)
-        if wf is None:
-            wf = self._states[key] = build_eigenfunction(self._partner if partner else self.params, n)
-        return wf
+def _grid_record(p):
+    """The model's pointwise grid record: a new Samples record of the
+    interior grid, whose memo of envelope powers and Gegenbauer rows
+    (wavefun._recurrence) every suite of the model reads.  Those rows
+    are formed once per set and derivative order, and only to the order
+    some suite asks for (values for build_up, P' for ladder, P'' for the
+    eigen suites).  run_all builds it on a suite's first call and drops
+    it before the next model's, so nothing in it outlives the model."""
+    return samples(p, interior_grid(p, _GRID_POINTS).points)
 
 
-def _suite_orthonormality(p, table, run):
+def _suite_orthonormality(p, record, run):
     """Per model: one Gram matrix of levels 0..7, on inner_product's
     nodes for the top pair (7, 7), so no pair gets fewer panels than it
-    would there; the states are the table's, the node record its own."""
+    would there, in a node record of its own."""
     panels = _panels(2 * 7)
     nodes, half = _gl_panels(-p.half_width, p.half_width, panels)
     x = samples(p, nodes)
-    u = np.array([evaluate(table.state(n), x) for n in range(8)])
+    u = np.array([evaluate(build_eigenfunction(p, n), x) for n in range(8)])
     gram = (u * np.tile(half * _GL_WEIGHTS, panels)) @ u.T
     yield from np.abs(gram - np.eye(8))[np.triu_indices(8)]
 
 
-def _suite_eigen_residual(p, table, run, partner=False):
+def _suite_eigen_residual(p, record, run, partner=False):
     """Per model: Delta_- U_{k,n} = n(n+2k) U_{k,n} for n <= n_max, or
     if partner Delta_+ U_{k+1,n-1} = n(n+2k) U_{k+1,n-1} for
     1 <= n <= n_max, from the record's Gegenbauer rows P, P' and P'' of
     the set through ladder's one Delta formula, whose factor rows are
     formed once per set."""
     kind, kappa = ("plus", p.k + 1.0) if partner else ("minus", p.k)
-    rec = table.x
+    rec = record()
     rows = _recurrence(rec, kappa, run.n_max - int(partner), 2)
     envelope = rec.power(kappa)
     factors = _delta_factors(kind, p.k, kappa, rec)
@@ -190,27 +156,28 @@ def _suite_eigen_residual(p, table, run, partner=False):
         yield float(np.max(np.abs(_delta_rows(factors, level) - lam * u))) / (1.0 + lam)
 
 
-def _suite_ladder(p, table, run):
+def _suite_ladder(p, record, run):
     """Per model: A_k U_{k,n} = f U_{k+1,n-1} and A_k^+ U_{k+1,n-1} =
     f U_{k,n} with f = sqrt(n(n+2k)): the public lower and raise_ act on
-    the table's eigenstates, which read P_n' at parameter k (Q_m and Q_m'
-    at k+1), and their images are compared with the values of the other
+    the eigenstates, which read P_n' at parameter k (Q_m and Q_m' at
+    k+1), and their images are compared with the values of the other
     level set, never with an index shift of the same rows; the k inside
     f is shifted by the k_corruption hook."""
     ctx = LadderContext(p, p.k)
     expected = p.with_k(p.k + run.k_corruption)
-    x = table.x
+    partner = p.with_k(p.k + 1.0)
+    x = record()
     for n in range(1, run.n_max + 1):
         factor = math.sqrt(delta_eigenvalue(expected, n))
-        down = table.state(n - 1, partner=True)
-        up = table.state(n)
+        down = build_eigenfunction(partner, n - 1)
+        up = build_eigenfunction(p, n)
         res = np.abs(evaluate(lower(ctx, up), x) - factor * evaluate(down, x))
         yield float(np.max(res))
         res = np.abs(evaluate(raise_(ctx, down), x) - factor * evaluate(up, x))
         yield float(np.max(res))
 
 
-def _suite_shape_invariance(p, table, run):
+def _suite_shape_invariance(p, record, run):
     """Per distinct k: V_+(k) = V_-(k+1) + 2k + 1 for the dimensionless
     potentials, on a 10^4-point grid.
 
@@ -240,16 +207,16 @@ def _random_test_fns():
     return tuple(fns)
 
 
-def _suite_factorization(p, table, run):
+def _suite_factorization(p, record, run):
     """Per distinct k: H_- = A^+A and H_+ = AA^+ on the test polynomials
-    at levels k and k+1, on the table's grid record.
+    at levels k and k+1, on the model's grid record.
 
     The polynomials and the levels are the same for every model; the grid
     is pi/w times a fixed set of points and the operators read it only
     through wx.  So the residuals depend on k alone.  Where w is a power
     of two, wx is exact and so are the residuals; elsewhere they move by
     rounding."""
-    x = table.x
+    x = record()
     for coeffs in _random_test_fns():
         for kappa in (p.k, p.k + 1.0):
             wf = Wavefunction(p, kappa, coeffs)
@@ -257,26 +224,26 @@ def _suite_factorization(p, table, run):
             yield factorization_residual(p.k, wf, x) / scale
 
 
-def _suite_commutator(p, table, run):
+def _suite_commutator(p, record, run):
     """Per distinct k: [A, A^+] = 2k + (1/2k)(A + A^+)^2 on the test
-    polynomials, on the table's grid record.
+    polynomials, on the model's grid record.
 
     As for factorization, the residuals depend on k alone."""
     for coeffs in _random_test_fns():
-        yield commutator_check(p.k, Wavefunction(p, p.k, coeffs), table.x)
+        yield commutator_check(p.k, Wavefunction(p, p.k, coeffs), record())
 
 
-def _suite_build_up(p, table, run):
+def _suite_build_up(p, record, run):
     """Per model: the raising chains of build_from_ground(p, n) for
     n <= n_max, raised together in one lock-step pass, against the
-    table's eigenstates U_{k,n}, the coefficient side against the
-    Gegenbauer rows."""
-    x = table.x
+    eigenstates U_{k,n}, the coefficient side against the Gegenbauer
+    rows."""
+    x = record()
     for n, wf in enumerate(_raising_chains(p, range(run.n_max + 1))):
-        yield float(np.max(np.abs(evaluate(wf, x) - evaluate(table.state(n), x))))
+        yield float(np.max(np.abs(evaluate(wf, x) - evaluate(build_eigenfunction(p, n), x))))
 
 
-def _suite_numeric_cross_check(p, table, run):
+def _suite_numeric_cross_check(p, record, run):
     """Per distinct k: the FD oracle's lowest five eigenvalues against
     n(n+2k), solved at omega = epsilon = 1; the eigenvalues carry no
     omega/epsilon dependence."""
@@ -287,14 +254,14 @@ def _suite_numeric_cross_check(p, table, run):
         yield abs(lam_hat - exact) / (1.0 + exact)
 
 
-def _suite_equidistance(p, table, run):
+def _suite_equidistance(p, record, run):
     """Per model: E_{n+1} - E_n = omega at epsilon = 1."""
     q = p if p.epsilon == 1.0 else ModelParams(p.omega, 1.0, p.k)
     for n in range(VERIFIED_LEVEL + 1):
         yield abs(energy(q, n + 1) - energy(q, n) - q.omega)
 
 
-def _suite_nonrel_limit(p, table, run):
+def _suite_nonrel_limit(p, record, run):
     """Once per run: the levels approach the oscillator's as k grows, on a
     fixed k sequence."""
     rows = run_nonrel_limit(1.0, 1.0, _NONREL_KS)
@@ -385,12 +352,12 @@ def run_all(
     worst = dict.fromkeys(name for name, *_ in selected)
     seen = set()
     for p in battery:
-        table = _Levels(p, n_max)
+        record = functools.cache(functools.partial(_grid_record, p))
         for name, scope, suite, _ in selected:
             key = (name, scope(p))
             if key not in seen:
                 seen.add(key)
-                worst[name] = _fold(worst[name], suite(p, table, run))
+                worst[name] = _fold(worst[name], suite(p, record, run))
 
     results = []
     for name, _, _, tol in selected:

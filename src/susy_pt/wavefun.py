@@ -197,7 +197,7 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
     Gegenbauer rows of _recurrence.  Unit L2 norm, highest-order
     coefficient of P_n positive."""
     n = _check_level(n, MAX_LEVEL)
-    return Wavefunction(params, params.k, None, _make_state(params.k, n, (_ONE,)))
+    return Wavefunction(params, params.k, None, _State(params.k, n, (_ONE,)))
 
 
 def _ground_norm(hat_omega: float, k: float) -> float:

@@ -306,6 +306,15 @@ def test_out_of_range_params_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--k", "2", "--n-max"], ["verify", "--suite", "equidistance", "--grid-n"]])
+def test_integer_no_float_holds_usage_error(capsys, argv):
+    # the integer rule's float(value) raised OverflowError, which left
+    # main with a traceback
+    code, out, err = run_cli(capsys, *argv, "1" + "0" * 400)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "must be a" in err
+
+
 def test_unknown_command_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

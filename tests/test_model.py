@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +182,28 @@ class TestSpectrumFormulas:
             with pytest.raises(ValueError, match="^level index n must be a nonnegative integer"):
                 fn(p, n)
         assert delta_eigenvalue(p, 3.0) == delta_eigenvalue(p, 3)
+
+    @pytest.mark.parametrize("n", [2**1024, 10**400, int(sys.float_info.max) + 1], ids=["2**1024", "10**400", "max+1"])
+    def test_rejects_integer_no_float_holds(self, n):
+        # float(n).is_integer() raised OverflowError from 2**1024; the
+        # integers between the largest float and 2**1024 passed the rule
+        p = ModelParams(1.0, 1.0, 2.0)
+        for fn in (energy_squared, delta_eigenvalue, spectrum):
+            with pytest.raises(ValueError, match="^level index n must be a nonnegative integer"):
+                fn(p, n)
+        with pytest.raises(ValueError, match="^n_points must be a positive integer"):
+            interior_grid(p, n)
+
+    @pytest.mark.parametrize("n", [10**200, int(sys.float_info.max)], ids=["10**200", "max"])
+    def test_rejects_delta_eigenvalue_overflow(self, n):
+        # n(n+2k) overflowed to inf and was returned, where energy_squared
+        # rejects the same level
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^n\(n\+2k\) at n=\d+ is inf"):
+            delta_eigenvalue(p, n)
+        with pytest.raises(ValueError, match="E_n"):
+            energy_squared(p, n)
+        assert delta_eigenvalue(p, 10**150) == 10**150 * (10**150 + 4.0)
 
     @pytest.mark.parametrize("n", [True, False, np.True_, np.False_])
     def test_rejects_boolean_level(self, n):

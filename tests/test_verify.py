@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -20,19 +21,19 @@ from susy_pt.verify import (
 SMALL = dict(n_max=4, grid_n=1024)
 
 
-def _forbid_suites_and_tables(monkeypatch):
-    """Make any suite or level table that run_all starts fail the test,
+def _forbid_suites_and_records(monkeypatch):
+    """Make any suite or grid record that run_all starts fail the test,
     for checks that must reject their input before either runs."""
 
     def no_suite(*args):
         raise AssertionError("a suite ran")
 
-    def no_table(*args):
-        raise AssertionError("a level table was built")
+    def no_record(*args):
+        raise AssertionError("a grid record was built")
 
     suites = tuple((name, scope, no_suite, tol) for name, scope, _, tol in verify_mod._SUITES)
     monkeypatch.setattr(verify_mod, "_SUITES", suites)
-    monkeypatch.setattr(verify_mod, "_Levels", no_table)
+    monkeypatch.setattr(verify_mod, "_grid_record", no_record)
 
 
 FAST_SUITES = ("equidistance", "nonrel_limit", "shape_invariance")
@@ -162,7 +163,7 @@ class TestRunAll:
 
     def test_empty_suite_selection_rejected_before_any_suite(self, monkeypatch):
         # it returned a report of no suites whose all_passed was True
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         with pytest.raises(ValueError, match="at least one suite"):
             run_all(suites=[], **SMALL)
 
@@ -182,14 +183,14 @@ class TestRunAll:
     def test_rejects_partner_level_above_k_max(self, k, monkeypatch):
         # k itself is admitted, but the partner suites build level k+1;
         # rejected before any suite runs, with the partner level named
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         with pytest.raises(ValueError, match=rf"partner level k\+1 = {k + 1.0!r} exceeds K_MAX"):
             run_all(params_set=[DEFAULT_BATTERY[0], ModelParams(1.0, 1.0, k)], **SMALL)
 
     @pytest.mark.parametrize("battery", [[1, 2], [DEFAULT_BATTERY[0], None], [DEFAULT_BATTERY[0], (1.0, 1.0, 2.0)]])
     def test_rejects_battery_entry_that_is_not_model_params(self, battery, monkeypatch):
         # run_all([1, 2]) leaked AttributeError from the partner-level check
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         bad = next(p for p in battery if not isinstance(p, ModelParams))
         with pytest.raises(ValueError, match=f"^params_set entries must be ModelParams, got {re.escape(repr(bad))}$"):
             run_all(battery, **SMALL)
@@ -197,7 +198,7 @@ class TestRunAll:
     @pytest.mark.parametrize("params_set", [ModelParams(1.0, 1.0, 2.0), 3, 2.5, object()])
     def test_rejects_params_set_that_is_not_a_battery(self, params_set, monkeypatch):
         # one model, or anything not iterable, leaked TypeError from tuple(params_set)
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         with pytest.raises(ValueError, match="^params_set must be an iterable of ModelParams, got "):
             run_all(params_set, **SMALL)
 
@@ -205,7 +206,7 @@ class TestRunAll:
     def test_rejects_bad_grid_n_before_any_suite(self, grid_n, monkeypatch):
         # the bound of discretize_delta, checked next to n_max: neither a
         # wasted run of the other suites nor a subset run that never meets it
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         with pytest.raises(ValueError, match="grid_n must be"):
             run_all(grid_n=grid_n)
         with pytest.raises(ValueError, match="grid_n must be"):
@@ -217,8 +218,7 @@ class TestRunAll:
         assert '"grid_n": 16,' in report.to_json()
 
     def test_one_samples_record_per_model_and_grid(self, monkeypatch):
-        # each model's level table builds one record of the 2001-point
-        # grid, which eigen_residual, partner, ladder and build_up share,
+        # run_all builds one record of each model's 2001-point grid, which eigen_residual, partner, ladder and build_up share,
         # and factorization and commutator too on the first model of each
         # k; orthonormality builds one record of its 55 x 16 Gram nodes per
         # model; no suite calls inner_product, which integrates through
@@ -239,24 +239,29 @@ class TestRunAll:
         assert builds == [880, 2001] * len(DEFAULT_BATTERY)
         assert quadratures == []
 
-    def test_each_state_built_once_per_run(self, monkeypatch):
-        # U_{k,n} for n <= 16 and U_{k+1,m} for m < 16 on each of the 12
-        # models: 33 states per model, 396 in all, each built once (the
-        # suites built 1080 when each formed its own); orthonormality's
-        # levels 0..7 are among them
-        keys = []
-        real = verify_mod.build_eigenfunction
+    def test_each_row_set_started_once_per_run(self, monkeypatch):
+        # the suites build their states where they read them, but every
+        # row those states read is the memo of a record: 3 recurrence
+        # passes start per model, 36 in all, one per set of rows (level k
+        # on orthonormality's 880 nodes, levels k and k+1 on the shared
+        # 2001-point grid record); a suite with a record of its own
+        # would start its sets again
+        starts = []
+        real = wavefun._recurrence
 
-        def counting_build(p, n):
-            keys.append((p, n))
-            return real(p, n)
+        def counting(rec, k, *args):
+            if k not in rec._rows:
+                starts.append((rec.size, k))
+            return real(rec, k, *args)
 
-        monkeypatch.setattr(verify_mod, "build_eigenfunction", counting_build)
+        for mod in (wavefun, verify_mod):
+            monkeypatch.setattr(mod, "_recurrence", counting)
         assert run_all().all_passed
-        assert len(keys) == len(set(keys)) == 396
+        assert len(starts) == 36
+        assert starts == [row for p in DEFAULT_BATTERY for row in ((880, p.k), (2001, p.k), (2001, p.k + 1.0))]
 
     def test_each_suite_alone_matches_the_full_run_to_the_bit(self):
-        # the table is shared by every suite of a model: what one suite
+        # the grid record is shared by every suite of a model: what one suite
         # reads must not depend on which others ran before it; w not a
         # power of two and two models of one k, so the per-k suites skip one
         battery = [ModelParams(1.0, 0.7, 3.7), ModelParams(1.3, 1.1, 3.7), ModelParams(0.9, 1.0, 2.5)]
@@ -274,7 +279,7 @@ class TestRunAll:
         # max's rule: a leading NaN stays, a later one is passed over
         streams = iter(per_model)
         suites = tuple(
-            (name, scope, (lambda p, table, run: next(streams)) if name == "eigen_residual" else suite, tol)
+            (name, scope, (lambda p, record, run: next(streams)) if name == "eigen_residual" else suite, tol)
             for name, scope, suite, tol in verify_mod._SUITES
         )
         monkeypatch.setattr(verify_mod, "_SUITES", suites)
@@ -305,22 +310,25 @@ class TestRunAll:
         }
 
     def test_level_rows_formed_once_as_read_only_lists(self, monkeypatch):
-        # every suite of a model reads the rows of its table's record: one
-        # level-0 row per set (a pass starts there) and, after all the
-        # suites, each set's read-only rows to the orders its suites read
+        # every suite of a model reads the rows of the one record its
+        # factory builds: one level-0 row per set (a pass starts there)
+        # and, after all the suites, each set's read-only rows to the
+        # orders its suites read
         p = ModelParams(1.0, 1.0, 2.0)
         starts = []
         real = wavefun._ground_norm
         monkeypatch.setattr(wavefun, "_ground_norm", lambda w, k: starts.append(k) or real(w, k))
-        table = verify_mod._Levels(p, 4)
+        builds = []
+        record = functools.cache(lambda: builds.append(p) or verify_mod._grid_record(p))
         run = verify_mod._Run(4, 1024, False, 0.0)
         for name in ("eigen_residual", "partner_eigen_residual", "ladder", "build_up"):
             suite = next(fn for n, _, fn, _ in verify_mod._SUITES if n == name)
-            list(suite(p, table, run))
+            list(suite(p, record, run))
+        assert builds == [p]
         starts = [k for k in starts if k in (2.0, 3.0)][:2]  # build_up's chains take their own norms
         assert starts == [2.0, 3.0]
         for k, levels in ((2.0, 5), (3.0, 4)):
-            rows = table.x._rows[k][-1]
+            rows = record()._rows[k][-1]
             assert type(rows) is list and [len(level) for level in rows] == [levels] * 3
             assert not any(row.flags.writeable for level in rows for row in level)
 
@@ -421,9 +429,9 @@ class TestRunAll:
         calls = []
 
         def recording(name, suite):
-            def wrapper(p, table, run):
+            def wrapper(p, record, run):
                 calls.append((name, p))
-                return suite(p, table, run)
+                return suite(p, record, run)
 
             return wrapper
 
@@ -454,7 +462,7 @@ class TestRunAll:
     @pytest.mark.parametrize("richardson", ["false", 0, 1, None, 1.0])
     def test_rejects_non_bool_richardson_before_any_suite(self, richardson, monkeypatch):
         # any truthy value ran the Richardson solve and went into meta as given
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         with pytest.raises(ValueError, match="richardson must be a bool"):
             run_all(params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["numeric_cross_check"], richardson=richardson)
 
@@ -473,7 +481,7 @@ class TestRunAll:
     @pytest.mark.parametrize("value", ["16", None, 1 + 2j, [16]])
     def test_rejects_non_numeric_n_max_and_grid_n(self, value, monkeypatch):
         # "16" leaked TypeError from the comparison with 0
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         with pytest.raises(ValueError, match="level index n must be a nonnegative integer"):
             run_all(n_max=value)
         with pytest.raises(ValueError, match="grid_n must be a positive integer"):
@@ -493,7 +501,7 @@ class TestRunAll:
     def test_rejects_k_corruption_before_any_suite(self, k_corruption, match, monkeypatch):
         # the ladder suite builds level k + k_corruption; out of range it
         # failed inside that suite, after the suites before it had run
-        _forbid_suites_and_tables(monkeypatch)
+        _forbid_suites_and_records(monkeypatch)
         battery = [ModelParams(1.0, 1.0, 3.0), ModelParams(1.0, 1.0, 2.0)]
         with pytest.raises(ValueError, match=match):
             run_all(params_set=battery, suites=["ladder"], k_corruption=k_corruption)
