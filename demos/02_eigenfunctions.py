@@ -11,18 +11,17 @@ three-term recurrence rows on the positions it is evaluated at.
 import numpy as np
 
 from susy_pt import ModelParams, build_eigenfunction, evaluate, inner_product, samples
-from susy_pt.wavefun import _recurrence
 
 p = ModelParams(omega=1.0, epsilon=1.0, k=2.0)
 
-# --- a few levels: the recurrence rows of P_n at a few values of s -----
-s_points = np.linspace(-1.0, 1.0, 5)
+# --- a few levels: P_n(s) = U_{k,n} / cos^k at a few interior s --------
+s_points = np.linspace(-0.9, 0.9, 5)
 rec = samples(p, np.arcsin(s_points) / p.hat_omega)
-rows = _recurrence(rec, p.k, 3)[0]
 print("s:      ", "  ".join(f"{v:+.6f}" for v in rec.s))
 for n in range(4):
     wf = build_eigenfunction(p, n)
-    print(f"P_{n}(s): ", "  ".join(f"{v:+.6f}" for v in rows[n]), f"  (degree {wf.degree})")
+    p_n = evaluate(wf, rec) / rec.power(p.k)
+    print(f"P_{n}(s): ", "  ".join(f"{v:+.6f}" for v in p_n), f"  (degree {wf.degree})")
 
 # --- values: bell curve at n=0, node structure at higher n -------------
 x = np.linspace(-p.half_width, p.half_width, 9)

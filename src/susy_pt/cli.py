@@ -21,8 +21,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .ladder import build_from_ground, chain_prefactor
-from .model import ModelParams, k_from_mass, mass_from_k, spectrum
-from .wavefun import MAX_LEVEL, build_eigenfunction, evaluate, inner_product
+from .model import MAX_LEVEL, ModelParams, k_from_mass, mass_from_k, spectrum
+from .wavefun import build_eigenfunction, evaluate, inner_product
 
 USAGE_ERROR = 2
 _FLOAT = "%.17g"
@@ -68,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="energy levels E_n^2, E_n and n(n+2k)")
     add_params(p)
-    p.add_argument("--n-max", type=int, default=8, help="highest level (>= 0)")
+    p.add_argument("--n-max", type=int, default=8, help=f"highest level (0..{MAX_LEVEL})")
     add_output(p)
 
     p = sub.add_parser("eigenfunction", help="sampled level-n eigenfunction")

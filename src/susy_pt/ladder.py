@@ -62,10 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check_level, _require_interior
+from .model import ModelParams, _check_level, _check_real, _require_interior
 from .numeric import log_gamma, log_gamma_ratio
 from .wavefun import (
-    MAX_LEVEL,
     Wavefunction,
     _as_samples,
     _envelope,
@@ -136,7 +135,7 @@ class LadderContext:
     k_level: float
 
     def __post_init__(self):
-        if not 1.0 < self.k_level < math.inf:
+        if not 1.0 < _check_real(self.k_level, "k_level") < math.inf:
             raise ValueError(f"k_level must exceed 1 and be finite, got {self.k_level!r}")
 
 
@@ -378,7 +377,7 @@ def build_from_ground(params: ModelParams, n: int) -> Wavefunction:
     chain where raise_ would, with Wavefunction's error and no numpy
     warning.
     """
-    (wf,) = _raising_chains(params, [_check_level(n, MAX_LEVEL)])
+    (wf,) = _raising_chains(params, [_check_level(n)])
     return wf
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "K_MAX",
+    "MAX_LEVEL",
     "ModelParams",
     "Level",
     "Spectrum",
@@ -42,6 +43,11 @@ __all__ = [
 # studies even though they correspond to m -> 0.
 K_MAX = 1.0e8
 
+# Highest admitted level.  The eigenstates hold at every level up to it;
+# the raising chain (build_from_ground) drifts from n of about 24 and
+# overflows from n = 37 at large k.
+MAX_LEVEL = 64
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -58,6 +64,8 @@ class ModelParams:
     k: float
 
     def __post_init__(self):
+        for name in ("omega", "epsilon", "k"):
+            _check_real(getattr(self, name), name)
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError("omega must be positive and finite")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
@@ -111,7 +119,7 @@ def k_from_mass(m: float, omega: float, epsilon: float) -> float:
     by an eps^2 w that underflows to 0).
     """
     for name, value in (("mass", m), ("omega", omega), ("epsilon", epsilon)):
-        if not 0.0 < value < math.inf:
+        if not 0.0 < _check_real(value, name) < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     hat_omega = epsilon * omega
     scale = epsilon * hat_omega
@@ -160,14 +168,9 @@ def energy(params: ModelParams, n: int) -> float:
 
 
 def delta_eigenvalue(params: ModelParams, n: int) -> float:
-    """Eigenvalue n(n+2k) of the rescaled operator, = (E_n^2 - E_0^2)/w^2.
-
-    Raises ValueError where n(n+2k) overflows to inf."""
+    """Eigenvalue n(n+2k) of the rescaled operator, = (E_n^2 - E_0^2)/w^2."""
     n = _check_level(n)
-    lam = n * (n + 2.0 * params.k)
-    if lam == math.inf:
-        raise ValueError(f"n(n+2k) at n={n} is inf: not a finite float")
-    return lam
+    return n * (n + 2.0 * params.k)
 
 
 def spectrum(params: ModelParams, n_max: int) -> Spectrum:
@@ -231,22 +234,48 @@ def _check_int(value, name: str, positive: bool = False) -> int:
         and int(value) == value
     ):
         kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        raise ValueError(f"{name} must be a {kind} integer, got {_shown(value)}")
     return int(value)
+
+
+def _check_real(value, name: str):
+    """The one real-number rule: a real number that a float can hold
+    (numpy floats and ints, NaN and the infinities included) comes back
+    as given, for the caller's range check to judge; a bool, a value
+    that is not a numbers.Real ("1", None, 1+2j) and an int beyond the
+    largest float raise ValueError."""
+    if isinstance(value, float):  # the common case, without the slower ABC check
+        return value
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            float(value)  # an int beyond the largest float overflows
+            return value
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number within float range, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, or the bit length of an int too
+    long for Python to print (more than 4300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {int(value).bit_length()} bits"
 
 
 def _check_bool(value, name: str) -> bool:
     """The one flag rule: a bool or numpy bool comes back as a bool;
     anything else (0, 1, None, "no", NaN) raises ValueError."""
     if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
+        raise ValueError(f"{name} must be a bool, got {_shown(value)}")
     return bool(value)
 
 
-def _check_level(n, cap=None) -> int:
+def _check_level(n, cap=MAX_LEVEL) -> int:
     """The one level validator: n a nonnegative integer, at most cap."""
     n = _check_int(n, "level index n")
-    if cap is not None and n > cap:
+    if n > cap:
         raise ValueError(f"level index n must not exceed {cap}")
     return n
 

@@ -40,11 +40,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, _check_int, _check_level, _domain_flags
+# MAX_LEVEL lives in model; imported so that wavefun.MAX_LEVEL resolves too
+from .model import MAX_LEVEL, ModelParams, _check_int, _check_level, _check_real, _domain_flags
 from .numeric import log_gamma_ratio, quadrature
 
 __all__ = [
-    "MAX_LEVEL",
     "Wavefunction",
     "hypergeometric_terminating",
     "hypergeometric_coefficients",
@@ -54,11 +54,6 @@ __all__ = [
     "evaluate",
     "inner_product",
 ]
-
-# Highest admitted level.  The eigenstates hold at every level up to it;
-# the raising chain (build_from_ground) drifts from n of about 24 and
-# overflows from n = 37 at large k.
-MAX_LEVEL = 64
 
 
 def _coeff_array(coeffs) -> np.ndarray:
@@ -130,7 +125,7 @@ class Wavefunction:
     state: _State | None = None
 
     def __post_init__(self):
-        if not 1.0 < self.kappa < math.inf:
+        if not 1.0 < _check_real(self.kappa, "kappa") < math.inf:
             raise ValueError(f"kappa must exceed 1 and be finite, got {self.kappa!r}")
         if self.state is None:
             object.__setattr__(self, "coeffs", _coeff_array(self.coeffs))
@@ -196,7 +191,7 @@ def build_eigenfunction(params: ModelParams, n: int) -> Wavefunction:
     params.k: an eigenstate, whose P_n its evaluators read from the
     Gegenbauer rows of _recurrence.  Unit L2 norm, highest-order
     coefficient of P_n positive."""
-    n = _check_level(n, MAX_LEVEL)
+    n = _check_level(n)
     return Wavefunction(params, params.k, None, _State(params.k, n, (_ONE,)))
 
 

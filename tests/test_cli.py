@@ -6,9 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susy_pt import cli
+from susy_pt import MAX_LEVEL, cli
 from susy_pt.model import ModelParams, k_from_mass
-from susy_pt.wavefun import MAX_LEVEL
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +106,14 @@ class TestSpectrumCommand:
     def test_negative_n_max_rejected(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--k", "2", "--n-max", "-1")
         assert code == 2
+
+    def test_n_max_capped_at_max_level(self, capsys):
+        # spectrum took any level: --n-max 1000000000 ran for hours
+        code, out, err = run_cli(capsys, "spectrum", "--k", "2", "--n-max", str(MAX_LEVEL + 1))
+        assert code == 2 and out == ""
+        assert err == f"level index n must not exceed {MAX_LEVEL}\n"
+        code, out, _ = run_cli(capsys, "spectrum", "--k", "2", "--n-max", str(MAX_LEVEL))
+        assert code == 0 and len(parse_csv(out)[1]) == MAX_LEVEL + 1
 
 
 class TestEigenfunctionCommand:

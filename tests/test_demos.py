@@ -2,6 +2,7 @@
 The demos exercise the public API, so a rename or a changed signature
 that the unit tests miss shows up here."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +26,18 @@ def test_demo_runs(script):
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_public_names_only(script):
+    # demos/02 read P_n through the private wavefun._recurrence
+    private = []
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        private += [n for n in names if any(part.startswith("_") for part in n.split("."))]
+    assert private == []

@@ -4,8 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+import susy_pt
 from susy_pt import (
+    MAX_LEVEL,
+    LadderContext,
     ModelParams,
+    Wavefunction,
+    build_eigenfunction,
+    build_from_ground,
     delta_eigenvalue,
     energy,
     energy_squared,
@@ -17,6 +23,7 @@ from susy_pt import (
     v_plus,
     v_pt,
 )
+from susy_pt import wavefun
 from susy_pt.numeric import interior_grid
 
 from conftest import BATTERY
@@ -34,11 +41,35 @@ class TestModelParams:
          (1.0, 1.0, 1.0), (1.0, 1.0, 0.9), (1.0, 1.0, 2.0e8), (1.0, 1.0, float("nan")),
          (float("inf"), 1.0, 2.0), (1.0, float("inf"), 2.0),
          # hat_omega overflows, underflows to 0, or leaves half_width infinite
-         (1e300, 1e300, 2.0), (1e-200, 1e-200, 2.0), (1e-170, 1e-170, 2.0)],
+         (1e300, 1e300, 2.0), (1e-200, 1e-200, 2.0), (1e-170, 1e-170, 2.0),
+         # not real numbers a float can hold: a str, None or complex leaked
+         # TypeError, 10**400 OverflowError, and a bool was accepted
+         ("1", 1.0, 2.0), (1.0, 1.0, None), (1.0, 1.0, 1 + 2j), (True, 1.0, 2.0),
+         pytest.param(1.0, np.True_, 2.0, id="numpy-bool"), pytest.param(10**400, 1.0, 2.0, id="10**400")],
     )
     def test_rejects_bad_params(self, omega, epsilon, k):
         with pytest.raises(ValueError):
             ModelParams(omega, epsilon, k)
+
+    def test_every_real_input_shares_the_real_number_rule(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        for build, name in [
+            (lambda v: ModelParams(v, 1.0, 2.0), "omega"),
+            (lambda v: ModelParams(1.0, 1.0, v), "k"),
+            (lambda v: k_from_mass(v, 1.0, 1.0), "mass"),
+            (lambda v: k_from_mass(1.0, v, 1.0), "omega"),
+            (lambda v: Wavefunction(p, v, [1.0]), "kappa"),
+            (lambda v: LadderContext(p, v), "k_level"),
+        ]:
+            for value in ("1", None, True, 10**400):
+                with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                    build(value)
+
+    def test_real_params_stored_as_given(self):
+        # numpy scalars and ints pass; the values are validated, not converted
+        p = ModelParams(1, np.float64(1.0), np.int64(2))
+        assert type(p.omega) is int and type(p.k) is np.int64
+        assert k_from_mass(np.float32(math.sqrt(2.0)), 1, 1.0) == pytest.approx(2.0, rel=1e-7)
 
     def test_with_k(self):
         p = ModelParams(1.0, 2.0, 2.0)
@@ -183,10 +214,13 @@ class TestSpectrumFormulas:
                 fn(p, n)
         assert delta_eigenvalue(p, 3.0) == delta_eigenvalue(p, 3)
 
-    @pytest.mark.parametrize("n", [2**1024, 10**400, int(sys.float_info.max) + 1], ids=["2**1024", "10**400", "max+1"])
+    @pytest.mark.parametrize(
+        "n", [2**1024, 10**400, int(sys.float_info.max) + 1, 10**5000], ids=["2**1024", "10**400", "max+1", "10**5000"]
+    )
     def test_rejects_integer_no_float_holds(self, n):
         # float(n).is_integer() raised OverflowError from 2**1024; the
-        # integers between the largest float and 2**1024 passed the rule
+        # integers between the largest float and 2**1024 passed the rule;
+        # the message of an int of more than 4300 digits failed to print it
         p = ModelParams(1.0, 1.0, 2.0)
         for fn in (energy_squared, delta_eigenvalue, spectrum):
             with pytest.raises(ValueError, match="^level index n must be a nonnegative integer"):
@@ -194,16 +228,20 @@ class TestSpectrumFormulas:
         with pytest.raises(ValueError, match="^n_points must be a positive integer"):
             interior_grid(p, n)
 
-    @pytest.mark.parametrize("n", [10**200, int(sys.float_info.max)], ids=["10**200", "max"])
+    @pytest.mark.parametrize(
+        "n", [MAX_LEVEL + 1, 10**200, int(sys.float_info.max)], ids=["MAX_LEVEL+1", "10**200", "max"]
+    )
     def test_rejects_delta_eigenvalue_overflow(self, n):
-        # n(n+2k) overflowed to inf and was returned, where energy_squared
-        # rejects the same level
+        # the one level rule caps every level input, far below where
+        # n(n+2k) overflows; energy_squared, energy, delta_eigenvalue and
+        # spectrum took any level (spectrum(p, 10**5) ran for a second)
+        assert MAX_LEVEL == 64 and susy_pt.MAX_LEVEL is wavefun.MAX_LEVEL is MAX_LEVEL
         p = ModelParams(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match=r"^n\(n\+2k\) at n=\d+ is inf"):
-            delta_eigenvalue(p, n)
-        with pytest.raises(ValueError, match="E_n"):
-            energy_squared(p, n)
-        assert delta_eigenvalue(p, 10**150) == 10**150 * (10**150 + 4.0)
+        for fn in (energy_squared, energy, delta_eigenvalue, spectrum, build_eigenfunction, build_from_ground):
+            with pytest.raises(ValueError, match="^level index n must not exceed 64$"):
+                fn(p, n)
+        assert [lvl.n for lvl in spectrum(p, MAX_LEVEL).levels] == list(range(MAX_LEVEL + 1))
+        assert delta_eigenvalue(p, MAX_LEVEL) == MAX_LEVEL * (MAX_LEVEL + 4.0)
 
     @pytest.mark.parametrize("n", [True, False, np.True_, np.False_])
     def test_rejects_boolean_level(self, n):
