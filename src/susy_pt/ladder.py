@@ -419,4 +419,5 @@ def chain_prefactor(k: float, n: int) -> float:
     the n-step raising chain down to level k.  Evaluated in log space so
     levels up to the supported maximum cannot overflow, the gamma ratio
     by log_gamma_ratio, which forms neither term."""
+    n = _check_level(n)
     return math.exp(0.5 * (log_gamma_ratio(2.0 * k, n, 2.0 * n) - log_gamma(n + 1.0)))

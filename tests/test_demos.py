@@ -39,5 +39,6 @@ def test_demo_imports_public_names_only(script):
             names = [a.name for a in node.names]
         else:
             continue
-        private += [n for n in names if any(part.startswith("_") for part in n.split("."))]
+        # __future__ is the language's, not a private susy_pt name
+        private += [n for n in names if n != "__future__" and any(p.startswith("_") for p in n.split("."))]
     assert private == []

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from susy_pt import (
     Wavefunction,
     build_eigenfunction,
     build_from_ground,
+    chain_prefactor,
     delta_eigenvalue,
     energy,
     energy_squared,
@@ -42,10 +44,12 @@ class TestModelParams:
          (float("inf"), 1.0, 2.0), (1.0, float("inf"), 2.0),
          # hat_omega overflows, underflows to 0, or leaves half_width infinite
          (1e300, 1e300, 2.0), (1e-200, 1e-200, 2.0), (1e-170, 1e-170, 2.0),
-         # not real numbers a float can hold: a str, None or complex leaked
-         # TypeError, 10**400 OverflowError, and a bool was accepted
-         ("1", 1.0, 2.0), (1.0, 1.0, None), (1.0, 1.0, 1 + 2j), (True, 1.0, 2.0),
-         pytest.param(1.0, np.True_, 2.0, id="numpy-bool"), pytest.param(10**400, 1.0, 2.0, id="10**400")],
+         # a complex leaked TypeError and a numpy bool was accepted; the
+         # int product 10**600 raised OverflowError in half_width and the
+         # Fraction product, never 0, ZeroDivisionError
+         (1.0, 1.0, 1 + 2j), pytest.param(1.0, np.True_, 2.0, id="numpy-bool"),
+         pytest.param(10**300, 10**300, 2, id="int-product-overflows"),
+         pytest.param(Fraction(1, 10**200), Fraction(1, 10**200), 2, id="fraction-product-underflows")],
     )
     def test_rejects_bad_params(self, omega, epsilon, k):
         with pytest.raises(ValueError):
@@ -240,6 +244,8 @@ class TestSpectrumFormulas:
         for fn in (energy_squared, energy, delta_eigenvalue, spectrum, build_eigenfunction, build_from_ground):
             with pytest.raises(ValueError, match="^level index n must not exceed 64$"):
                 fn(p, n)
+        with pytest.raises(ValueError, match="^level index n must not exceed 64$"):
+            chain_prefactor(p.k, n)
         assert [lvl.n for lvl in spectrum(p, MAX_LEVEL).levels] == list(range(MAX_LEVEL + 1))
         assert delta_eigenvalue(p, MAX_LEVEL) == MAX_LEVEL * (MAX_LEVEL + 4.0)
 
