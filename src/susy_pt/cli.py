@@ -26,6 +26,9 @@ from .wavefun import build_eigenfunction, evaluate, inner_product
 
 USAGE_ERROR = 2
 _FLOAT = "%.17g"
+# Largest eigenfunction --samples: the table is built in memory, about
+# 0.3 kB a sample, before it is written.
+MAX_SAMPLES = 100_000
 
 
 def main(argv=None) -> int:
@@ -74,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigenfunction", help="sampled level-n eigenfunction")
     add_params(p)
     p.add_argument("--n", type=int, default=0, help=f"level index (0..{MAX_LEVEL})")
-    p.add_argument("--samples", type=int, default=201, help="sample count incl. endpoints (>= 2)")
+    p.add_argument("--samples", type=int, default=201, help=f"sample count incl. endpoints (2..{MAX_SAMPLES})")
     add_output(p)
 
     p = sub.add_parser("hierarchy", help="raising chain norms down to level k")
@@ -85,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites; exit 0 iff all pass")
     add_params(p, require_k=False)
     p.add_argument("--n-max", type=int, default=verify_mod.VERIFIED_LEVEL, help=f"highest level exercised (0..{verify_mod.VERIFIED_LEVEL})")
-    p.add_argument("--grid-n", type=int, default=4096, help="discretization size for the eigensolver suite")
+    p.add_argument("--grid-n", type=int, default=4096, help=f"discretization size for the eigensolver suite (16..{verify_mod.MAX_GRID_N})")
     p.add_argument("--suite", action="append", choices=verify_mod.SUITE_NAMES, help="run only the named suite (repeatable)")
     p.add_argument("--richardson", action="store_true", help="extrapolated eigensolver cross-check (1e-6 tolerance)")
     add_output(p, formats=("text", "json"))
@@ -158,8 +161,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_eigenfunction(args) -> int:
     params = _resolve_params(args)
-    if args.samples < 2:
-        raise ValueError("--samples must be at least 2")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must lie in 2..{MAX_SAMPLES}, got {args.samples}")
     wf = build_eigenfunction(params, args.n)
     x = np.linspace(-params.half_width, params.half_width, args.samples)
     rows = list(zip(x.tolist(), evaluate(wf, x).tolist()))

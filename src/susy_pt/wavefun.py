@@ -152,7 +152,8 @@ def hypergeometric_terminating(n_s: int, b: float, c: float, z):
     (-n_s)_j (b)_j / ((c)_j j!) * z^j, summed by the term recurrence.
 
     Exact polynomial in z, no truncation beyond rounding.  c must not be
-    a nonpositive integer.  z may be a scalar or ndarray.
+    a nonpositive integer, and n_s must not exceed MAX_LEVEL // 2 = 32.
+    z may be a scalar or ndarray.
     """
     n_s = _check_series_args(n_s, b, c)
     z = np.asarray(z, dtype=float)
@@ -165,7 +166,8 @@ def hypergeometric_terminating(n_s: int, b: float, c: float, z):
 
 
 def hypergeometric_coefficients(n_s: int, b: float, c: float) -> np.ndarray:
-    """Coefficients a_0..a_{n_s} of F(-n_s, b; c; z) as a polynomial in z."""
+    """Coefficients a_0..a_{n_s} of F(-n_s, b; c; z) as a polynomial in
+    z, for n_s <= MAX_LEVEL // 2 = 32."""
     n_s = _check_series_args(n_s, b, c)
     a = np.empty(n_s + 1)
     a[0] = 1.0
@@ -174,13 +176,20 @@ def hypergeometric_coefficients(n_s: int, b: float, c: float) -> np.ndarray:
     return a
 
 
+# The highest series order: level n = 2 n_s + s <= MAX_LEVEL needs no
+# more.  The terms overflow to inf from n_s = 994 at b = 2.5, c = 0.5.
+_MAX_SERIES_ORDER = MAX_LEVEL // 2
+
+
 def _check_series_args(n_s, b: float, c: float) -> int:
     """Reject a non-finite b or c, a c that is a nonpositive integer and
-    an n_s that is not a nonnegative integer; n_s comes back as an int
-    (2.0 passes as 2)."""
+    an n_s that is not a nonnegative integer of at most
+    _MAX_SERIES_ORDER; n_s comes back as an int (2.0 passes as 2)."""
     if not (math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"series parameters b and c must be finite, got b={b!r}, c={c!r}")
     n_s = _check_int(n_s, "series order n_s")
+    if n_s > _MAX_SERIES_ORDER:
+        raise ValueError(f"series order n_s must not exceed {_MAX_SERIES_ORDER}")
     if c <= 0.0 and c == int(c):
         raise ValueError("lower parameter c must not be a nonpositive integer")
     return n_s

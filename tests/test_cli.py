@@ -144,6 +144,23 @@ class TestEigenfunctionCommand:
         assert code == 2
         assert "samples" in err
 
+    def test_samples_cap(self, capsys, monkeypatch, tmp_path):
+        # the table is built in memory before it is written (1e6 samples
+        # took 1.2 s and 292 MB): above MAX_SAMPLES it is a usage error
+        # before any state or position is formed; the cap itself passes
+        assert cli.MAX_SAMPLES >= 2001  # the goldens and states-highn sample 2001
+        path = tmp_path / "cap.csv"
+        code, _, _ = run_cli(capsys, "eigenfunction", "--k", "2", "--samples", str(cli.MAX_SAMPLES),
+                             "--output", str(path))
+        assert code == 0
+        assert len(path.read_text().splitlines()) == 3 + cli.MAX_SAMPLES  # params, n, header, rows
+        monkeypatch.setattr(cli, "build_eigenfunction", lambda *args: pytest.fail("a state was built"))
+        monkeypatch.setattr(cli.np, "linspace", lambda *args: pytest.fail("positions were formed"))
+        for samples in (cli.MAX_SAMPLES + 1, 10**6):
+            code, out, err = run_cli(capsys, "eigenfunction", "--k", "2", "--samples", str(samples))
+            assert code == 2 and out == ""
+            assert err == f"--samples must lie in 2..{cli.MAX_SAMPLES}, got {samples}\n"
+
     def test_level_cap(self, capsys):
         # eigenfunction and hierarchy reject a level with the same message
         for n in ("-1", "2.5", str(MAX_LEVEL + 1)):
@@ -264,6 +281,16 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
+
+    def test_grid_n_cap_usage_error(self, capsys, monkeypatch):
+        # 65536 took 1.7 s in the FD suite and larger grids grew without
+        # bound; above MAX_GRID_N no suite runs and the message names the cap
+        cap = cli.verify_mod.MAX_GRID_N
+        monkeypatch.setattr(cli.verify_mod, "delta_eigenvalues_fd", lambda *args, **kw: pytest.fail("a grid was solved"))
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--suite", "numeric_cross_check",
+                                 "--grid-n", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"grid_n must be in 16..MAX_GRID_N = {cap}, got {cap + 1}\n"
 
     def test_unwritable_output_fails_before_suites(self, capsys, monkeypatch, tmp_path):
         # the destination is opened first, as a shell redirect is

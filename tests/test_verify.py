@@ -37,7 +37,10 @@ def _forbid_suites_and_records(monkeypatch):
 
 
 FAST_SUITES = ("equidistance", "nonrel_limit", "shape_invariance")
-PER_K_SUITES = ("shape_invariance", "factorization", "commutator", "numeric_cross_check")
+IDENTITY_SUITES = ("shape_invariance", "factorization", "commutator", "numeric_cross_check")
+STATE_SUITES = ("eigen_residual", "partner_eigen_residual", "ladder", "build_up")
+PER_K_SUITES = STATE_SUITES + IDENTITY_SUITES
+STATE_TOL = 5e-9  # the amplitude-relative state suites' tolerance
 
 
 class TestRunAll:
@@ -82,13 +85,14 @@ class TestRunAll:
     @pytest.mark.parametrize("name", ["eigen_residual", "partner_eigen_residual"])
     def test_perturbed_eigenvalue_fails_eigen_residual_suites(self, monkeypatch, name):
         # the recurrence rows are a live check: n(n+2k) scaled by
-        # 1 + 1e-7 must fail against 1e-8 (unperturbed, both read < 1e-14)
+        # 1 + 1e-7 must fail against 5e-9 (both read 1.0e-7; unperturbed,
+        # both read < 1e-14)
         (clean,) = run_all(suites=[name]).suites
         assert clean.status == "pass"
         exact = verify_mod.delta_eigenvalue
         monkeypatch.setattr(verify_mod, "delta_eigenvalue", lambda q, n: exact(q, n) * (1.0 + 1e-7))
         (mutated,) = run_all(suites=[name]).suites
-        assert mutated.tolerance == 1e-8
+        assert mutated.tolerance == STATE_TOL
         assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
 
     @pytest.mark.parametrize(
@@ -99,15 +103,17 @@ class TestRunAll:
     def test_perturbed_reference_fails_its_suite(self, monkeypatch, holder, attr, name):
         # each suite compares two independent representations: n(n+2k) in
         # ladder's factors, the chains' ground norms or the states' norms
-        # scaled by 1 + 1e-7 must fail against 1e-8; they read 1.8e-6,
-        # 1.9e-7 and 2.0e-7 (unperturbed 1.8e-13, 1.2e-11 and 6.7e-16)
+        # scaled by 1 + 1e-7 must fail against 5e-9 (the per-k ladder and
+        # build_up, amplitude-relative) or 1e-8 (orthonormality, per
+        # model); they read 1.2e-6, 1.0e-7 and 2.0e-7 (unperturbed
+        # 1.3e-13, 7.4e-12 and 8.9e-16)
         (clean,) = run_all(suites=[name]).suites
         assert clean.status == "pass"
         mod = {"verify": verify_mod, "ladder": ladder, "wavefun": wavefun}[holder]
         exact = getattr(mod, attr)
         monkeypatch.setattr(mod, attr, lambda *args: exact(*args) * (1.0 + 1e-7))
         (mutated,) = run_all(suites=[name]).suites
-        assert mutated.tolerance == 1e-8
+        assert mutated.tolerance == (1e-8 if name == "orthonormality" else STATE_TOL)
         assert mutated.status == "fail" and mutated.worst_residual > mutated.tolerance
 
     @pytest.mark.parametrize(
@@ -202,7 +208,7 @@ class TestRunAll:
         with pytest.raises(ValueError, match="^params_set must be an iterable of ModelParams, got "):
             run_all(params_set, **SMALL)
 
-    @pytest.mark.parametrize("grid_n", [0, 15, 15.5, True, math.nan, math.inf])
+    @pytest.mark.parametrize("grid_n", [0, 15, 15.5, True, math.nan, math.inf, 16385, 2.0**60])
     def test_rejects_bad_grid_n_before_any_suite(self, grid_n, monkeypatch):
         # the bound of discretize_delta, checked next to n_max: neither a
         # wasted run of the other suites nor a subset run that never meets it
@@ -212,15 +218,27 @@ class TestRunAll:
         with pytest.raises(ValueError, match="grid_n must be"):
             run_all(grid_n=grid_n, suites=["ladder"])
 
+    def test_grid_n_cap_named_and_admitted(self):
+        # 65536 took 1.7 s in numeric_cross_check alone; the message names
+        # the cap, and the cap itself runs
+        assert verify_mod.MAX_GRID_N == 16384
+        with pytest.raises(ValueError, match=r"^grid_n must be in 16\.\.MAX_GRID_N = 16384, got 65536$"):
+            run_all(grid_n=65536, suites=["equidistance"])
+        report = run_all(params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["equidistance"], grid_n=16384)
+        assert report.meta["grid_n"] == 16384
+
     def test_grid_n_stored_as_int(self):
         report = run_all(params_set=[ModelParams(1.0, 1.0, 2.0)], suites=["equidistance"], grid_n=16.0)
         assert type(report.meta["grid_n"]) is int
         assert '"grid_n": 16,' in report.to_json()
 
     def test_one_samples_record_per_model_and_grid(self, monkeypatch):
-        # run_all builds one record of each model's 2001-point grid, which eigen_residual, partner, ladder and build_up share,
-        # and factorization and commutator too on the first model of each
-        # k; orthonormality builds one record of its 55 x 16 Gram nodes per
+        # run_all builds one record of a model's 2001-point grid only where
+        # a per-k suite runs, on the first model of each k (eps = 0.5 in
+        # the battery), which eigen_residual, partner, ladder, build_up,
+        # factorization and commutator share; a model that repeats a k
+        # builds none (12 records before the state suites ran per k);
+        # orthonormality builds one record of its 55 x 16 Gram nodes per
         # model; no suite calls inner_product, which integrates through
         # wavefun.quadrature
         builds = []
@@ -236,16 +254,17 @@ class TestRunAll:
             monkeypatch.setattr(mod, "samples", counting_samples)
         monkeypatch.setattr(wavefun, "quadrature", lambda *args: quadratures.append(args))
         assert run_all().all_passed
-        assert builds == [880, 2001] * len(DEFAULT_BATTERY)
+        assert builds == [880, 2001] * 4 + [880] * 8
         assert quadratures == []
 
     def test_each_row_set_started_once_per_run(self, monkeypatch):
         # the suites build their states where they read them, but every
-        # row those states read is the memo of a record: 3 recurrence
-        # passes start per model, 36 in all, one per set of rows (level k
-        # on orthonormality's 880 nodes, levels k and k+1 on the shared
-        # 2001-point grid record); a suite with a record of its own
-        # would start its sets again
+        # row those states read is the memo of a record: one recurrence
+        # pass starts per set of rows, 20 in all (36 while the state
+        # suites ran per model): level k on orthonormality's 880 nodes for
+        # every model, and levels k and k+1 on the shared 2001-point grid
+        # record of the first model of each k; a suite with a record of
+        # its own would start its sets again
         starts = []
         real = wavefun._recurrence
 
@@ -257,8 +276,13 @@ class TestRunAll:
         for mod in (wavefun, verify_mod):
             monkeypatch.setattr(mod, "_recurrence", counting)
         assert run_all().all_passed
-        assert len(starts) == 36
-        assert starts == [row for p in DEFAULT_BATTERY for row in ((880, p.k), (2001, p.k), (2001, p.k + 1.0))]
+        assert len(starts) == 20
+        first = DEFAULT_BATTERY[:4]  # eps = 0.5, one model of each k
+        assert [p.k for p in first] == sorted({p.k for p in DEFAULT_BATTERY})
+        assert starts == [
+            row for p in DEFAULT_BATTERY
+            for row in (((880, p.k), (2001, p.k), (2001, p.k + 1.0)) if p in first else ((880, p.k),))
+        ]
 
     def test_each_suite_alone_matches_the_full_run_to_the_bit(self):
         # the grid record is shared by every suite of a model: what one suite
@@ -279,12 +303,12 @@ class TestRunAll:
         # max's rule: a leading NaN stays, a later one is passed over
         streams = iter(per_model)
         suites = tuple(
-            (name, scope, (lambda p, record, run: next(streams)) if name == "eigen_residual" else suite, tol)
+            (name, scope, (lambda p, record, run: next(streams)) if name == "orthonormality" else suite, tol)
             for name, scope, suite, tol in verify_mod._SUITES
         )
         monkeypatch.setattr(verify_mod, "_SUITES", suites)
         battery = [ModelParams(1.0, 1.0, 2.0), ModelParams(1.0, 0.5, 2.0)]
-        (suite,) = run_all(params_set=battery, suites=["eigen_residual"], **SMALL).suites
+        (suite,) = run_all(params_set=battery, suites=["orthonormality"], **SMALL).suites
         want = max((r for stream in per_model for r in stream), default=0.0)
         assert suite.worst_residual.hex() == float(want).hex()
 
@@ -335,15 +359,17 @@ class TestRunAll:
     def test_level_rows_work_counts(self, monkeypatch):
         # the eigen-residual suites read Delta from the rows, so the only
         # apply_delta calls are factorization_residual's 160 (556 with
-        # the 396 the suites made); build_up raises each model's 17
-        # chains together, 16 lock-step steps (1632 steps when each chain
-        # ran alone), and ladder's 192 raise_ calls each form one term
-        # (864 _first_order calls); 1268 Horner passes, none of them on an
-        # eigenstate's level (1724 with the 384 of ladder's monomial
-        # images and the monomial states' own, 3308 when every table row
-        # and Delta term had its own); Delta's factor rows once per level
-        # set and once per apply_delta call, 24 + 160; no hypergeometric
-        # coefficient at all
+        # the 396 the suites made); build_up raises the 17 chains of the
+        # first model of each k together, 16 lock-step steps (1632 steps
+        # when each chain ran alone), and ladder's 64 raise_ calls each
+        # form one term (608 _first_order calls, 864 while the state
+        # suites ran per model); 1116 Horner passes (1268 per model),
+        # none of them on an eigenstate's level (1724 with the 384 of
+        # ladder's monomial images and the monomial states' own, 3308
+        # when every table row and Delta term had its own); Delta's
+        # factor rows once per level set and once per apply_delta call,
+        # 8 + 160 (24 + 160 per model); no hypergeometric coefficient at
+        # all
         calls = dict.fromkeys(("apply_delta", "_delta_factors", "_first_order", "_horner"), 0)
         build_up_steps = []
         holders = {"apply_delta": [ladder], "_delta_factors": [verify_mod, ladder],
@@ -371,20 +397,22 @@ class TestRunAll:
         monkeypatch.setattr(wavefun, "hypergeometric_coefficients", no_series)
         assert "apply_delta" not in vars(verify_mod)
         assert run_all().all_passed
-        assert calls == {"apply_delta": 160, "_delta_factors": 184, "_first_order": 864, "_horner": 1268}
-        assert build_up_steps == [16] * len(DEFAULT_BATTERY)
+        assert calls == {"apply_delta": 160, "_delta_factors": 168, "_first_order": 608, "_horner": 1116}
+        assert build_up_steps == [16] * 4
 
     @pytest.mark.parametrize(
         "suites, sets, rows",
         [(["ladder"], 0, 0), (["build_up"], 0, 0), (["ladder", "build_up", "orthonormality"], 0, 0),
-         (["eigen_residual"], 12, 12 * 17), (["partner_eigen_residual"], 12, 12 * 16),
-         (["ladder", "eigen_residual"], 12, 12 * 17)],
+         (["eigen_residual"], 4, 4 * 17), (["partner_eigen_residual"], 4, 4 * 16),
+         (["ladder", "eigen_residual"], 4, 4 * 17)],
     )
     def test_delta_rows_formed_only_for_the_eigen_suites(self, monkeypatch, suites, sets, rows):
         # Delta rows are formed only by the suite that reads them, and only
-        # for its own set: ladder alone made 396 unread rows, build_up
-        # alone 204, and ladder with eigen_residual formed the partner's
-        # set too (24 sets, 12 * 33 rows)
+        # for its own set, on the first model of each of the 4 distinct k
+        # (12 sets and 12 * 17 rows while the suites ran per model):
+        # ladder alone made 396 unread rows, build_up alone 204, and
+        # ladder with eigen_residual formed the partner's set too (24
+        # sets, 12 * 33 rows)
         calls = {"_delta_factors": 0, "_delta_rows": 0}
         for attr in calls:
             def wrapper(*args, attr=attr, real=getattr(verify_mod, attr)):
@@ -417,7 +445,7 @@ class TestRunAll:
         for mod in (wavefun, verify_mod):
             monkeypatch.setattr(mod, "samples", keeping)
         assert run_all(suites=suites).all_passed
-        assert len(grids) == (len(DEFAULT_BATTERY) if orders else 0)
+        assert len(grids) == (len({p.k for p in DEFAULT_BATTERY}) if orders else 0)
         for p, rec in grids:
             got = {j: len(rec._rows[k][-1]) for j, k in ((0, p.k), (1, p.k + 1.0)) if k in rec._rows}
             assert got == orders, (p, got)
@@ -622,9 +650,9 @@ class TestNonrelLimit:
 
 
 def _identity_maxima(battery):
-    """The worst residual of each per-k suite, taken over every model of
-    the battery as the suites computed it before they ran once per k."""
-    worst = dict.fromkeys(PER_K_SUITES, 0.0)
+    """The worst residual of each identity suite, taken over every model
+    of the battery as the suites computed it before they ran once per k."""
+    worst = dict.fromkeys(IDENTITY_SUITES, 0.0)
     for p in battery:
         q = ModelParams(1.0, 1.0, p.k)
         for n, lam in enumerate(delta_eigenvalues_fd(q, "minus", 5, SMALL["grid_n"])):
@@ -649,10 +677,12 @@ def _identity_maxima(battery):
 class TestPerKSuites:
     """shape_invariance, factorization and commutator read the grid only
     through wx, and the FD eigenvalues of numeric_cross_check carry no
-    omega or epsilon, so one model per distinct k stands for all of them."""
+    omega or epsilon, so one model per distinct k stands for all of them.
+    The state suites compare sqrt(w) u(wx) in units of its own amplitude,
+    so the same holds for them up to rounding."""
 
-    def worst(self, battery):
-        report = run_all(params_set=battery, suites=PER_K_SUITES, **SMALL)
+    def worst(self, battery, names=IDENTITY_SUITES):
+        report = run_all(params_set=battery, suites=names, **SMALL)
         return {s.name: s.worst_residual for s in report.suites}
 
     def test_default_battery_equals_per_model_maximum_to_the_bit(self):
@@ -675,6 +705,67 @@ class TestPerKSuites:
         maxima = _identity_maxima(battery)
         for name, res in worst.items():
             assert abs(res - maxima[name]) <= 1e-14, name
+
+    # The rounding bound of each state suite: how far the residuals of a
+    # model may lie from those of the first model of its k.  The default
+    # battery reads at most 1.5e-15, 7.0e-16, 3.1e-14 and 7.0e-12 (the
+    # chains' residual is itself their rounding, up to 1.4e-11); each
+    # bound is under 1/100 of the tolerance, so a model the per-k run
+    # skips cannot fail where its k's first model passes with that much
+    # room.
+    STATE_ROUNDING = {
+        "eigen_residual": 1e-14,
+        "partner_eigen_residual": 1e-14,
+        "ladder": 1e-13,
+        "build_up": 2e-11,
+    }
+
+    RESIDUALS = {"eigen_residual": 17, "partner_eigen_residual": 16, "ladder": 32, "build_up": 17}
+
+    def test_state_suites_match_the_first_model_of_each_k(self):
+        # every default model runs the four state suites on a record of
+        # its own; its amplitude-relative residuals, level by level, match
+        # those of the first model of its k, and the per-k report is the
+        # maximum over those first models to the bit.  Two models of
+        # w = 1e4 and 1e-4 match too: an absolute residual would move by
+        # sqrt(w) = 100 there, far past the bounds
+        run = verify_mod._Run(verify_mod.VERIFIED_LEVEL, 4096, False, 0.0)
+        models = DEFAULT_BATTERY + (ModelParams(1e4, 1.0, 3.7), ModelParams(1e-4, 1.0, 3.7))
+        per_model = {}
+        for p in models:
+            record = functools.cache(functools.partial(verify_mod._grid_record, p))
+            for name, _, suite, _ in verify_mod._SUITES:
+                if name in STATE_SUITES:
+                    per_model[name, p] = np.array(list(suite(p, record, run)))
+        report = {s.name: s for s in run_all(suites=STATE_SUITES).suites}
+        for name in STATE_SUITES:
+            bound = self.STATE_ROUNDING[name]
+            assert bound <= report[name].tolerance / 100, name
+            first = {}
+            for p in models:
+                res = per_model[name, p]
+                ref = first.setdefault(p.k, res)
+                assert res.shape == ref.shape == (self.RESIDUALS[name],)
+                assert np.max(np.abs(res - ref)) <= bound, (name, p)
+            assert report[name].worst_residual == max(float(np.max(r)) for r in first.values()), name
+            assert report[name].status == "pass"
+
+    def test_state_tolerance_admits_no_more_absolute_error(self):
+        # tolerance times the amplitude a state suite divides by, at every
+        # default model and every level it compares (U_{k,n}, n <= 16, and
+        # U_{k+1,m}, m <= 15), stays within the 1e-8 the suites held as
+        # absolute residuals
+        report = run_all(params_set=DEFAULT_BATTERY[:1], suites=STATE_SUITES, n_max=1, grid_n=1024)
+        assert {s.tolerance for s in report.suites} == {STATE_TOL}
+        amplitudes = []
+        for p in DEFAULT_BATTERY:
+            x = verify_mod._grid_record(p)
+            for q, top in ((p, 16), (p.with_k(p.k + 1.0), 15)):
+                for n in range(top + 1):
+                    amplitudes.append(float(np.max(np.abs(evaluate(wavefun.build_eigenfunction(q, n), x)))))
+        assert len(amplitudes) == 12 * 33
+        assert 0.5 < min(amplitudes) and max(amplitudes) < 2.0  # 0.58 and 1.95
+        assert STATE_TOL * max(amplitudes) <= 1e-8
 
 
 def test_default_battery_composition():

@@ -111,6 +111,18 @@ class TestHypergeometric:
         with pytest.raises(ValueError, match="series order"):
             hypergeometric_coefficients(2.5, 1.0, 0.5)
 
+    def test_series_order_capped(self):
+        # the library's levels need n_s <= MAX_LEVEL // 2 = 32; at b = 2.5,
+        # c = 0.5 the terms overflow to inf from n_s = 994, where the sum
+        # came back NaN with only numpy warnings
+        assert np.isfinite(hypergeometric_coefficients(MAX_LEVEL // 2, 2.5, 0.5)).all()
+        assert math.isfinite(hypergeometric_terminating(MAX_LEVEL // 2, 2.5, 0.5, 1.0))
+        for n_s in (MAX_LEVEL // 2 + 1, 994, 10**6):
+            with pytest.raises(ValueError, match="^series order n_s must not exceed 32$"):
+                hypergeometric_terminating(n_s, 2.5, 0.5, 1.0)
+            with pytest.raises(ValueError, match="^series order n_s must not exceed 32$"):
+                hypergeometric_coefficients(n_s, 2.5, 0.5)
+
     @pytest.mark.parametrize(
         "n_s,b,c",
         [
