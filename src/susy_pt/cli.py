@@ -26,9 +26,11 @@ from .wavefun import build_eigenfunction, evaluate, inner_product
 
 USAGE_ERROR = 2
 _FLOAT = "%.17g"
-# Largest eigenfunction --samples: the table is built in memory, about
-# 0.3 kB a sample, before it is written.
+# Largest eigenfunction --samples: the positions and values are formed
+# in memory before the table is written.
 MAX_SAMPLES = 100_000
+# Rows per piece of a CSV body: only one piece is held as text at a time.
+_CSV_CHUNK = 4096
 
 
 def main(argv=None) -> int:
@@ -120,13 +122,20 @@ def _open_output(path: str):
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
-def _csv(header, rows, comments=(), trailers=()) -> str:
-    lines = [*comments, ",".join(header)]
-    if rows:  # one %-template, typed by the first row, formats the whole body
-        row = ",".join(_FLOAT if isinstance(v, float) else "%s" for v in rows[0])
-        lines.append("\n".join([row] * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
-    lines.extend(trailers)
-    return "\n".join(lines) + "\n"
+def _csv(header, rows, comments=(), trailers=()):
+    """The CSV text in pieces: the comments and header, the body
+    _CSV_CHUNK rows at a time, then the trailers.  rows is any iterable
+    of tuples, read one chunk at a time."""
+    yield "\n".join([*comments, ",".join(header)]) + "\n"
+    rows = iter(rows)
+    chunk = list(itertools.islice(rows, _CSV_CHUNK))
+    if chunk:  # one %-template, typed by the first row, formats every chunk
+        row = ",".join(_FLOAT if isinstance(v, float) else "%s" for v in chunk[0])
+    while chunk:
+        yield "\n".join([row] * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)) + "\n"
+        chunk = list(itertools.islice(rows, _CSV_CHUNK))
+    if trailers:
+        yield "\n".join(trailers) + "\n"
 
 
 def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, tail: dict) -> int:
@@ -135,7 +144,7 @@ def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, 
     JSON: params, the head fields, one object per row under key, then the
     tail fields."""
     if args.format == "csv":
-        text = _csv(
+        pieces = _csv(
             header,
             rows,
             comments=[_params_comment(params), *(f"# {name}={v}" for name, v in head.items())],
@@ -144,9 +153,9 @@ def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, 
     else:
         table = [dict(zip(header, row)) for row in rows]
         doc = {"params": _params_json(params), **head, key: table, **tail}
-        text = json.dumps(doc, indent=2) + "\n"
+        pieces = [json.dumps(doc, indent=2) + "\n"]
     with _open_output(args.output) as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     return 0
 
 
@@ -165,7 +174,11 @@ def _cmd_eigenfunction(args) -> int:
         raise ValueError(f"--samples must lie in 2..{MAX_SAMPLES}, got {args.samples}")
     wf = build_eigenfunction(params, args.n)
     x = np.linspace(-params.half_width, params.half_width, args.samples)
-    rows = list(zip(x.tolist(), evaluate(wf, x).tolist()))
+    values = evaluate(wf, x)
+    rows = itertools.chain.from_iterable(  # Python floats, one chunk at a time
+        zip(x[i : i + _CSV_CHUNK].tolist(), values[i : i + _CSV_CHUNK].tolist())
+        for i in range(0, x.size, _CSV_CHUNK)
+    )
     return _write_table(args, params, {"n": args.n}, "samples", ("x", "value"), rows, {})
 
 

@@ -19,20 +19,22 @@ implement those matched rules; the general forms back the commutator
 check.  Operators act exactly on the polynomial part (polynomial
 calculus); finite differences exist only as a test oracle.
 
-On an eigenstate (wavefun._State) the polynomial part is
-P = sum_d t_d P_n^(d), a combination of the derivative rows of one
-Gegenbauer level, and the rules act on the t_d: P' has the terms
-t_d' + t_(d-1), and a s P + sign (1 - s^2) P' the terms
-_first_order(a, t_d, sign) + sign (1 - s^2) t_(d-1) (_state_terms).  So
-lower(U_{k,n}) is cos^(k+1) P_n' and raise_(U_{k+1,m}) is
-cos^k [ (2k+1) s Q_m - (1-s^2) Q_m' ], read from the rows at the
-state's own parameter, never by an index shift to the neighbouring
-level.
+The polynomial part of every Wavefunction is one form (wavefun._State),
+P = sum_d t_d R_n^(d), a combination of the derivative rows of one
+level n, and the rules act on the t_d: P' has the terms t_d' + t_(d-1),
+and a s P + sign (1 - s^2) P' the terms
+_first_order(a, t_d, sign) + sign (1 - s^2) t_(d-1), for d <= n
+(_state_terms).  The rows come from one of two sources.  On the
+Gegenbauer rows of an eigenstate, lower(U_{k,n}) is cos^(k+1) P_n' and
+raise_(U_{k+1,m}) is cos^k [ (2k+1) s Q_m - (1-s^2) Q_m' ], read from
+the rows at the state's own parameter, never by an index shift to the
+neighbouring level.  On the unit row R = 1 of a coefficient polynomial
+n = 0, so the one term t_0 is P itself, P' is t_0' and a s P +
+sign (1 - s^2) P' is _first_order(a, t_0, sign).
 
-On coefficient polynomials the calculus works on coefficient slices and
-forms the same floating-point products in the same order as
-numpy.polynomial, so the results are bit-identical to
-polyder/polymul/polyadd/polysub:
+On coefficients the calculus works on slices and forms the same
+floating-point products in the same order as numpy.polynomial, so the
+results are bit-identical to polyder/polymul/polyadd/polysub:
 
 - P' is p[1:] * (1, 2, ..., d); P'' applies that twice, two roundings,
   as polyder(p, 2) does.
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check_level, _check_real, _require_interior
+from .model import ModelParams, _check_exponent, _check_level, _require_interior
 from .numeric import log_gamma, log_gamma_ratio
 from .wavefun import (
     Wavefunction,
@@ -70,10 +72,8 @@ from .wavefun import (
     _envelope,
     _form_row,
     _ground_norm,
-    _horner,
-    _part,
     _ONE,
-    _State,
+    _EMPTY,
     _make_state,
 )
 
@@ -101,7 +101,7 @@ def _first_order(a: float, p: np.ndarray, sign: float) -> np.ndarray:
     whose columns are coefficient arrays; sign is +1 or -1.  The result
     is trimmed down to one coefficient, a row of the stack only where
     every column ends in zero, so the zero function gives [0.0], which
-    Wavefunction trims back to the zero function.
+    _make_state trims back to the zero function.
 
     Bit-identical to the numpy.polynomial composition except for a = 0
     with sign -1, which no operator here forms (the raising rules have
@@ -135,8 +135,7 @@ class LadderContext:
     k_level: float
 
     def __post_init__(self):
-        if not 1.0 < _check_real(self.k_level, "k_level") < math.inf:
-            raise ValueError(f"k_level must exceed 1 and be finite, got {self.k_level!r}")
+        _check_exponent(self.k_level, "k_level")
 
 
 def lower(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
@@ -146,8 +145,6 @@ def lower(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     eigenfunction the result is sqrt(n(n+2k)) * U_{k+1,n-1}.
     """
     _check_envelope(wf, ctx.k_level, "lower")
-    if wf.state is None:
-        return Wavefunction(wf.params, ctx.k_level + 1.0, _der(wf.coeffs))
     return _wrap(wf.params, ctx.k_level + 1.0, _lowered(wf.state))
 
 
@@ -159,48 +156,54 @@ def raise_(ctx: LadderContext, wf: Wavefunction) -> Wavefunction:
     normalized U_{k+1,n-1} the result is sqrt(n(n+2k)) * U_{k,n}.
     """
     _check_envelope(wf, ctx.k_level + 1.0, "raise_")
-    a = 2.0 * ctx.k_level + 1.0
-    if wf.state is None:
-        return Wavefunction(wf.params, ctx.k_level, _first_order(a, wf.coeffs, -1.0))
-    return _wrap(wf.params, ctx.k_level, _first_order_part(a, wf.state, -1.0))
+    return _wrap(wf.params, ctx.k_level, _first_order_part(2.0 * ctx.k_level + 1.0, wf.state, -1.0))
 
 
-_ONE_MINUS_S2 = np.array([1.0, 0.0, -1.0])
+# sign (1 - s^2), the next-order factor of a first-order rule, by sign
+_LIFTS = {1.0: np.array([1.0, 0.0, -1.0]), -1.0: np.array([-1.0, -0.0, 1.0])}
 
 
 def _wrap(params: ModelParams, kappa: float, state) -> Wavefunction:
-    """The eigenstate of a _State, or the zero function for None (a
-    state with no term left)."""
-    return Wavefunction(params, kappa, []) if state is None else Wavefunction(params, kappa, None, state)
+    """The Wavefunction of an operator's result: of a _State, the zero
+    function for None (a state with no term left), and Wavefunction's
+    error where a term overflowed."""
+    if state is None:
+        return Wavefunction(params, kappa, _EMPTY)
+    if any(np.count_nonzero(np.isfinite(t)) < t.size for t in state.terms):
+        raise ValueError("coefficients must be finite")
+    return Wavefunction(params, kappa, None, state)
 
 
 def _lowered(state):
-    """The _State of P' for an eigenstate's P: the terms t_d' + t_(d-1);
+    """The _State of P' for the _State of P: the terms t_d' + t_(d-1);
     None for the zero function (None)."""
     if state is None:
         return None
-    return _make_state(state.k, state.n, _state_terms(state.terms, _der, _ONE))
+    return _make_state(state.k, state.n, _state_terms(state, _der, _ONE))
 
 
-def _first_order_part(a: float, p, sign: float):
-    """The polynomial part a s P + sign (1 - s^2) P' of P (_part):
-    _first_order on coefficients; on an eigenstate, the terms
-    _first_order(a, t_d, sign) + sign (1 - s^2) t_(d-1), None for the
-    zero function."""
-    if p is None:
+def _first_order_part(a: float, state, sign: float):
+    """The _State of a s P + sign (1 - s^2) P' for the _State of P: the
+    terms _first_order(a, t_d, sign) + sign (1 - s^2) t_(d-1); None for
+    the zero function (None)."""
+    if state is None:
         return None
-    if not isinstance(p, _State):
-        return _first_order(a, p, sign)
-    return _make_state(p.k, p.n, _state_terms(p.terms, lambda t: _first_order(a, t, sign), sign * _ONE_MINUS_S2))
+    return _make_state(
+        state.k, state.n, _state_terms(state, lambda t: _first_order(a, t, sign), _LIFTS[sign])
+    )
 
 
-def _state_terms(terms, same, lift) -> list:
-    """The terms of an eigenstate's polynomial part after a first-order
-    rule: same(t_d) + lift * t_(d-1) for d up to one order above the
-    given terms, lift a coefficient array multiplying the next-order
-    row (1 for P').  Sums of padded arrays; trimming is _make_state's."""
-    out = [same(t) if t.size else t for t in terms] + [np.zeros(0)]
-    for d, t in enumerate(terms):
+def _state_terms(state, same, lift) -> list:
+    """The terms of a state's polynomial part after a first-order rule:
+    same(t_d) + lift * t_(d-1) for d up to the state's level n, lift a
+    coefficient array multiplying the next-order row (1 for P'); no term
+    of order above n is formed, as R_n^(d) = 0 there.  Sums of padded
+    arrays; trimming is _make_state's."""
+    terms, n = state.terms, state.n
+    out = [same(t) if t.size else t for t in terms]
+    if len(terms) <= n:
+        out.append(_EMPTY)
+    for d, t in enumerate(terms[:n]):
         if t.size:
             up = t if lift is _ONE else np.convolve(lift, t)
             low = out[d + 1]
@@ -220,26 +223,20 @@ def _check_envelope(wf: Wavefunction, expected: float, op: str):
 def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x of
     wf's domain (an array or its Samples record), with V = V_-(k_pot)
-    ("minus") or V_+(k_pot) ("plus"): the rows of P, P' and P'' put
-    through _delta_rows with the factor rows of _delta_factors.  The
-    rows are Horner's on a coefficient polynomial, and on an eigenstate
-    the record's Gegenbauer rows (P_n, P_n' and P_n'' themselves for a
-    level-n state).
+    ("minus") or V_+(k_pot) ("plus") and k_pot real, finite and above 1:
+    the rows of P, P' and P'' (_form_row, the record's zero row for a
+    zero part) put through _delta_rows with the factor rows of
+    _delta_factors.  On a level-n eigenstate these are the record's
+    Gegenbauer rows P_n, P_n' and P_n'' themselves.
     """
+    _check_exponent(k_pot, "k_pot")
     rec = _as_samples(wf.params, x)
     _require_interior(rec.interior)
     factors = _delta_factors(kind, k_pot, wf.kappa, rec)
     if wf.is_zero:
         return np.zeros(rec.shape)
-    p = _part(wf)
-    if isinstance(p, _State):
-        dp = _lowered(p)
-        ddp = _lowered(dp)
-        rows = tuple(_form_row(rec, q) if q else rec._zero for q in (p, dp, ddp))
-    else:
-        dp = _der(p) if p.size > 1 else np.zeros(1)
-        ddp = _der(dp) if p.size > 2 else np.zeros(1)
-        rows = tuple(_horner(rec.s, c) for c in (p, dp, ddp))
+    dp = _lowered(wf.state)
+    rows = tuple(_form_row(rec, q) if q else rec._zero for q in (wf.state, dp, _lowered(dp)))
     return _delta_rows(factors, rows).reshape(rec.shape)
 
 
@@ -285,11 +282,10 @@ def _delta_factors(kind: str, k_pot: float, kappa: float, rec) -> tuple:
 def _delta_rows(factors, rows) -> np.ndarray:
     """The step of the one Delta formula that reads P: ((wall P + f1 P)
     + f2 P') - f3 P'', flat, in that order, from the factor rows of
-    _delta_factors and rows = (P, P', P'') at the record's s (Horner
-    rows from apply_delta, the record's Gegenbauer rows for an
-    eigenstate).  A skipped term (None) adds no +-0.0, so where the
-    rest sums to -0.0 the result can stay -0.0 where the written-out
-    formula gives +0.0.
+    _delta_factors and rows = (P, P', P'') at the record's s (from
+    apply_delta, or the record's Gegenbauer rows for an eigenstate).  A
+    skipped term (None) adds no +-0.0, so where the rest sums to -0.0
+    the result can stay -0.0 where the written-out formula gives +0.0.
     """
     wall, f1, f2, f3 = factors
     pv, dpv, ddpv = rows
@@ -324,7 +320,7 @@ def factorization_residual(k: float, wf: Wavefunction, x) -> float:
         direct = apply_delta("plus", k, wf, rec)
     else:
         raise ValueError("wf.kappa must equal k or k+1")
-    lhs = _envelope(rec, composed.kappa, _part(composed))
+    lhs = _envelope(rec, composed.kappa, composed.state)
     return float(np.max(np.abs(lhs - direct), initial=0.0))
 
 
@@ -332,18 +328,19 @@ def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     """Scale-relative residual of [A_k, A_k^+] = 2k + (1/2k)(A_k + A_k^+)^2.
 
     A_k + A_k^+ multiplies by 2 W = 2k tan(wx), so the right side is
-    multiplication by 2k (1 + tan^2 wx).  The left side is built from the
-    general-envelope operator rules; intermediate exponents fall below
-    the bound-state range, so raw (kappa, part) pairs are used (_part:
-    coefficients or an eigenstate's _State).  x is an array of interior
-    positions of test_fn's domain or their Samples record.
+    multiplication by 2k (1 + tan^2 wx), k real, finite and above 1.  The
+    left side is built from the general-envelope operator rules;
+    intermediate exponents fall below the bound-state range, so raw
+    (kappa, _State) pairs are used.  x is an array of interior positions
+    of test_fn's domain or their Samples record.
     """
+    _check_exponent(k, "k")
     params = test_fn.params
     rec = _as_samples(params, x)
     _require_interior(rec.interior)
     if test_fn.is_zero:
         return 0.0
-    kappa, p = test_fn.kappa, _part(test_fn)
+    kappa, p = test_fn.kappa, test_fn.state
     up_down = _general_lower(k, *_general_raise(k, kappa, p))
     down_up = _general_raise(k, *_general_lower(k, kappa, p))
     lhs = _envelope(rec, *up_down) - _envelope(rec, *down_up)

@@ -259,6 +259,16 @@ def _check_real(value, name: str):
     raise ValueError(f"{name} must be a real number within float range, got {_shown(value)}")
 
 
+def _check_exponent(value, name: str):
+    """The exponent rule of the operators: a real number (_check_real),
+    finite and above 1, comes back as given: an envelope exponent kappa,
+    a ladder level k and a potential's k.  NaN and the infinities raise
+    ValueError, as every other value does."""
+    if not 1.0 < _check_real(value, name) < math.inf:
+        raise ValueError(f"{name} must exceed 1 and be finite, got {value!r}")
+    return value
+
+
 def _shown(value) -> str:
     """repr(value) for an error message, or the bit length of an int too
     long for Python to print (more than 4300 digits by default)."""

@@ -17,14 +17,15 @@ paper's series form P_n is proportional to
 which hypergeometric_terminating and hypergeometric_coefficients sum
 and expand, as the test oracle of that form.
 
-A Wavefunction is one of two kinds.  A coefficient polynomial holds the
-monomial coefficients of P (coeffs); the factorization and commutator
-test functions and build_from_ground's raising chain are of this kind.
-An eigenstate, what build_eigenfunction returns, holds no coefficients
-(coeffs is None) but a _State: the parameter k of its Gegenbauer rows,
-the level n, and the polynomials t_d of P = sum_d t_d(s) P_n^(d)(s).
-A level-n eigenstate is t = (1,); the ladder operators map an eigenstate
-to another state of this kind (ladder module).
+Every Wavefunction holds its P in one form, a _State: the source of its
+rows R, a level n and the polynomials t_d of P = sum_d t_d(s) R_n^(d)(s).
+The Gegenbauer rows of parameter k give the eigenstates of
+build_eigenfunction (level n is t = (1,), coeffs is None), which the
+ladder operators map to other states on the same rows.  The unit row
+R = 1 (k is None, level 0) gives the coefficient polynomials, t_0 =
+coeffs = P: the factorization and commutator test functions and
+build_from_ground's raising chain.  As R' = 0, the calculus of terms
+reduces there to the monomial rules.
 
 Sign convention: the highest-order coefficient of P_n is positive.  This
 choice makes the lowering/raising maps hold with positive square-root
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 # MAX_LEVEL lives in model; imported so that wavefun.MAX_LEVEL resolves too
-from .model import MAX_LEVEL, ModelParams, _check_int, _check_level, _check_real, _domain_flags
+from .model import MAX_LEVEL, ModelParams, _check_exponent, _check_int, _check_level, _check_real, _domain_flags
 from .numeric import log_gamma_ratio, quadrature
 
 __all__ = [
@@ -57,42 +58,46 @@ __all__ = [
 
 
 def _coeff_array(coeffs) -> np.ndarray:
-    """coeffs as an owned, read-only, trimmed 1-D float array (empty for
-    the zero polynomial); a finite 1-D array or a ValueError."""
+    """coeffs as an owned 1-D float array, each coefficient a real number
+    by the one rule (model._check_real: "12", b"1", True, 1+2j and None
+    fail it) and finite, or a ValueError.  _make_state trims it."""
+    if not (isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "fiu"):  # numpy reals pass whole
+        for v in np.array(coeffs, dtype=object, ndmin=1).flat:
+            _check_real(v, "coefficient")
     # owned (np.array copies): the caller may go on writing to its array
     c = np.array(coeffs, dtype=float, ndmin=1)
     if c.ndim != 1:  # the polynomial calculus reads coefficients by slices
         raise ValueError(f"coefficients must be a 1-D array, got shape {c.shape}")
-    if not np.isfinite(c).all():
+    if np.count_nonzero(np.isfinite(c)) < c.size:
         raise ValueError("coefficients must be finite")
-    if c.size and c[-1] == 0.0:
-        nz = np.flatnonzero(c)
-        c = c[: nz[-1] + 1] if nz.size else np.empty(0)
-    c.setflags(write=False)
     return c
 
 
-_ONE = _coeff_array([1.0])
+_ONE, _EMPTY = np.ones(1), np.empty(0)
+_ONE.setflags(write=False)
+_EMPTY.setflags(write=False)
 
 
 class _State(NamedTuple):
-    """The polynomial part sum_d terms[d](s) P_n^(d)(s) of an eigenstate
-    kind Wavefunction: P_n^(d) is the d-th s-derivative of the level-n
-    row of _recurrence at parameter k, terms[d] ascending coefficients."""
+    """The polynomial part sum_d terms[d](s) R_n^(d)(s) of a
+    Wavefunction, terms[d] ascending coefficients: R_n^(d) is the d-th
+    s-derivative of the level-n row of _recurrence at parameter k, or of
+    the unit row R_0 = 1 where k is None (n = 0, one term, the
+    coefficients of P)."""
 
-    k: float
+    k: float | None
     n: int
     terms: tuple
 
 
-def _make_state(k: float, n: int, terms):
-    """The _State of these terms, trimmed as coefficients are, with the
-    terms of derivative order above n dropped (P_n^(d) = 0 there) and
-    trailing empty ones too; None where no term is left (the zero
-    function).  Every term is read-only."""
+def _make_state(k: float | None, n: int, terms):
+    """The _State of these 1-D float arrays, the terms of derivative
+    order 0..(at most) n: each is trimmed of its trailing zeros, the one
+    trim rule of terms and coefficients, and trailing empty terms are
+    dropped; None where no term is left (the zero function).  Every term
+    is read-only."""
     out = []
-    for t in terms[: n + 1]:
-        t = np.asarray(t, dtype=float)
+    for t in terms:
         size = t.size
         while size and t[size - 1] == 0.0:
             size -= 1
@@ -106,17 +111,16 @@ def _make_state(k: float, n: int, terms):
 
 @dataclass(frozen=True)
 class Wavefunction:
-    """Immutable envelope-times-polynomial wavefunction, of one of two
-    kinds.
+    """Immutable envelope-times-polynomial wavefunction cos^kappa P, P
+    held as a _State (_make_state), None for the zero function (the
+    result of annihilating a ground state).
 
-    A coefficient polynomial: coeffs holds c_0..c_d of P(s) = sum c_j s^j
-    ascending, s = sin(wx); trailing zeros are trimmed so c_d != 0.  An
-    empty coeffs array is the zero function (the result of annihilating
-    a ground state).
-
-    An eigenstate: coeffs is None and state is a _State (_make_state),
-    whose P is read from the Gegenbauer rows of the record it is
-    evaluated on.
+    Wavefunction(params, kappa, coeffs) takes c_0..c_d of P(s) =
+    sum c_j s^j ascending, s = sin(wx), as the level-0 state on the
+    unit row; coeffs keeps them trimmed so c_d != 0, empty for the zero
+    function.  A state on the Gegenbauer rows (an eigenstate, P read
+    from the rows of the record it is evaluated on) is given as
+    Wavefunction(params, kappa, None, state), and its coeffs is None.
     """
 
     params: ModelParams
@@ -125,24 +129,26 @@ class Wavefunction:
     state: _State | None = None
 
     def __post_init__(self):
-        if not 1.0 < _check_real(self.kappa, "kappa") < math.inf:
-            raise ValueError(f"kappa must exceed 1 and be finite, got {self.kappa!r}")
-        if self.state is None:
-            object.__setattr__(self, "coeffs", _coeff_array(self.coeffs))
-        elif self.coeffs is not None or not isinstance(self.state, _State):
-            raise ValueError("an eigenstate holds a _State (from _make_state) and no coefficients")
+        _check_exponent(self.kappa, "kappa")
+        state = self.state
+        if state is None:
+            state = _make_state(None, 0, (_coeff_array(self.coeffs),))
+            object.__setattr__(self, "state", state)
+        elif self.coeffs is not None or not isinstance(state, _State):
+            raise ValueError("a Wavefunction given a _State (from _make_state) holds no coefficients")
+        if state is None or state.k is None:
+            object.__setattr__(self, "coeffs", state.terms[0] if state else _EMPTY)
 
     @property
     def is_zero(self) -> bool:
-        return self.state is None and self.coeffs.size == 0
+        return self.state is None
 
     @property
     def degree(self) -> int:
-        """Polynomial degree; -1 for the zero function.  For an
-        eigenstate, the degree of its form, max over d of
-        deg t_d + n - d."""
+        """Degree of P, max over d of deg t_d + n - d; -1 for the zero
+        function."""
         if self.state is None:
-            return self.coeffs.size - 1
+            return -1
         k, n, terms = self.state
         return max(t.size - 1 + n - d for d, t in enumerate(terms) if t.size)
 
@@ -330,9 +336,8 @@ def _as_samples(params: ModelParams, x) -> Samples:
 
 
 def evaluate(wf: Wavefunction, x):
-    """U(x) = cos^kappa(wx) * P(sin wx), for either kind: Horner for a
-    coefficient polynomial, the record's Gegenbauer rows for an
-    eigenstate.  x is an array of positions or their Samples record.
+    """U(x) = cos^kappa(wx) * P(sin wx), P formed by _form_row.  x is an
+    array of positions or their Samples record.
 
     Defined on the closed domain: |x| <= half_width, exactly 0 at the
     endpoints (kappa > 1 beats the polynomial there).
@@ -340,39 +345,33 @@ def evaluate(wf: Wavefunction, x):
     rec = _as_samples(wf.params, x)
     if not rec.in_domain:
         raise ValueError("x must satisfy |x| <= half_width")
-    out = _envelope(rec, wf.kappa, _part(wf))
+    out = _envelope(rec, wf.kappa, wf.state)
     return out if out.ndim else float(out)
 
 
-def _part(wf: Wavefunction):
-    """The polynomial part of wf as the calculus reads it: the
-    coefficient array, or the eigenstate's _State."""
-    return wf.coeffs if wf.state is None else wf.state
-
-
-def _envelope(rec: Samples, kappa: float, p) -> np.ndarray:
+def _envelope(rec: Samples, kappa: float, state) -> np.ndarray:
     """cos^kappa(wx) * P(sin wx) on a record, in its shape, for any real
-    kappa and a polynomial part p (_part: trimmed 1-D coefficients, or a
-    _State; zeros when empty or None); no domain or kappa checks.  The one place
-    envelope values are formed: evaluate and the operator residuals,
-    whose intermediate terms carry exponents below the bound-state
-    range, all call it.  The power is the record's (rec.power), 0.0 at a
-    boundary point for kappa > 0.
+    kappa and the _State of P (zeros for None); no domain or kappa
+    checks.  The one place envelope values are formed: evaluate and the
+    operator residuals, whose intermediate terms carry exponents below
+    the bound-state range, all call it.  The power is the record's
+    (rec.power), 0.0 at a boundary point for kappa > 0.
     """
-    if isinstance(p, _State):
-        return (rec.power(kappa) * _form_row(rec, p)).reshape(rec.shape)
-    if p is None or p.size == 0:
+    if state is None:
         return np.zeros(rec.shape)
-    return (rec.power(kappa) * _horner(rec.s, p)).reshape(rec.shape)
+    return (rec.power(kappa) * _form_row(rec, state)).reshape(rec.shape)
 
 
 def _form_row(rec: Samples, state: _State) -> np.ndarray:
-    """sum_d t_d(s) P_n^(d)(s), flat, from the record's Gegenbauer rows at
-    parameter k (state from _make_state, so its last term is nonzero): a
-    term t_d = 1 is the row itself (the memo's read-only array, for a
-    lone term), any other nonzero one is the record's row of t_d times
-    the row."""
+    """sum_d t_d(s) R_n^(d)(s), flat, for a state from _make_state (its
+    last term nonzero).  The rows are where the state takes them from:
+    on the unit row P is t_0 itself, Horner's row; on the Gegenbauer
+    rows at parameter k, a term t_d = 1 is the record's row itself (the
+    memo's read-only array, for a lone term), any other nonzero one is
+    the record's row of t_d times the row."""
     k, n, terms = state
+    if k is None:
+        return _horner(rec.s, terms[0])
     rows = _recurrence(rec, k, n, len(terms) - 1)
     out = None
     for d, t in enumerate(terms):

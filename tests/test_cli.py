@@ -8,6 +8,7 @@ import pytest
 
 from susy_pt import MAX_LEVEL, cli
 from susy_pt.model import ModelParams, k_from_mass
+from susy_pt.wavefun import build_eigenfunction, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -424,14 +425,36 @@ class TestCsvContract:
     )
     def test_matches_per_value_definition(self, header, rows):
         comments, trailers = ["# params: a=1"], ["# prefactor=1", "# final_norm=1"]
-        assert cli._csv(header, rows, comments, trailers) == _csv_per_value(
+        assert "".join(cli._csv(header, rows, comments, trailers)) == _csv_per_value(
             header, rows, comments, trailers
         )
-        assert cli._csv(header, rows) == _csv_per_value(header, rows)
+        assert "".join(cli._csv(header, rows)) == _csv_per_value(header, rows)
+
+    def test_one_chunk_plus_one_row(self):
+        # the body is formatted _CSV_CHUNK rows at a time; the row after a
+        # full chunk starts the next piece, with the same bytes as one text
+        rng = np.random.default_rng(5)
+        rows = [(float(a), float(b)) for a, b in rng.standard_normal((cli._CSV_CHUNK + 1, 2))]
+        rows[-1] = (-0.0, math.nan)
+        pieces = list(cli._csv(("x", "value"), iter(rows), ["# c"], ["# t"]))
+        assert len(pieces) == 4
+        assert "".join(pieces) == _csv_per_value(("x", "value"), rows, ["# c"], ["# t"])
+
+    def test_eigenfunction_one_chunk_plus_one_sample(self, capsys, tmp_path):
+        samples = cli._CSV_CHUNK + 1
+        out = tmp_path / "f.csv"
+        code, _, err = run_cli(capsys, "eigenfunction", "--k", "2", "--n", "3",
+                               "--samples", str(samples), "--output", str(out))
+        assert (code, err) == (0, "")
+        p = ModelParams(1.0, 1.0, 2.0)
+        x = np.linspace(-p.half_width, p.half_width, samples)
+        rows = list(zip(x.tolist(), evaluate(build_eigenfunction(p, 3), x).tolist()))
+        comments = [cli._params_comment(p), "# n=3"]
+        assert out.read_text() == _csv_per_value(("x", "value"), rows, comments)
 
     def test_header_only_body(self):
-        assert cli._csv(("a", "b"), [], ["# c"], ["# t"]) == "# c\na,b\n# t\n"
-        assert cli._csv(("a", "b"), []) == _csv_per_value(("a", "b"), [])
+        assert "".join(cli._csv(("a", "b"), [], ["# c"], ["# t"])) == "# c\na,b\n# t\n"
+        assert "".join(cli._csv(("a", "b"), [])) == _csv_per_value(("a", "b"), [])
 
     def test_header_only_hierarchy(self, capsys):
         code, out, err = run_cli(capsys, "hierarchy", "--k", "2", "--n", "0")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -21,7 +22,7 @@ from susy_pt.ladder import (
 )
 from susy_pt.model import superpotential, v_minus, v_plus
 from susy_pt.numeric import interior_grid
-from susy_pt.verify import DEFAULT_BATTERY
+from susy_pt.verify import DEFAULT_BATTERY, _random_test_fns
 from susy_pt.wavefun import (
     MAX_LEVEL,
     Wavefunction,
@@ -94,6 +95,81 @@ class TestLadderContext:
     def test_rejects_non_finite_level(self, k_level):
         with pytest.raises(ValueError, match="k_level must exceed 1 and be finite"):
             LadderContext(P_REF, k_level)
+
+
+class TestExponentRule:
+    """LadderContext's k_level, apply_delta's k_pot and commutator_check's
+    k follow one rule: a real number, finite and above 1."""
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1.0, 0.5, "2", b"2", None, True, 2 + 0j])
+    def test_rejected_by_every_operator(self, k):
+        x = interior_grid(P_REF, 33).points
+        for kappa, coeffs in ((2.0, [0.3, -0.7, 1.1]), (3.0, [])):  # the zero function too
+            wf = Wavefunction(P_REF, kappa, coeffs)
+            with pytest.raises(ValueError, match="^k_level must"):
+                LadderContext(P_REF, k)
+            for kind in ("minus", "plus"):
+                with pytest.raises(ValueError, match="^k_pot must"):
+                    apply_delta(kind, k, wf, x)
+            with pytest.raises(ValueError, match="^k must"):
+                commutator_check(k, wf, x)
+            with pytest.raises(ValueError, match="^k_level must"):
+                factorization_residual(k, wf, x)
+
+    def test_admits_ints_and_numpy_reals(self):
+        x = interior_grid(P_REF, 33).points
+        wf = Wavefunction(P_REF, 2.0, [0.3, -0.7, 1.1])
+        for k in (2, np.float64(2.0), np.int64(2), np.float32(2.0)):
+            assert LadderContext(P_REF, k).k_level == 2.0
+            assert apply_delta("minus", k, wf, x).tobytes() == apply_delta("minus", 2.0, wf, x).tobytes()
+            assert commutator_check(k, wf, x) == commutator_check(2.0, wf, x)
+
+
+class TestCoefficientPathBits:
+    """A coefficient polynomial is the level-0 state on the unit row R = 1.
+    The calculus of terms gives numpy.polynomial's bits on it, and every
+    operator the bits of the separate monomial path it replaced: sha256
+    of the results, recorded from that path on the same inputs."""
+
+    DIGESTS = {
+        1.5: {
+            "apply_delta": "6859795154a71198670ea5235ace71e258e973e7f00c6c3d9002cf09ceb04435",
+            "factorization_residual": "b1f94faa56b5a6870dbc87bd7d60df52f30444f80cfdd34bdf88ea9927e65f95",
+            "commutator_check": "4dc1aabcce4d2cc6c552e97faaeb31a47fb595da6df8ae449f0e4df46543e405",
+        },
+        3.7: {
+            "apply_delta": "ae889d9803e80c4e1ee8be1eb161a85e28fd0f1709a8c5db700484ea8668c2da",
+            "factorization_residual": "db365c048fd289de01bbd4ec121c09dfc437218e503ce88e2cfae97528115499",
+            "commutator_check": "7c8da5a96ef18c6fd1e5558f45b95537112dbf24a7cf7a19a791b254e0e244bb",
+        },
+    }
+
+    @pytest.mark.parametrize("k", [1.5, 3.7])
+    def test_lower_and_raise_are_numpy_compositions(self, k):
+        p = ModelParams(1.0, 1.0, k)
+        for c in _random_test_fns():
+            for kappa in (k, k + 1.0):
+                ctx = LadderContext(p, kappa)
+                low = lower(ctx, Wavefunction(p, kappa, c))
+                assert low.state.k is None and low.coeffs.tobytes() == npoly.polyder(c).tobytes()
+                up = raise_(ctx, Wavefunction(p, kappa + 1.0, c))
+                want = npoly.polysub(npoly.polymul([0.0, 2.0 * kappa + 1.0], c),
+                                     npoly.polymul([1.0, 0.0, -1.0], npoly.polyder(c)))
+                assert up.state.k is None and up.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1.5, 3.7])
+    def test_operators_keep_the_monomial_path_bits(self, k):
+        p = ModelParams(1.0, 1.0, k)
+        x = interior_grid(p, 257).points
+        h = {name: hashlib.sha256() for name in self.DIGESTS[k]}
+        for c in _random_test_fns():
+            for kappa in (k, k + 1.0):
+                wf = Wavefunction(p, kappa, c)
+                for kind in ("minus", "plus"):
+                    h["apply_delta"].update(apply_delta(kind, k, wf, x).tobytes())
+                h["factorization_residual"].update(np.float64(factorization_residual(k, wf, x)).tobytes())
+                h["commutator_check"].update(np.float64(commutator_check(k, wf, x)).tobytes())
+        assert {name: v.hexdigest() for name, v in h.items()} == self.DIGESTS[k]
 
 
 class TestLoweringRaising:

@@ -363,8 +363,10 @@ class TestRunAll:
         # first model of each k together, 16 lock-step steps (1632 steps
         # when each chain ran alone), and ladder's 64 raise_ calls each
         # form one term (608 _first_order calls, 864 while the state
-        # suites ran per model); 1116 Horner passes (1268 per model),
-        # none of them on an eigenstate's level (1724 with the 384 of
+        # suites ran per model); 1092 Horner passes (1116 while the P''
+        # of a degree-1 test polynomial had a Horner row of its own
+        # rather than the record's zero row, 1268 per model), none of
+        # them on an eigenstate's level (1724 with the 384 of
         # ladder's monomial images and the monomial states' own, 3308
         # when every table row and Delta term had its own); Delta's
         # factor rows once per level set and once per apply_delta call,
@@ -373,7 +375,7 @@ class TestRunAll:
         calls = dict.fromkeys(("apply_delta", "_delta_factors", "_first_order", "_horner"), 0)
         build_up_steps = []
         holders = {"apply_delta": [ladder], "_delta_factors": [verify_mod, ladder],
-                   "_first_order": [ladder], "_horner": [wavefun, ladder]}
+                   "_first_order": [ladder], "_horner": [wavefun]}
         for attr, mods in holders.items():
             def wrapper(*args, attr=attr, real=getattr(mods[0], attr), **kwargs):
                 calls[attr] += 1
@@ -397,7 +399,7 @@ class TestRunAll:
         monkeypatch.setattr(wavefun, "hypergeometric_coefficients", no_series)
         assert "apply_delta" not in vars(verify_mod)
         assert run_all().all_passed
-        assert calls == {"apply_delta": 160, "_delta_factors": 168, "_first_order": 608, "_horner": 1116}
+        assert calls == {"apply_delta": 160, "_delta_factors": 168, "_first_order": 608, "_horner": 1092}
         assert build_up_steps == [16] * 4
 
     @pytest.mark.parametrize(
@@ -566,7 +568,7 @@ class TestOrthonormalityGram:
             wf = real(p, n)
             if n != 5:
                 return wf
-            return Wavefunction(p, wf.kappa, None, wavefun._make_state(p.k, n, [[1.0 + 1e-6]]))
+            return Wavefunction(p, wf.kappa, None, wavefun._make_state(p.k, n, [np.array([1.0 + 1e-6])]))
 
         # <(1+e)U, (1+e)U> - 1 = 2e + e^2
         assert self.worst(monkeypatch, "build_eigenfunction", build) == pytest.approx(2e-6 + 1e-12, abs=1e-13)

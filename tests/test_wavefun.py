@@ -169,6 +169,24 @@ class TestWavefunctionType:
         with pytest.raises(ValueError, match="kappa must exceed 1 and be finite"):
             Wavefunction(p, kappa, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        ["12", b"1", [True, False, True], np.array([True]), [1.0, True], [1 + 2j], np.array([1 + 0j]),
+         None, [None], [1.0, "2"], [10 ** 400]],
+    )
+    def test_rejects_coefficients_that_are_not_real(self, coeffs):
+        p = ModelParams(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="^coefficient must be a real number within float range"):
+            Wavefunction(p, 2.0, coeffs)
+
+    def test_admits_ints_floats_and_numpy_reals(self):
+        p = ModelParams(1.0, 1.0, 2.0)
+        want = np.array([1.0, 2.0]).tobytes()
+        for coeffs in ([1, 2], (1.0, 2.0), [np.int64(1), np.float32(2.0)], np.array([1, 2]),
+                       np.array([1.0, 2.0], dtype=np.float32), np.array([1, 2], dtype=np.uint8),
+                       [Fraction(1), 2.0], np.array([1.0, 2.0, 0.0])):
+            assert Wavefunction(p, 2.0, coeffs).coeffs.tobytes() == want
+
     def test_rejects_non_finite(self):
         p = ModelParams(1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
@@ -664,9 +682,9 @@ class TestSamples:
         p = ModelParams(1.0, 1.0, 2.0)
         d = p.half_width
         rec = samples(p, np.array([-d, -0.3, 0.0, 0.4, d]))
-        coeffs = np.array([0.5, -1.0, 2.0])
+        state = Wavefunction(p, 2.0, [0.5, -1.0, 2.0]).state
         for _ in range(2):
-            got = _envelope(rec, math.nan, coeffs)
+            got = _envelope(rec, math.nan, state)
             assert np.isnan(got).all()
         assert rec.power(math.nan) is not rec.power(math.nan)
         assert not rec._powers
