@@ -31,6 +31,9 @@ _FLOAT = "%.17g"
 MAX_SAMPLES = 100_000
 # Rows per piece of a CSV body: only one piece is held as text at a time.
 _CSV_CHUNK = 4096
+# Encoder pieces per write of a JSON document (a sample row is 12): a
+# hierarchy document is one write, a large one is held a batch at a time.
+_JSON_BATCH = 16384
 
 
 def main(argv=None) -> int:
@@ -138,6 +141,15 @@ def _csv(header, rows, comments=(), trailers=()):
         yield "\n".join(trailers) + "\n"
 
 
+def _json(doc):
+    """The text of json.dumps(doc, indent=2) and a newline, in pieces of
+    _JSON_BATCH encoder pieces: the encoder's own output, joined one
+    batch at a time rather than whole."""
+    pieces = itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
+    while batch := list(itertools.islice(pieces, _JSON_BATCH)):
+        yield "".join(batch)
+
+
 def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, tail: dict) -> int:
     """The one table writer.  CSV: the params comment, '# name=value' per
     head field, the header and body, then '# name=%.17g' per tail field.
@@ -152,8 +164,7 @@ def _write_table(args, params: ModelParams, head: dict, key: str, header, rows, 
         )
     else:
         table = [dict(zip(header, row)) for row in rows]
-        doc = {"params": _params_json(params), **head, key: table, **tail}
-        pieces = [json.dumps(doc, indent=2) + "\n"]
+        pieces = _json({"params": _params_json(params), **head, key: table, **tail})
     with _open_output(args.output) as fh:
         fh.writelines(pieces)
     return 0

@@ -50,11 +50,18 @@ results are bit-identical to polyder/polymul/polyadd/polysub:
 The second-order operator Delta has one formula in two steps:
 _delta_factors forms its factor rows from kappa and the grid alone,
 _delta_rows applies them to the rows of P, P' and P''.  apply_delta runs
-both per call; the verify eigen suites form the factors once per level
-set.  The wall term and the cos^kappa P term are skipped only where
-their coefficient is exactly 0.0 (the matched envelopes); the other
-products and sums keep their order, so only a zero's sign can differ
-from the written-out formula.
+both per call; the verify eigen and factorization suites form the
+factors once per level set.  The wall term and the cos^kappa P term are
+skipped only where their coefficient is exactly 0.0 (the matched
+envelopes); the other products and sums keep their order, so only a
+zero's sign can differ from the written-out formula.
+
+The factorization and commutator identities split the same way:
+_derivative_rows forms the rows P, P' and P'' once, and
+_factorization_residuals and _commutator_residuals read them.
+factorization_residual and commutator_check are the one-column call of
+the two steps; verify runs them on stacks of test polynomials, one
+maximum per column.
 """
 
 from __future__ import annotations
@@ -167,11 +174,16 @@ def _wrap(params: ModelParams, kappa: float, state) -> Wavefunction:
     """The Wavefunction of an operator's result: of a _State, the zero
     function for None (a state with no term left), and Wavefunction's
     error where a term overflowed."""
-    if state is None:
+    if _finite(state) is None:
         return Wavefunction(params, kappa, _EMPTY)
-    if any(np.count_nonzero(np.isfinite(t)) < t.size for t in state.terms):
-        raise ValueError("coefficients must be finite")
     return Wavefunction(params, kappa, None, state)
+
+
+def _finite(state):
+    """state, or Wavefunction's error where one of its terms overflowed."""
+    if state is not None and any(np.count_nonzero(np.isfinite(t)) < t.size for t in state.terms):
+        raise ValueError("coefficients must be finite")
+    return state
 
 
 def _lowered(state):
@@ -224,10 +236,10 @@ def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     """Samples of (-(1/w^2) d^2/dx^2 + V) U at interior points x of
     wf's domain (an array or its Samples record), with V = V_-(k_pot)
     ("minus") or V_+(k_pot) ("plus") and k_pot real, finite and above 1:
-    the rows of P, P' and P'' (_form_row, the record's zero row for a
-    zero part) put through _delta_rows with the factor rows of
-    _delta_factors.  On a level-n eigenstate these are the record's
-    Gegenbauer rows P_n, P_n' and P_n'' themselves.
+    the rows of P, P' and P'' (_derivative_rows) put through _delta_rows
+    with the factor rows of _delta_factors.  On a level-n eigenstate
+    these are the record's Gegenbauer rows P_n, P_n' and P_n''
+    themselves.
     """
     _check_exponent(k_pot, "k_pot")
     rec = _as_samples(wf.params, x)
@@ -235,9 +247,22 @@ def apply_delta(kind: str, k_pot: float, wf: Wavefunction, x) -> np.ndarray:
     factors = _delta_factors(kind, k_pot, wf.kappa, rec)
     if wf.is_zero:
         return np.zeros(rec.shape)
-    dp = _lowered(wf.state)
-    rows = tuple(_form_row(rec, q) if q else rec._zero for q in (wf.state, dp, _lowered(dp)))
-    return _delta_rows(factors, rows).reshape(rec.shape)
+    return _delta_rows(factors, _derivative_rows(rec, wf.state)).reshape(rec.shape)
+
+
+def _derivative_rows(rec, state) -> tuple:
+    """The rows (P, P', P'') of a nonzero _State on the record, flat, one
+    row per column of a stack: _form_row of the state and of its two
+    lowered states, a zero row where one of those is zero.  The step of
+    apply_delta and of the factorization identities that reads the
+    polynomial: formed once, then read by _factorization_residuals at
+    both levels.  _commutator_residuals reads P alone, which its callers
+    form by _form_row."""
+    dp = _lowered(state)
+    rows = [_form_row(rec, state)]
+    for q in (dp, _lowered(dp)):
+        rows.append(_form_row(rec, q) if q else np.broadcast_to(rec._zero, rows[0].shape))
+    return tuple(rows)
 
 
 def _delta_factors(kind: str, k_pot: float, kappa: float, rec) -> tuple:
@@ -245,7 +270,7 @@ def _delta_factors(kind: str, k_pot: float, kappa: float, rec) -> tuple:
     formula (-(1/w^2) d^2/dx^2 + V) U for U = cos^kappa(wx) P(sin wx)
     on the interior record rec, V = V_-(k_pot) ("minus") or V_+(k_pot)
     ("plus"): the step that does not depend on P (_delta_rows is the
-    other).
+    other).  Each row broadcasts over the rows of a stack's columns.
 
     The second derivative is taken analytically on the representation.
     Collecting powers of cos, with P evaluated at s = sin(wx):
@@ -309,19 +334,34 @@ def factorization_residual(k: float, wf: Wavefunction, x) -> float:
     inputs of moderate degree.  x is an array of interior positions of
     wf's domain or their Samples record.
     """
-    params = wf.params
-    rec = _as_samples(params, x)
-    ctx = LadderContext(params, k)
-    if wf.kappa == k:
-        composed = raise_(ctx, lower(ctx, wf))
-        direct = apply_delta("minus", k, wf, rec)
-    elif wf.kappa == k + 1.0:
-        composed = lower(ctx, raise_(ctx, wf))
-        direct = apply_delta("plus", k, wf, rec)
-    else:
+    rec = _as_samples(wf.params, x)
+    _check_exponent(k, "k_level")
+    if wf.kappa != k and wf.kappa != k + 1.0:
         raise ValueError("wf.kappa must equal k or k+1")
-    lhs = _envelope(rec, composed.kappa, composed.state)
-    return float(np.max(np.abs(lhs - direct), initial=0.0))
+    _require_interior(rec.interior)
+    if wf.is_zero:
+        return 0.0
+    rows = _derivative_rows(rec, wf.state)
+    factors = _delta_factors("minus" if wf.kappa == k else "plus", k, wf.kappa, rec)
+    return float(_factorization_residuals(k, wf.kappa, wf.state, rows, factors, rec))
+
+
+def _factorization_residuals(k: float, kappa: float, state, rows, factors, rec) -> np.ndarray:
+    """The step of the factorization identities that reads the rows
+    (P, P', P'') of _derivative_rows, for kappa = k or k+1 (checked by
+    the caller) and the factor rows of its Delta, _delta_factors of
+    "minus" at kappa = k and of "plus" at k+1 (they do not depend on
+    P): max|raise_(lower(U)) - Delta_- U| or
+    max|lower(raise_(U)) - Delta_+ U| over the positions, one maximum
+    per column of a stack (a 0-d array for one column).  The composed
+    side is the two rules on the state's terms, as lower and raise_
+    form it, with their error where a term overflowed."""
+    if kappa == k:
+        composed = _first_order_part(2.0 * k + 1.0, _lowered(state), -1.0)
+    else:
+        composed = _lowered(_first_order_part(2.0 * k + 1.0, state, -1.0))
+    lhs = _envelope(rec, kappa, _finite(composed))
+    return np.max(np.abs(lhs - _delta_rows(factors, rows)), axis=-1, initial=0.0)
 
 
 def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
@@ -335,18 +375,25 @@ def commutator_check(k: float, test_fn: Wavefunction, x) -> float:
     of test_fn's domain or their Samples record.
     """
     _check_exponent(k, "k")
-    params = test_fn.params
-    rec = _as_samples(params, x)
+    rec = _as_samples(test_fn.params, x)
     _require_interior(rec.interior)
     if test_fn.is_zero:
         return 0.0
-    kappa, p = test_fn.kappa, test_fn.state
-    up_down = _general_lower(k, *_general_raise(k, kappa, p))
-    down_up = _general_raise(k, *_general_lower(k, kappa, p))
+    state = test_fn.state
+    return float(_commutator_residuals(k, test_fn.kappa, state, _form_row(rec, state), rec))
+
+
+def _commutator_residuals(k: float, kappa: float, state, pv, rec) -> np.ndarray:
+    """The step of the commutator identity that reads the row P (pv,
+    _form_row of the state, one row per column of a stack): the
+    scale-relative residual of commutator_check over the positions, one
+    maximum per column (a 0-d array for one column)."""
+    up_down = _general_lower(k, *_general_raise(k, kappa, state))
+    down_up = _general_raise(k, *_general_lower(k, kappa, state))
     lhs = _envelope(rec, *up_down) - _envelope(rec, *down_up)
-    t = rec.tan.reshape(rec.shape)
-    rhs = 2.0 * k * (1.0 + t * t) * _envelope(rec, kappa, p)
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), initial=0.0))
+    t = rec.tan
+    rhs = 2.0 * k * (1.0 + t * t) * (rec.power(kappa) * pv)
+    return np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)), axis=-1, initial=0.0)
 
 
 def _general_lower(k: float, kappa: float, p):

@@ -41,17 +41,18 @@ import numpy as np
 from . import model
 from .ladder import (
     LadderContext,
+    _commutator_residuals,
     _delta_factors,
     _delta_rows,
+    _derivative_rows,
+    _factorization_residuals,
     _raising_chains,
-    commutator_check,
-    factorization_residual,
     lower,
     raise_,
 )
 from .model import ModelParams, delta_eigenvalue, energy, mass_from_k, v_minus, v_plus
 from .numeric import _GL_WEIGHTS, _MIN_POINTS, _gl_panels, delta_eigenvalues_fd, interior_grid
-from .wavefun import Wavefunction, _panels, _recurrence, build_eigenfunction, evaluate, samples
+from .wavefun import _form_row, _make_state, _panels, _recurrence, build_eigenfunction, evaluate, samples
 
 __all__ = [
     "DEFAULT_BATTERY",
@@ -242,30 +243,65 @@ def _random_test_fns():
     return tuple(fns)
 
 
+@functools.cache
+def _test_fn_stacks():
+    """The test polynomials grouped by coefficient length, shortest
+    first: pairs of their indices in _random_test_fns and the unit-row
+    state of their stacked coefficient columns (8 stacks, of 3, 2, 3,
+    5, 1, 4, 1 and 1 columns; a lone polynomial keeps its 1-D
+    coefficients, the one-column path, whose rows are not broadcast).
+    Built once per process; each column evaluates and raises to the
+    bits of its own polynomial (wavefun._make_state)."""
+    fns = _random_test_fns()
+    groups = {}
+    for i, coeffs in enumerate(fns):
+        groups.setdefault(coeffs.size, []).append(i)
+    stacks = []
+    for _, idx in sorted(groups.items()):
+        coeffs = np.column_stack([fns[i] for i in idx]) if len(idx) > 1 else fns[idx[0]]
+        stacks.append((idx, _make_state(None, 0, (coeffs,))))
+    return tuple(stacks)
+
+
 def _suite_factorization(p, record, run):
     """Per distinct k: H_- = A^+A and H_+ = AA^+ on the test polynomials
-    at levels k and k+1, on the model's grid record.
+    at levels k and k+1, on the model's grid record, each residual over
+    1 + max|U|.  Each stack of _test_fn_stacks gets its rows P, P' and
+    P'' once (ladder._derivative_rows); both levels and both scales read
+    them.  Delta's factor rows are formed once per level, as in the
+    eigen suites.  The residuals come in the order of the test
+    polynomials, with the bits of factorization_residual on each.
 
     The polynomials and the levels are the same for every model; the grid
     is pi/w times a fixed set of points and the operators read it only
     through wx.  So the residuals depend on k alone.  Where w is a power
     of two, wx is exact and so are the residuals; elsewhere they move by
     rounding."""
-    x = record()
-    for coeffs in _random_test_fns():
-        for kappa in (p.k, p.k + 1.0):
-            wf = Wavefunction(p, kappa, coeffs)
-            scale = 1.0 + float(np.max(np.abs(evaluate(wf, x))))
-            yield factorization_residual(p.k, wf, x) / scale
+    rec = record()
+    levels = [(kappa, _delta_factors(kind, p.k, kappa, rec))
+              for kind, kappa in (("minus", p.k), ("plus", p.k + 1.0))]
+    out = np.empty((len(_random_test_fns()), 2))
+    for idx, state in _test_fn_stacks():
+        rows = _derivative_rows(rec, state)
+        for j, (kappa, factors) in enumerate(levels):
+            scale = 1.0 + np.max(np.abs(rec.power(kappa) * rows[0]), axis=-1)
+            out[idx, j] = _factorization_residuals(p.k, kappa, state, rows, factors, rec) / scale
+    yield from out.ravel().tolist()
 
 
 def _suite_commutator(p, record, run):
     """Per distinct k: [A, A^+] = 2k + (1/2k)(A + A^+)^2 on the test
-    polynomials, on the model's grid record.
+    polynomials, on the model's grid record: one row P per stack of
+    _test_fn_stacks, read by the right side.  The residuals come in the
+    order of the test polynomials, with the bits of commutator_check on
+    each.
 
     As for factorization, the residuals depend on k alone."""
-    for coeffs in _random_test_fns():
-        yield commutator_check(p.k, Wavefunction(p, p.k, coeffs), record())
+    rec = record()
+    out = np.empty(len(_random_test_fns()))
+    for idx, state in _test_fn_stacks():
+        out[idx] = _commutator_residuals(p.k, p.k, state, _form_row(rec, state), rec)
+    yield from out.tolist()
 
 
 def _suite_build_up(p, record, run):

@@ -25,7 +25,9 @@ ladder operators map to other states on the same rows.  The unit row
 R = 1 (k is None, level 0) gives the coefficient polynomials, t_0 =
 coeffs = P: the factorization and commutator test functions and
 build_from_ground's raising chain.  As R' = 0, the calculus of terms
-reduces there to the monomial rules.
+reduces there to the monomial rules.  There t_0 may also be a 2-D stack
+of coefficient columns, each keeping the bits it has alone; verify runs
+its test polynomials so.
 
 Sign convention: the highest-order coefficient of P_n is positive.  This
 choice makes the lowering/raising maps hold with positive square-root
@@ -91,15 +93,18 @@ class _State(NamedTuple):
 
 
 def _make_state(k: float | None, n: int, terms):
-    """The _State of these 1-D float arrays, the terms of derivative
-    order 0..(at most) n: each is trimmed of its trailing zeros, the one
-    trim rule of terms and coefficients, and trailing empty terms are
+    """The _State of these float arrays, the terms of derivative order
+    0..(at most) n: each is trimmed of its trailing zeros, the one trim
+    rule of terms and coefficients, and trailing empty terms are
     dropped; None where no term is left (the zero function).  Every term
-    is read-only."""
+    is read-only.  A term is 1-D, or on the unit row a 2-D stack whose
+    columns are coefficient arrays, trimmed of the rows that are zero in
+    every column: each column then evaluates, and raises, to the bits of
+    its own trimmed form (_horner, ladder._first_order)."""
     out = []
     for t in terms:
-        size = t.size
-        while size and t[size - 1] == 0.0:
+        size = len(t)
+        while size and not (t[size - 1] if t.ndim == 1 else np.count_nonzero(t[size - 1])):
             size -= 1
         t = t[:size]
         t.setflags(write=False)
@@ -109,11 +114,12 @@ def _make_state(k: float | None, n: int, terms):
     return _State(k, n, tuple(out)) if out else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wavefunction:
     """Immutable envelope-times-polynomial wavefunction cos^kappa P, P
     held as a _State (_make_state), None for the zero function (the
-    result of annihilating a ground state).
+    result of annihilating a ground state).  Compared and hashed by
+    identity: its fields hold arrays, which have no one truth value.
 
     Wavefunction(params, kappa, coeffs) takes c_0..c_d of P(s) =
     sum c_j s^j ascending, s = sin(wx), as the level-0 state on the
@@ -345,30 +351,33 @@ def evaluate(wf: Wavefunction, x):
     rec = _as_samples(wf.params, x)
     if not rec.in_domain:
         raise ValueError("x must satisfy |x| <= half_width")
-    out = _envelope(rec, wf.kappa, wf.state)
+    out = _envelope(rec, wf.kappa, wf.state).reshape(rec.shape)
     return out if out.ndim else float(out)
 
 
 def _envelope(rec: Samples, kappa: float, state) -> np.ndarray:
-    """cos^kappa(wx) * P(sin wx) on a record, in its shape, for any real
-    kappa and the _State of P (zeros for None); no domain or kappa
-    checks.  The one place envelope values are formed: evaluate and the
-    operator residuals, whose intermediate terms carry exponents below
-    the bound-state range, all call it.  The power is the record's
-    (rec.power), 0.0 at a boundary point for kappa > 0.
+    """cos^kappa(wx) * P(sin wx) on a record, flat, for any real kappa
+    and the _State of P (zeros for None); for a stack of coefficient
+    columns, one row per column, the record's power broadcast over them.
+    No domain or kappa checks.  The one place envelope values are
+    formed: evaluate and the operator residuals, whose intermediate
+    terms carry exponents below the bound-state range, all call it.
+    The power is the record's (rec.power), 0.0 at a boundary point for
+    kappa > 0.
     """
     if state is None:
-        return np.zeros(rec.shape)
-    return (rec.power(kappa) * _form_row(rec, state)).reshape(rec.shape)
+        return np.zeros(rec.size)
+    return rec.power(kappa) * _form_row(rec, state)
 
 
 def _form_row(rec: Samples, state: _State) -> np.ndarray:
     """sum_d t_d(s) R_n^(d)(s), flat, for a state from _make_state (its
     last term nonzero).  The rows are where the state takes them from:
-    on the unit row P is t_0 itself, Horner's row; on the Gegenbauer
-    rows at parameter k, a term t_d = 1 is the record's row itself (the
-    memo's read-only array, for a lone term), any other nonzero one is
-    the record's row of t_d times the row."""
+    on the unit row P is t_0 itself, Horner's row (one row per column
+    of a stack); on the Gegenbauer rows at parameter k, a term t_d = 1
+    is the record's row itself (the memo's read-only array, for a lone
+    term), any other nonzero one is the record's row of t_d times the
+    row."""
     k, n, terms = state
     if k is None:
         return _horner(rec.s, terms[0])
@@ -447,7 +456,10 @@ def _recurrence(rec: Samples, k: float, n_max: int, order: int = 0) -> list:
 def _horner(s, c: np.ndarray):
     """P(s) for ascending 1-D coefficients c (size >= 1) at finite s:
     numpy's polyval loop without its wrappers, same products in the same
-    order.
+    order.  For a 2-D stack c of coefficient columns at a 1-D s, one row
+    of values per column, each by its column's own loop: on a few
+    thousand points numpy's 1-D loop with scalar coefficients is faster
+    than the same loop broadcast over the stack.
 
     The loop runs in place on one accumulator, acc *= s; acc += c_j,
     where polyval forms c_j + acc * s in new arrays.  The product is the
@@ -456,7 +468,14 @@ def _horner(s, c: np.ndarray):
     c_d + s * 0, which is c_d itself for a nonzero c_d, so the first
     product is formed as c_d * s directly; a trimmed leading coefficient
     is nonzero, and a constant keeps polyval's start, which gives the
-    row its shape."""
+    row its shape.  A column padded with zeros has the same bits: the
+    zeros above its leading coefficient c_d leave a signed zero, and the
+    loop's next step adds c_d to it exactly."""
+    if c.ndim > 1:
+        out = np.empty((c.shape[1], len(s)))
+        for row, column in zip(out, c.T):
+            row[:] = _horner(s, column)
+        return out
     if c.size == 1:
         return c[-1] + s * 0
     acc = c[-1] * s

@@ -479,6 +479,36 @@ def _readme_commands():
     return [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.startswith("susy-pt ")]
 
 
+class TestJsonContract:
+    def test_batches_join_to_dumps(self):
+        # the encoder's pieces go out _JSON_BATCH at a time; joined, they
+        # are json.dumps(indent=2) and a newline
+        rng = np.random.default_rng(6)
+        rows = [{"x": float(a), "value": float(b)} for a, b in rng.standard_normal((cli._JSON_BATCH // 6, 2))]
+        rows[-1] = {"x": -0.0, "value": math.nan}
+        doc = {"params": {"k": 2.0}, "n": 3, "samples": rows, "final_norm": math.inf}
+        pieces = list(cli._json(doc))
+        assert len(pieces) == 3  # 12 encoder pieces per row: two full batches
+        assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+
+    def test_small_document_is_one_write(self):
+        steps = [{"step": j, "k_level": 18.7 - j, "factor": math.sqrt(j + 1.0)} for j in range(16)]
+        doc = {"params": {"k": 3.7}, "n": 16, "steps": steps, "prefactor": 0.5, "final_norm": 1.0}
+        assert list(cli._json(doc)) == [json.dumps(doc, indent=2) + "\n"]
+
+    def test_eigenfunction_in_batches(self, capsys, tmp_path):
+        samples = 2 * cli._JSON_BATCH // 12 + 1  # 12 encoder pieces per row: three batches
+        out = tmp_path / "f.json"
+        code, _, err = run_cli(capsys, "eigenfunction", "--k", "2", "--n", "3", "--format", "json",
+                               "--samples", str(samples), "--output", str(out))
+        assert (code, err) == (0, "")
+        p = ModelParams(1.0, 1.0, 2.0)
+        x = np.linspace(-p.half_width, p.half_width, samples)
+        rows = [{"x": a, "value": b} for a, b in zip(x.tolist(), evaluate(build_eigenfunction(p, 3), x).tolist())]
+        doc = {"params": cli._params_json(p), "n": 3, "samples": rows}
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
 class TestReadmeCommands:
     def test_block_found(self):
         assert len(_readme_commands()) >= 5

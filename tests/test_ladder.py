@@ -9,7 +9,11 @@ from numpy.polynomial import polynomial as npoly
 from susy_pt import ModelParams
 from susy_pt.ladder import (
     LadderContext,
+    _commutator_residuals,
+    _delta_factors,
     _der,
+    _derivative_rows,
+    _factorization_residuals,
     _first_order,
     _raising_chains,
     apply_delta,
@@ -27,6 +31,7 @@ from susy_pt.wavefun import (
     MAX_LEVEL,
     Wavefunction,
     _ground_norm,
+    _make_state,
     build_eigenfunction,
     evaluate,
     hypergeometric_coefficients,
@@ -170,6 +175,43 @@ class TestCoefficientPathBits:
                 h["factorization_residual"].update(np.float64(factorization_residual(k, wf, x)).tobytes())
                 h["commutator_check"].update(np.float64(commutator_check(k, wf, x)).tobytes())
         assert {name: v.hexdigest() for name, v in h.items()} == self.DIGESTS[k]
+
+
+class TestStackedIdentities:
+    """A unit-row state may hold a stack of coefficient columns, padded
+    with zeros to one length.  The identity steps read the stack's rows
+    once and give each column the bits of its one-column public call."""
+
+    @staticmethod
+    def _stack(polys, length):
+        stack = np.zeros((length, len(polys)))
+        for j, c in enumerate(polys):
+            stack[: c.size, j] = c
+        return stack
+
+    @pytest.mark.parametrize("p", [ModelParams(1.0, 2.0, 3.7), ModelParams(1.3, 0.7, 1.5)], ids=repr)
+    def test_columns_give_their_public_bits(self, p):
+        rng = np.random.default_rng(53)
+        mixed = [rng.uniform(-1.0, 1.0, 7), np.zeros(0), rng.uniform(-1.0, 1.0, 3), np.array([0.8]),
+                 rng.uniform(-1.0, 1.0, 6)]
+        constants = [np.array([0.8]), np.array([-1.3])]
+        flat = interior_grid(p, 2001).points
+        for polys in (mixed, constants):
+            state = _make_state(None, 0, (self._stack(polys, 8),))  # a trailing row zero in every column
+            assert state.terms[0].shape == (max(c.size for c in polys), len(polys))
+            for x in (flat, flat.reshape(3, 667)):
+                rec = samples(p, x)
+                rows = _derivative_rows(rec, state)
+                for kappa, kind in ((p.k, "minus"), (p.k + 1.0, "plus")):
+                    factors = _delta_factors(kind, p.k, kappa, rec)
+                    got = _factorization_residuals(p.k, kappa, state, rows, factors, rec)
+                    want = [factorization_residual(p.k, Wavefunction(p, kappa, c), x) for c in polys]
+                    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+                got = _commutator_residuals(p.k, p.k, state, rows[0], rec)
+                want = [commutator_check(p.k, Wavefunction(p, p.k, c), x) for c in polys]
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+            if polys is mixed:  # the zero column reads 0.0, the others their rounding
+                assert want[1] == 0.0 and min(want[:1] + want[2:]) > 0.0
 
 
 class TestLoweringRaising:

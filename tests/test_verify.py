@@ -151,7 +151,8 @@ class TestRunAll:
                 wall, f1, f2, f3 = exact(*args)
                 return wall, f1, f2, f3 * (1.0 + 1e-7)
 
-            monkeypatch.setattr(ladder, "_delta_factors", mutated)
+            for mod in (ladder, verify_mod):  # the suite forms the factor rows once per level
+                monkeypatch.setattr(mod, "_delta_factors", mutated)
         else:
             exact = wavefun.Samples.tan.func
             monkeypatch.setattr(wavefun.Samples, "tan", property(lambda rec: exact(rec) * (1.0 + 1e-7)))
@@ -313,22 +314,33 @@ class TestRunAll:
         assert suite.worst_residual.hex() == float(want).hex()
 
     def test_identity_suites_call_once_per_distinct_k(self, monkeypatch):
-        # 20 test polynomials at 2 levels, and 20 at 1, for each of the 4
-        # distinct k of the battery (480 and 240 calls when they ran per
-        # model); one FD solve per distinct k; the nonrel_limit sequence once
+        # the 20 test polynomials in 8 stacks, each stack's rows formed
+        # once, read at 2 levels by factorization and at 1 by commutator,
+        # for each of the 4 distinct k of the battery: 160 and 80
+        # polynomial checks (as many calls of factorization_residual and
+        # commutator_check before the stacks, 480 and 240 when they ran
+        # per model) in 64 and 32 calls; one FD solve per distinct k; the
+        # nonrel_limit sequence once
         calls = dict.fromkeys(
-            ("factorization_residual", "commutator_check", "delta_eigenvalues_fd", "run_nonrel_limit"), 0
+            ("_derivative_rows", "_factorization_residuals", "_commutator_residuals",
+             "delta_eigenvalues_fd", "run_nonrel_limit"), 0
         )
+        columns = dict.fromkeys(("_factorization_residuals", "_commutator_residuals"), 0)
         for attr in calls:
             def wrapper(*args, attr=attr, real=getattr(verify_mod, attr), **kwargs):
                 calls[attr] += 1
+                if attr in columns:  # (k, kappa, state, ...): one check per coefficient column
+                    t = args[2].terms[0]
+                    columns[attr] += 1 if t.ndim == 1 else t.shape[1]
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(verify_mod, attr, wrapper)
         assert run_all().all_passed
+        assert columns == {"_factorization_residuals": 160, "_commutator_residuals": 80}
         assert calls == {
-            "factorization_residual": 160,
-            "commutator_check": 80,
+            "_derivative_rows": 32,
+            "_factorization_residuals": 64,
+            "_commutator_residuals": 32,
             "delta_eigenvalues_fd": 4,
             "run_nonrel_limit": 1,
         }
@@ -357,21 +369,28 @@ class TestRunAll:
             assert not any(row.flags.writeable for level in rows for row in level)
 
     def test_level_rows_work_counts(self, monkeypatch):
-        # the eigen-residual suites read Delta from the rows, so the only
-        # apply_delta calls are factorization_residual's 160 (556 with
-        # the 396 the suites made); build_up raises the 17 chains of the
-        # first model of each k together, 16 lock-step steps (1632 steps
-        # when each chain ran alone), and ladder's 64 raise_ calls each
-        # form one term (608 _first_order calls, 864 while the state
-        # suites ran per model); 1092 Horner passes (1116 while the P''
-        # of a degree-1 test polynomial had a Horner row of its own
-        # rather than the record's zero row, 1268 per model), none of
-        # them on an eigenstate's level (1724 with the 384 of
-        # ladder's monomial images and the monomial states' own, 3308
-        # when every table row and Delta term had its own); Delta's
-        # factor rows once per level set and once per apply_delta call,
-        # 8 + 160 (24 + 160 per model); no hypergeometric coefficient at
-        # all
+        # the eigen-residual suites read Delta from the rows and the
+        # factorization suite from the rows of its stacks, so verify makes
+        # no apply_delta call (160 while factorization_residual ran per
+        # test polynomial, 556 with the 396 the suites made); build_up
+        # raises the 17 chains of the first model of each k together, 16
+        # lock-step steps (1632 steps when each chain ran alone), and
+        # ladder's 64 raise_ calls each form one term; the identity
+        # suites' rules act on the 8 stacks of test polynomials, 2 per
+        # stack and k for factorization and 4 for commutator (320
+        # _first_order calls; 608 per test polynomial, 864 while the
+        # state suites ran per model); 704 one-row Horner passes, 628 of
+        # them on the test polynomials, 157 per k: factorization's P, P'
+        # and P'' (no P'' for the 3 of degree 1) and its two composed
+        # sides, commutator's P and its two sides, plus the 156 calls on
+        # the 5 stacks of more than one column that run those passes
+        # (1092 passes per test polynomial, 1268 per model), none of
+        # them on an eigenstate's level (1724 with the 384 of ladder's
+        # monomial images and the monomial states' own, 3308 when every
+        # table row and Delta term had its own); Delta's factor rows
+        # once per level set and once per level of the factorization
+        # suite, 8 + 8 (8 + 160 per test polynomial, 24 + 160 per model);
+        # no hypergeometric coefficient at all
         calls = dict.fromkeys(("apply_delta", "_delta_factors", "_first_order", "_horner"), 0)
         build_up_steps = []
         holders = {"apply_delta": [ladder], "_delta_factors": [verify_mod, ladder],
@@ -399,7 +418,7 @@ class TestRunAll:
         monkeypatch.setattr(wavefun, "hypergeometric_coefficients", no_series)
         assert "apply_delta" not in vars(verify_mod)
         assert run_all().all_passed
-        assert calls == {"apply_delta": 160, "_delta_factors": 168, "_first_order": 608, "_horner": 1092}
+        assert calls == {"apply_delta": 0, "_delta_factors": 16, "_first_order": 320, "_horner": 704 + 156}
         assert build_up_steps == [16] * 4
 
     @pytest.mark.parametrize(
@@ -692,18 +711,20 @@ class TestPerKSuites:
         assert self.worst(DEFAULT_BATTERY) == _identity_maxima(DEFAULT_BATTERY)
 
     def test_one_k_runs_first_model_within_rounding(self, monkeypatch):
+        # the stacked steps read the grid record of the first model alone
         battery = [ModelParams(1.0, eps, 3.7) for eps in (0.7, 1.3)]
+        assert battery[0].hat_omega != battery[1].hat_omega
         seen = set()
-        for attr in ("factorization_residual", "commutator_check"):
+        for attr in ("_derivative_rows", "_factorization_residuals", "_commutator_residuals"):
             real = getattr(verify_mod, attr)
 
-            def wrapper(k, wf, x, real=real):
-                seen.add(wf.params)
-                return real(k, wf, x)
+            def wrapper(*args, real=real, first=attr == "_derivative_rows"):
+                seen.add((args[0] if first else args[-1]).hat_omega)  # the record
+                return real(*args)
 
             monkeypatch.setattr(verify_mod, attr, wrapper)
         worst = self.worst(battery)
-        assert seen == {battery[0]}
+        assert seen == {battery[0].hat_omega}
         maxima = _identity_maxima(battery)
         for name, res in worst.items():
             assert abs(res - maxima[name]) <= 1e-14, name

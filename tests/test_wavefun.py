@@ -220,6 +220,15 @@ class TestWavefunctionType:
         x = np.array([-0.4, 0.0, 0.7])
         np.testing.assert_allclose(evaluate(wf, x), 0.5 * np.cos(x) ** 2, rtol=1e-15, atol=0.0)
 
+    def test_compared_and_hashed_by_identity(self):
+        # the generated field comparison read the coefficient arrays:
+        # == raised ValueError and hash() TypeError on equal inputs
+        p = ModelParams(1.0, 1.0, 2.0)
+        a, b = Wavefunction(p, 2.0, [1.0, 2.0]), Wavefunction(p, 2.0, [1.0, 2.0])
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert build_eigenfunction(p, 1) != build_eigenfunction(p, 1)
+
 
 class TestBuildEigenfunction:
     def test_ground_state_value_at_origin(self, build_cached):
